@@ -31,11 +31,34 @@ def _load_program(path: str):
     return sig, body, ty
 
 
-def _load_config(path: Optional[str]) -> dict:
+def _load_config(path: Optional[str], sig) -> dict:
+    """Read and validate an effect-behavior config; problems are diagnostics."""
     if not path:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            config = json.load(fh)
+        except ValueError as exc:
+            raise PurifyError(f"config {path}: malformed JSON ({exc})") from None
+    if not isinstance(config, dict):
+        raise PurifyError(f"config {path}: top level must be a JSON object")
+    declared = set(sig.effectful_names())
+    for section in ("latency_ms", "behavior"):
+        entries = config.get(section, {})
+        if not isinstance(entries, dict):
+            raise PurifyError(f"config section {section!r} must be a JSON object")
+        for name in entries:
+            if name not in declared:
+                raise PurifyError(
+                    f"config names an undeclared effect {name!r} in {section}"
+                )
+    for name, ms in config.get("latency_ms", {}).items():
+        if isinstance(ms, bool) or not isinstance(ms, (int, float)) or not ms >= 0:
+            raise PurifyError(f"latency for {name!r} must be a nonnegative number")
+    for name, behavior in config.get("behavior", {}).items():
+        if not isinstance(behavior, dict):
+            raise PurifyError(f"behavior for {name!r} must be a JSON object")
+    return config
 
 
 def _monad_by_name(name: str):
@@ -47,17 +70,10 @@ def _monad_by_name(name: str):
     raise PurifyError(f"unknown monad {name!r}")
 
 
-def _validate_config(config: dict, sig) -> None:
-    declared = set(sig.effectful_names())
-    for section in ("latency_ms", "behavior"):
-        for name in config.get(section, {}):
-            if name not in declared:
-                raise PurifyError(
-                    f"config names an undeclared effect {name!r} in {section}"
-                )
-    for name, ms in config.get("latency_ms", {}).items():
-        if float(ms) < 0:
-            raise PurifyError(f"latency for {name!r} must be nonnegative")
+def _require_positive(args, *names: str) -> None:
+    for name in names:
+        if getattr(args, name) < 1:
+            raise PurifyError(f"--{name} must be at least 1, got {getattr(args, name)}")
 
 
 def cmd_check(args) -> int:
@@ -110,8 +126,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_run(args) -> int:
     sig, body, ty = _load_program(args.file)
-    config = _load_config(args.config)
-    _validate_config(config, sig)
+    config = _load_config(args.config, sig)
     m = _monad_by_name(args.monad)
     env = make_const_env(sig, m, config.get("behavior"))
     action = evaluate(body, SRC, m, env)
@@ -159,6 +174,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_laws(args) -> int:
+    _require_positive(args, "trials")
     m = _monad_by_name(args.monad)
     report = check_laws(m, args.trials, args.seed)
     if args.json:
@@ -172,6 +188,7 @@ def cmd_laws(args) -> int:
 
 
 def cmd_suite(args) -> int:
+    _require_positive(args, "trials", "depth")
     cfg = GenConfig(max_depth=args.depth, seed=args.seed)
     report = run_suite(args.name, cfg, args.trials)
     if args.json:

@@ -17,8 +17,8 @@ from .check import TypeEnv, typecheck
 from .metrics import span, work
 from .pretty import pretty
 from .semantics import (
-    actions_agree, builtin_monads, check_laws, evaluate, make_const_env,
-    value_eq_for, _as_action,
+    ConstEnv, MonadDict, actions_agree, builtin_monads, check_laws, evaluate,
+    make_const_env, value_eq_for, _as_action,
 )
 from .terms import (
     App, Ap, Arrow, COM, Const, ConstDecl, ConstKind, Each, Eff, Fst, Join,
@@ -435,8 +435,184 @@ def _sub_seed(seed: int, i: int) -> int:
     return seed * 1_000_003 + i
 
 
+@dataclass
+class _Ctx:
+    """What a suite check needs besides its term."""
+
+    sig: Signature
+    env_t: TypeEnv
+    envs: dict[str, tuple[MonadDict, ConstEnv]]  # monad name -> (monad, consts)
+
+    @classmethod
+    def of(cls, sig: Signature) -> _Ctx:
+        envs = {m.name: (m, make_const_env(sig, m)) for m in builtin_monads()}
+        return cls(sig, TypeEnv(sig), envs)
+
+
+# -- generators: (trial config, trial index) -> a checked term --------------
+
+def _gen_plain(sub: GenConfig, i: int) -> Term:
+    return gen_term(sub)
+
+
+def _gen_smart(sub: GenConfig, i: int) -> Term:
+    """An Ap of two generated actions (even trials) or a Join (odd trials)."""
+    rng = random.Random(sub.seed)
+    g = _Gen(rng, sub.signature)
+    inner = _pick_goal(rng)
+    if i % 2 == 0:
+        st = g.small_type()
+        f = g.gen(Eff(Arrow(st, inner)), TGT, {}, sub.max_depth)
+        e = g.gen(Eff(st), TGT, {}, sub.max_depth)
+        term: Term = Ap(f, e, label=TGT)
+    else:
+        n = g.gen_nested_eff(inner, {}, sub.max_depth) \
+            if rng.random() < 0.5 \
+            else g.gen(Eff(Eff(inner)), TGT, {}, sub.max_depth)
+        term = Join(n, label=TGT)
+    typecheck(term, TGT, TypeEnv(sub.signature))
+    return term
+
+
+def _gen_action(sub: GenConfig, i: int) -> Term:
+    """A target action of a randomly picked result type."""
+    rng = random.Random(sub.seed)
+    g = _Gen(rng, sub.signature)
+    term = g.gen(Eff(_pick_goal(rng)), TGT, {}, sub.max_depth)
+    typecheck(term, TGT, TypeEnv(sub.signature))
+    return term
+
+
+# -- checks: a failure detail, or None when the property holds -------------
+#
+# Checks also run on shrink candidates, so a check returns None for a shape
+# it does not test.
+
+def _check_types(c: _Ctx, term: Term) -> Optional[str]:
+    src_ty = typecheck(term, SRC, c.env_t)
+    out = opt_translate(term)
+    out_ty = typecheck(out, TGT, c.env_t)
+    if out_ty != Eff(src_ty):
+        return f"expected Eff {src_ty!r}, got {out_ty!r}"
+    return None
+
+
+def _check_semantics(c: _Ctx, term: Term) -> Optional[str]:
+    src_ty = typecheck(term, SRC, c.env_t)
+    out = opt_translate(term)
+    typecheck(out, TGT, c.env_t)
+    for m, env in c.envs.values():
+        a_src = evaluate(term, SRC, m, env)
+        a_tgt = _as_action(evaluate(out, TGT, m, env))
+        if not actions_agree(src_ty, m, a_tgt, a_src):
+            return f"disagrees under {m.name}"
+    return None
+
+
+def _check_span_work(c: _Ctx, term: Term) -> Optional[str]:
+    typecheck(term, SRC, c.env_t)
+    out = opt_translate(term)
+    s0, w0 = span(term, c.sig), work(term, c.sig)
+    s1, w1 = span(out, c.sig), work(out, c.sig)
+    if s1 > s0 or w1 > w0:
+        return f"span {s0}->{s1}, work {w0}->{w1}"
+    return None
+
+
+def _check_smart_ctors(c: _Ctx, term: Term) -> Optional[str]:
+    """Compare the raw Ap/Join node with its smart constructor's output."""
+    if isinstance(term, Ap):
+        opt, kind = smart_ap(term.fun, term.arg), "AP"
+    elif isinstance(term, Join):
+        opt, kind = smart_join(term.nested), "JOIN"
+    else:
+        return None
+    typecheck(opt, TGT, c.env_t)
+    ty = typecheck(term, TGT, c.env_t)
+    if span(opt, c.sig) > span(term, c.sig) or work(opt, c.sig) > work(term, c.sig):
+        return f"smart {kind} increased span/work"
+    for m, env in c.envs.values():
+        a = _as_action(evaluate(opt, TGT, m, env))
+        b = _as_action(evaluate(term, TGT, m, env))
+        if not actions_agree(ty.inner, m, a, b):
+            return f"{kind} disagrees under {m.name}"
+    return None
+
+
+def _check_relabel(c: _Ctx, term: Term) -> Optional[str]:
+    ty = typecheck(term, COM, c.env_t)
+    if span(term, c.sig) != 0 or work(term, c.sig) != 0:
+        return "common term has nonzero span/work"
+    out = relabel(term, TGT)
+    typecheck(out, TGT, c.env_t)
+    if span(out, c.sig) != 0 or work(out, c.sig) != 0:
+        return "relabelled term has nonzero span/work"
+    for m, env in c.envs.values():
+        va = evaluate(term, COM, m, env)
+        vb = evaluate(out, TGT, m, env)
+        if not value_eq_for(ty, m)(va, vb):
+            return f"relabel changes value under {m.name}"
+    return None
+
+
+def _check_effect_free(c: _Ctx, term: Term) -> Optional[str]:
+    typecheck(term, COM, c.env_t)
+    if not is_effect_free(term):
+        return "common term contains Each/Join"
+    if span(term, c.sig) != 0 or work(term, c.sig) != 0:
+        return "nonzero span/work on common term"
+    return None
+
+
+def _check_normalize(c: _Ctx, term: Term) -> Optional[str]:
+    ty = typecheck(term, TGT, c.env_t)
+    out = normalize(term)
+    typecheck(out, TGT, c.env_t)
+    if span(out, c.sig) > span(term, c.sig) or work(out, c.sig) > work(term, c.sig):
+        return "normalize increased span/work"
+    for m, env in c.envs.values():
+        if isinstance(ty, Eff):
+            a = _as_action(evaluate(out, TGT, m, env))
+            b = _as_action(evaluate(term, TGT, m, env))
+            if not actions_agree(ty.inner, m, a, b):
+                return f"normalize disagrees under {m.name}"
+        elif not value_eq_for(ty, m)(evaluate(out, TGT, m, env), evaluate(term, TGT, m, env)):
+            return f"normalize disagrees under {m.name}"
+    return None
+
+
+def _check_baseline(c: _Ctx, term: Term) -> Optional[str]:
+    src_ty = typecheck(term, SRC, c.env_t)
+    out = seq_translate(term)
+    typecheck(out, TGT, c.env_t)
+    for name in ("option", "state", "writer"):  # trace would see the lost parallelism
+        m, env = c.envs[name]
+        a_src = evaluate(term, SRC, m, env)
+        a_seq = _as_action(evaluate(out, TGT, m, env))
+        if not actions_agree(src_ty, m, a_seq, a_src):
+            return f"sequential baseline disagrees under {m.name}"
+    return None
+
+
+# suite -> (label of its terms, generator, check); "laws" checks monads instead
+_TERM_SUITES: dict[str, tuple[Label, Callable[[GenConfig, int], Term],
+                              Callable[[_Ctx, Term], Optional[str]]]] = {
+    "types": (SRC, _gen_plain, _check_types),
+    "semantics": (SRC, _gen_plain, _check_semantics),
+    "span_work": (SRC, _gen_plain, _check_span_work),
+    "smart_ctors": (TGT, _gen_smart, _check_smart_ctors),
+    "relabel": (COM, _gen_plain, _check_relabel),
+    "effect_free": (COM, _gen_plain, _check_effect_free),
+    "normalize": (TGT, _gen_action, _check_normalize),
+    "baseline": (SRC, _gen_plain, _check_baseline),
+}
+
+
 def run_suite(name: str, cfg: GenConfig, trials: int) -> SuiteReport:
-    """Run one executable theorem/lemma suite and report failures."""
+    """Run one executable theorem/lemma suite and report failures.
+
+    Every failing term is shrunk before it is reported.
+    """
     if name not in SUITE_NAMES:
         raise PurifyError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     sig = cfg.sig()
@@ -457,220 +633,23 @@ def run_suite(name: str, cfg: GenConfig, trials: int) -> SuiteReport:
         report.trials = len(builtin_monads())
         return report
 
-    monads = builtin_monads()
-    envs = {m.name: (m, make_const_env(sig, m)) for m in monads}
-    env_t = TypeEnv(sig)
-
-    def record_failure(term: Term, detail: str, check: Callable[[Term], Optional[str]],
-                       label: Label, trial_seed: int) -> None:
-        def fails(t: Term) -> bool:
-            return check(t) is not None
-
-        small = shrink(term, label, sig, fails)
+    label, generate, check = _TERM_SUITES[name]
+    ctx = _Ctx.of(sig)
+    for i in range(trials):
+        s = _sub_seed(cfg.seed, i)
+        try:
+            term = generate(GenConfig(cfg.max_depth, s, sig, label), i)
+        except Unsatisfiable:
+            report.passes += 1
+            continue
+        detail = check(ctx, term)
+        if detail is None:
+            report.passes += 1
+            continue
+        small = shrink(term, label, sig, lambda t: check(ctx, t) is not None)
         report.failures.append({
-            "seed": trial_seed,
+            "seed": s,
             "term_pretty": pretty(small),
-            "detail": check(small) or detail,
+            "detail": check(ctx, small) or detail,
         })
-
-    def run_trials(label: Label, check: Callable[[Term], Optional[str]],
-                   goal: Optional[Ty] = None) -> None:
-        for i in range(trials):
-            s = _sub_seed(cfg.seed, i)
-            sub = GenConfig(cfg.max_depth, s, sig, label, goal)
-            try:
-                term = gen_term(sub)
-            except Unsatisfiable:
-                report.passes += 1
-                continue
-            detail = check(term)
-            if detail is None:
-                report.passes += 1
-            else:
-                record_failure(term, detail, check, label, s)
-
-    if name == "types":
-        def check(term: Term) -> Optional[str]:
-            src_ty = typecheck(term, SRC, env_t)
-            out = opt_translate(term)
-            out_ty = typecheck(out, TGT, env_t)
-            if out_ty != Eff(src_ty):
-                return f"expected Eff {src_ty!r}, got {out_ty!r}"
-            return None
-
-        run_trials(SRC, check)
-
-    elif name == "semantics":
-        def check(term: Term) -> Optional[str]:
-            src_ty = typecheck(term, SRC, env_t)
-            out = opt_translate(term)
-            typecheck(out, TGT, env_t)
-            for m, env in envs.values():
-                a_src = evaluate(term, SRC, m, env)
-                a_tgt = _as_action(evaluate(out, TGT, m, env))
-                if not actions_agree(src_ty, m, a_tgt, a_src):
-                    return f"disagrees under {m.name}"
-            return None
-
-        run_trials(SRC, check)
-
-    elif name == "span_work":
-        def check(term: Term) -> Optional[str]:
-            typecheck(term, SRC, env_t)
-            out = opt_translate(term)
-            s0, w0 = span(term, sig), work(term, sig)
-            s1, w1 = span(out, sig), work(out, sig)
-            if s1 > s0 or w1 > w0:
-                return f"span {s0}->{s1}, work {w0}->{w1}"
-            return None
-
-        run_trials(SRC, check)
-
-    elif name == "smart_ctors":
-        def check_ap(term: Term) -> Optional[str]:
-            # term is the Ap of generated arguments; compare raw vs smart
-            assert isinstance(term, Ap)
-            f, e = term.fun, term.arg
-            opt = smart_ap(f, e)
-            typecheck(opt, TGT, env_t)
-            ty = typecheck(term, TGT, env_t)
-            if span(opt, sig) > span(term, sig) or work(opt, sig) > work(term, sig):
-                return "smart AP increased span/work"
-            for m, env in envs.values():
-                a = _as_action(evaluate(opt, TGT, m, env))
-                b = _as_action(evaluate(term, TGT, m, env))
-                if not actions_agree(ty.inner, m, a, b):
-                    return f"AP disagrees under {m.name}"
-            return None
-
-        def check_join(term: Term) -> Optional[str]:
-            assert isinstance(term, Join)
-            opt = smart_join(term.nested)
-            typecheck(opt, TGT, env_t)
-            ty = typecheck(term, TGT, env_t)
-            if span(opt, sig) > span(term, sig) or work(opt, sig) > work(term, sig):
-                return "smart JOIN increased span/work"
-            for m, env in envs.values():
-                a = _as_action(evaluate(opt, TGT, m, env))
-                b = _as_action(evaluate(term, TGT, m, env))
-                if not actions_agree(ty.inner, m, a, b):
-                    return f"JOIN disagrees under {m.name}"
-            return None
-
-        for i in range(trials):
-            s = _sub_seed(cfg.seed, i)
-            rng = random.Random(s)
-            g = _Gen(rng, sig)
-            inner = _pick_goal(rng)
-            try:
-                if i % 2 == 0:
-                    st = g.small_type()
-                    f = g.gen(Eff(Arrow(st, inner)), TGT, {}, cfg.max_depth)
-                    e = g.gen(Eff(st), TGT, {}, cfg.max_depth)
-                    term: Term = Ap(f, e, label=TGT)
-                    check = check_ap
-                else:
-                    n = g.gen_nested_eff(inner, {}, cfg.max_depth) \
-                        if rng.random() < 0.5 \
-                        else g.gen(Eff(Eff(inner)), TGT, {}, cfg.max_depth)
-                    term = Join(n, label=TGT)
-                    check = check_join
-                typecheck(term, TGT, env_t)
-            except Unsatisfiable:
-                report.passes += 1
-                continue
-            detail = check(term)
-            if detail is None:
-                report.passes += 1
-            else:
-                report.failures.append({
-                    "seed": s, "term_pretty": pretty(term), "detail": detail,
-                })
-
-    elif name == "relabel":
-        def check(term: Term) -> Optional[str]:
-            ty = typecheck(term, COM, env_t)
-            if span(term, sig) != 0 or work(term, sig) != 0:
-                return "common term has nonzero span/work"
-            out = relabel(term, TGT)
-            typecheck(out, TGT, env_t)
-            if span(out, sig) != 0 or work(out, sig) != 0:
-                return "relabelled term has nonzero span/work"
-            for m, env in envs.values():
-                va = evaluate(term, COM, m, env)
-                vb = evaluate(out, TGT, m, env)
-                if not value_eq_for(ty, m)(va, vb):
-                    return f"relabel changes value under {m.name}"
-            return None
-
-        run_trials(COM, check)
-
-    elif name == "effect_free":
-        def check(term: Term) -> Optional[str]:
-            typecheck(term, COM, env_t)
-            if not is_effect_free(term):
-                return "common term contains Each/Join"
-            if span(term, sig) != 0 or work(term, sig) != 0:
-                return "nonzero span/work on common term"
-            return None
-
-        run_trials(COM, check)
-
-    elif name == "normalize":
-        def check(term: Term) -> Optional[str]:
-            ty = typecheck(term, TGT, env_t)
-            out = normalize(term)
-            typecheck(out, TGT, env_t)
-            if span(out, sig) > span(term, sig) or work(out, sig) > work(term, sig):
-                return "normalize increased span/work"
-            inner_ty = ty.inner if isinstance(ty, Eff) else None
-            for m, env in envs.values():
-                if isinstance(ty, Eff):
-                    a = _as_action(evaluate(out, TGT, m, env))
-                    b = _as_action(evaluate(term, TGT, m, env))
-                    if not actions_agree(inner_ty, m, a, b):
-                        return f"normalize disagrees under {m.name}"
-                else:
-                    if not value_eq_for(ty, m)(
-                        evaluate(out, TGT, m, env), evaluate(term, TGT, m, env)
-                    ):
-                        return f"normalize disagrees under {m.name}"
-            return None
-
-        for i in range(trials):
-            s = _sub_seed(cfg.seed, i)
-            rng = random.Random(s)
-            g = _Gen(rng, sig)
-            goal = Eff(_pick_goal(rng))
-            try:
-                term = g.gen(goal, TGT, {}, cfg.max_depth)
-                typecheck(term, TGT, env_t)
-            except Unsatisfiable:
-                report.passes += 1
-                continue
-            detail = check(term)
-            if detail is None:
-                report.passes += 1
-            else:
-                report.failures.append({
-                    "seed": s, "term_pretty": pretty(term), "detail": detail,
-                })
-
-    elif name == "baseline":
-        sequential = [m for m in monads if m.name in ("option", "state", "writer")]
-
-        def check(term: Term) -> Optional[str]:
-            src_ty = typecheck(term, SRC, env_t)
-            out = seq_translate(term)
-            typecheck(out, TGT, env_t)
-            for m in sequential:
-                env = envs[m.name][1]
-                a_src = evaluate(term, SRC, m, env)
-                a_seq = _as_action(evaluate(out, TGT, m, env))
-                if not actions_agree(src_ty, m, a_seq, a_src):
-                    return f"sequential baseline disagrees under {m.name}"
-            return None
-
-        run_trials(SRC, check)
-
     return report

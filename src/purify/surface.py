@@ -18,6 +18,7 @@ from .terms import (
     App, Ap, Arrow, COM, Const, ConstDecl, ConstKind, Each, Eff, FRESH_PREFIX,
     Fst, Join, Label, Lam, Lit, Map, Prd, Prod, Pure, PurifyError, SRC,
     Signature, Snd, STR, TGT, Term, Ty, UNIT, Unt, Var, is_effect_free,
+    relabel,
 )
 
 KEYWORDS = {
@@ -505,47 +506,15 @@ def _elab_let(e: SExpr, name: str, bound: SExpr, body: SExpr,
         )
     body_core = _elab(body, sig, scope | {name}, lab)
     if is_effect_free(body_core):
-        return App(Lam(name, _as_common(body_core), label=lab), bound_core, label=lab)
+        return App(Lam(name, relabel(body_core, COM), label=lab), bound_core, label=lab)
     if isinstance(body_core, Each) and is_effect_free(body_core.eff):
-        inner = App(Lam(name, _as_common(body_core.eff), label=SRC),
-                    _as_src(bound_core), label=SRC)
+        inner = App(Lam(name, relabel(body_core.eff, COM), label=SRC),
+                    relabel(bound_core, SRC), label=SRC)
         return Each(inner, label=SRC)
     raise LetTooEffectful(
         f"{e.pos[0]}:{e.pos[1]}: let continuation uses more than one effect "
         "mark; rewrite with nested marks (f(g(x)!)! style)"
     )
-
-
-def _rebuild_label(e: Term, lab: Label) -> Term:
-    """Copy an effect-free elaborated fragment at a different base label."""
-    match e:
-        case Var(name):
-            return Var(name, label=lab)
-        case Const(name):
-            return Const(name, label=lab)
-        case Unt():
-            return Unt(label=lab)
-        case Lit(value):
-            return Lit(value, label=lab)
-        case Prd(a, b):
-            return Prd(_rebuild_label(a, lab), _rebuild_label(b, lab), label=lab)
-        case Fst(a):
-            return Fst(_rebuild_label(a, lab), label=lab)
-        case Snd(a):
-            return Snd(_rebuild_label(a, lab), label=lab)
-        case App(f, a):
-            return App(_rebuild_label(f, lab), _rebuild_label(a, lab), label=lab)
-        case Lam(param, body, param_ty):
-            return Lam(param, body, param_ty, label=lab)
-    raise PurifyError(f"cannot relabel {type(e).__name__} fragment")
-
-
-def _as_common(e: Term) -> Term:
-    return _rebuild_label(e, COM)
-
-
-def _as_src(e: Term) -> Term:
-    return _rebuild_label(e, SRC)
 
 
 # ---------------------------------------------------------------------------

@@ -367,11 +367,12 @@ class FreshNames:
 def relabel(e: Term, target: Label) -> Term:
     """Copy a common term with every node's label replaced by ``target``.
 
-    Raises NotCommon when any node lies outside the common fragment (which
-    also rules out Each/Pure/Map/Ap/Join, since those are never common).
+    The common fragment is decided by node kind, not by the input's own
+    labels: value formers (Var, Const, Unt, Lit, Prd, Fst, Snd, App) and
+    lambdas whose bodies are all common, at any label.  Lambda bodies stay
+    common at every label.  Raises NotCommon on Each/Pure/Map/Ap/Join and on
+    a lambda with a non-common body node.
     """
-    if e.label is not COM:
-        raise NotCommon(f"relabel: node {type(e).__name__} has label {e.label}, not com")
     match e:
         case Var(name):
             return Var(name, label=target, ty=e.ty)
@@ -381,19 +382,14 @@ def relabel(e: Term, target: Label) -> Term:
             return Unt(label=target, ty=e.ty)
         case Lit(value):
             return Lit(value, label=target, ty=e.ty)
-        case Prd(a, b):
-            return Prd(relabel(a, target), relabel(b, target), label=target, ty=e.ty)
-        case Fst(a):
-            return Fst(relabel(a, target), label=target, ty=e.ty)
-        case Snd(a):
-            return Snd(relabel(a, target), label=target, ty=e.ty)
-        case App(f, a):
-            return App(relabel(f, target), relabel(a, target), label=target, ty=e.ty)
         case Lam(param, body, param_ty):
-            # Lam bodies stay common at every label.
             if any(n.label is not COM for n in subterms(body)):
                 raise NotCommon("relabel: lambda body contains non-common nodes")
             return Lam(param, body, param_ty, label=target, ty=e.ty)
+        case Prd() | Fst() | Snd() | App():
+            out = replace_children(e, tuple(relabel(c, target) for c in children(e)))
+            out.label = target
+            return out
     raise NotCommon(f"relabel: {type(e).__name__} is not a common term former")
 
 

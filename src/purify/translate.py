@@ -1,88 +1,29 @@
 """Translations from direct-style source terms to combinator target terms.
 
-``opt_translate`` is the one-pass optimizing translation built from the
-smart constructors ``smart_ap`` and ``smart_join``: law-based collapses are
-applied while the target term is constructed.  ``naive_translate`` uses the
-same equations with raw constructors.  ``seq_translate`` is the do-notation
-baseline: it linearizes every effect into a left-to-right chain of binds
-(Join over Map), losing all parallelism.  ``normalize`` rewrites target
-terms to a fixed point of the functor/applicative/monad laws.
+``opt_translate`` and ``naive_translate`` are one structural recursion,
+``_translate``, with pluggable ``ap``/``join`` constructors: the optimizing
+translation passes the smart constructors ``smart_ap`` and ``smart_join``,
+which apply the law-based collapses while the target term is built; the
+naive one passes the raw ``Ap``/``Join`` nodes.  ``seq_translate`` is the
+do-notation baseline: it linearizes every effect into a left-to-right chain
+of binds (Join over Map), losing all parallelism.  ``normalize`` rewrites
+target terms to a fixed point of the functor/applicative/monad laws; its
+Ap collapses are ``smart_ap``'s.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from .terms import (
-    App, Ap, COM, Const, Each, FreshNames, Fst, Join, Lam, Lit, Map, Prd,
-    Pure, PurifyError, Snd, TGT, Term, Unt, Var, relabel, size,
+    App, Ap, COM, Const, Each, Eff, FreshNames, Fst, Join, Lam, Lit, Map,
+    NotCommon, Prd, Pure, PurifyError, Snd, TGT, Term, Unt, Var, children,
+    relabel, replace_children, size,
 )
 
 
 class FuelExhausted(PurifyError):
     """The rewrite system failed to reach a fixed point within its fuel."""
-
-
-# ---------------------------------------------------------------------------
-# Common-fragment embedding helpers
-# ---------------------------------------------------------------------------
-
-def _leaf_as_com(e: Term) -> Term:
-    """Copy a source leaf or lambda into the common fragment."""
-    match e:
-        case Var(name):
-            return Var(name, label=COM, ty=e.ty)
-        case Const(name):
-            return Const(name, label=COM, ty=e.ty)
-        case Unt():
-            return Unt(label=COM, ty=e.ty)
-        case Lit(value):
-            return Lit(value, label=COM, ty=e.ty)
-        case Lam(param, body, param_ty):
-            return Lam(param, body, param_ty, label=COM, ty=e.ty)
-    raise PurifyError(f"not a value former: {type(e).__name__}")
-
-
-def to_com(e: Term) -> Optional[Term]:
-    """Rebuild a combinator-free term in the common fragment, or None.
-
-    Used by the normalizer to embed function-position terms into fabricated
-    lambda bodies.  Fails on combinators, effect marks, and sequencing
-    lambdas (whose bodies are target terms).
-    """
-    match e:
-        case Var(name):
-            return Var(name, label=COM, ty=e.ty)
-        case Const(name):
-            return Const(name, label=COM, ty=e.ty)
-        case Unt():
-            return Unt(label=COM, ty=e.ty)
-        case Lit(value):
-            return Lit(value, label=COM, ty=e.ty)
-        case Lam(param, body, param_ty):
-            if _contains_non_com(body):
-                return None
-            return Lam(param, body, param_ty, label=COM, ty=e.ty)
-        case Prd(a, b):
-            ca, cb = to_com(a), to_com(b)
-            return None if ca is None or cb is None else Prd(ca, cb, label=COM, ty=e.ty)
-        case App(f, a):
-            cf, ca = to_com(f), to_com(a)
-            return None if cf is None or ca is None else App(cf, ca, label=COM, ty=e.ty)
-        case Fst(p):
-            cp = to_com(p)
-            return None if cp is None else Fst(cp, label=COM, ty=e.ty)
-        case Snd(p):
-            cp = to_com(p)
-            return None if cp is None else Snd(cp, label=COM, ty=e.ty)
-        case _:
-            return None
-
-
-def _contains_non_com(body: Term) -> bool:
-    from .terms import subterms
-
-    return any(n.label is not COM for n in subterms(body))
 
 
 # ---------------------------------------------------------------------------
@@ -124,62 +65,45 @@ def smart_join(e: Term) -> Term:
 def opt_translate(e: Term, fresh: FreshNames | None = None) -> Term:
     """The optimizing one-pass translation from source to target."""
     fresh = fresh or FreshNames()
+    return _translate(e, lambda f, a: smart_ap(f, a, fresh), smart_join, fresh)
+
+
+def naive_translate(e: Term, fresh: FreshNames | None = None) -> Term:
+    """Same equations as opt_translate but with raw constructors."""
+    return _translate(e, Ap, Join, fresh or FreshNames())
+
+
+def _translate(
+    e: Term,
+    ap: Callable[[Term, Term], Term],
+    join: Callable[[Term], Term],
+    fresh: FreshNames,
+) -> Term:
+    """The translation equations, with ``ap`` and ``join`` as constructors."""
 
     def go(t: Term) -> Term:
         match t:
             case Var() | Const() | Unt() | Lit() | Lam():
-                return Pure(_leaf_as_com(t), label=TGT)
+                return Pure(relabel(t, COM), label=TGT)
             case Fst(p):
                 x = fresh.fresh()
                 lift = Lam(x, Fst(Var(x, label=COM), label=COM), p.ty, label=COM)
-                return smart_ap(Pure(lift, label=TGT), go(p), fresh)
+                return ap(Pure(lift, label=TGT), go(p))
             case Snd(p):
                 x = fresh.fresh()
                 lift = Lam(x, Snd(Var(x, label=COM), label=COM), p.ty, label=COM)
-                return smart_ap(Pure(lift, label=TGT), go(p), fresh)
+                return ap(Pure(lift, label=TGT), go(p))
             case Prd(a, b):
                 # the inner lambda is never syntactically applied, so it keeps
                 # its parameter type from the checked source
                 x, y = fresh.fresh(), fresh.fresh()
                 pair = Prd(Var(x, label=COM), Var(y, label=COM), label=COM)
                 lift = Lam(x, Lam(y, pair, b.ty, label=COM), a.ty, label=COM)
-                return smart_ap(
-                    smart_ap(Pure(lift, label=TGT), go(a), fresh), go(b), fresh
-                )
+                return ap(ap(Pure(lift, label=TGT), go(a)), go(b))
             case App(f, a):
-                return smart_ap(go(f), go(a), fresh)
+                return ap(go(f), go(a))
             case Each(inner):
-                return smart_join(go(inner))
-        raise PurifyError(f"not a source term former: {type(t).__name__}")
-
-    return go(e)
-
-
-def naive_translate(e: Term, fresh: FreshNames | None = None) -> Term:
-    """Same equations as opt_translate but with raw constructors."""
-    fresh = fresh or FreshNames()
-
-    def go(t: Term) -> Term:
-        match t:
-            case Var() | Const() | Unt() | Lit() | Lam():
-                return Pure(_leaf_as_com(t), label=TGT)
-            case Fst(p):
-                x = fresh.fresh()
-                lift = Lam(x, Fst(Var(x, label=COM), label=COM), p.ty, label=COM)
-                return Ap(Pure(lift, label=TGT), go(p), label=TGT)
-            case Snd(p):
-                x = fresh.fresh()
-                lift = Lam(x, Snd(Var(x, label=COM), label=COM), p.ty, label=COM)
-                return Ap(Pure(lift, label=TGT), go(p), label=TGT)
-            case Prd(a, b):
-                x, y = fresh.fresh(), fresh.fresh()
-                pair = Prd(Var(x, label=COM), Var(y, label=COM), label=COM)
-                lift = Lam(x, Lam(y, pair, b.ty, label=COM), a.ty, label=COM)
-                return Ap(Ap(Pure(lift, label=TGT), go(a), label=TGT), go(b), label=TGT)
-            case App(f, a):
-                return Ap(go(f), go(a), label=TGT)
-            case Each(inner):
-                return Join(go(inner), label=TGT)
+                return join(go(inner))
         raise PurifyError(f"not a source term former: {type(t).__name__}")
 
     return go(e)
@@ -206,7 +130,7 @@ def seq_translate(e: Term, fresh: FreshNames | None = None) -> Term:
         """Common-fragment value of ``t``; effect marks become bindings."""
         match t:
             case Var() | Const() | Unt() | Lit() | Lam():
-                return _leaf_as_com(t)
+                return relabel(t, COM)
             case Prd(a, b):
                 ca = compile_(a)
                 cb = compile_(b)
@@ -231,14 +155,15 @@ def seq_translate(e: Term, fresh: FreshNames | None = None) -> Term:
 
 
 def _build_chain(bindings: list[tuple[str, Term]], final: Term) -> Term:
+    """Nest the binds from the innermost (last) one outwards."""
     if not bindings:
         return Pure(final, label=TGT)
-    name, payload = bindings[0]
-    action = relabel(payload, TGT)
-    if len(bindings) == 1:
-        return Map(Lam(name, final, label=TGT), action, label=TGT)
-    rest = _build_chain(bindings[1:], final)
-    return Join(Map(Lam(name, rest, label=TGT), action, label=TGT), label=TGT)
+    name, payload = bindings[-1]
+    out = Map(Lam(name, final, label=TGT), relabel(payload, TGT), label=TGT)
+    for name, payload in reversed(bindings[:-1]):
+        action = relabel(payload, TGT)
+        out = Join(Map(Lam(name, out, label=TGT), action, label=TGT), label=TGT)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +198,6 @@ def normalize(e: Term, reassoc: bool = False) -> Term:
 
 def _sweep(e: Term, reassoc: bool, fresh: FreshNames) -> tuple[Term, int]:
     """One innermost-first pass; returns the new term and rules fired."""
-    from .terms import children, replace_children
-
     fired = 0
     kids = children(e)
     if kids:
@@ -316,30 +239,22 @@ def _apply_rule(e: Term, reassoc: bool, fresh: FreshNames) -> Optional[Term]:
             if _is_identity_lam(f):
                 return a
             if isinstance(a, Map):
-                cf, cg = to_com(f), to_com(a.fun)
-                if cf is not None and cg is not None:
-                    x = fresh.fresh()
-                    body = App(cf, App(cg, Var(x, label=COM), label=COM), label=COM)
-                    return Map(Lam(x, body, label=TGT), a.arg, label=TGT)
+                try:
+                    cf, cg = relabel(f, COM), relabel(a.fun, COM)
+                except NotCommon:
+                    return None
+                x = fresh.fresh()
+                body = App(cf, App(cg, Var(x, label=COM), label=COM), label=COM)
+                return Map(Lam(x, body, label=TGT), a.arg, label=TGT)
         case Ap(f, a):
-            if isinstance(f, Pure) and isinstance(a, Pure):
-                return Pure(App(f.inner, a.inner, label=COM), label=TGT)
-            if isinstance(f, Pure):
-                x = fresh.fresh()
-                body = App(f.inner, Var(x, label=COM), label=COM)
-                return Map(Lam(x, body, label=TGT), a, label=TGT)
-            if isinstance(a, Pure):
-                x = fresh.fresh()
-                body = App(Var(x, label=COM), a.inner, label=COM)
-                return Map(Lam(x, body, label=TGT), f, label=TGT)
+            if isinstance(f, Pure) or isinstance(a, Pure):
+                return smart_ap(f, a, fresh)
             if reassoc and isinstance(a, Ap):
                 u, v, w = f, a.fun, a.arg
                 # parameter annotations come from the checker's type stamps;
                 # without them the inner composition lambdas cannot be typed
-                from .terms import Eff as EffTy
-
                 tys = (u.ty, v.ty, w.ty)
-                if not all(isinstance(t, EffTy) for t in tys):
+                if not all(isinstance(t, Eff) for t in tys):
                     return None
                 cx, cg, cv = fresh.fresh(), fresh.fresh(), fresh.fresh()
                 compose = Lam(

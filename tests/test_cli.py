@@ -186,3 +186,36 @@ def test_config_rejects_undeclared_effects(two_fetches_file, tmp_path, capsys):
     assert main(["run", two_fetches_file, "--monad", "trace", "--json",
                  "--config", str(cfg)]) == 1
     assert "undeclared effect" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["suite", "types", "--trials", "-5"],
+    ["suite", "types", "--trials", "0"],
+    ["suite", "types", "--depth", "0"],
+    ["laws", "--monad", "option", "--trials", "0"],
+])
+def test_out_of_range_counts_are_diagnostics(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "must be at least 1" in captured.err
+    assert "passed" not in captured.out
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{\"latency_ms\": ", "malformed JSON"),
+    ("[1, 2]", "top level must be a JSON object"),
+    ("{\"latency_ms\": [50]}", "section 'latency_ms' must be a JSON object"),
+    ("{\"behavior\": \"absent\"}", "section 'behavior' must be a JSON object"),
+    ("{\"latency_ms\": {\"fetch\": \"fast\"}}", "must be a nonnegative number"),
+    ("{\"latency_ms\": {\"fetch\": null}}", "must be a nonnegative number"),
+    ("{\"latency_ms\": {\"fetch\": -1}}", "must be a nonnegative number"),
+    ("{\"behavior\": {\"fetch\": \"absent\"}}", "behavior for 'fetch' must be a JSON object"),
+])
+def test_bad_config_is_diagnostic(two_fetches_file, tmp_path, capsys, text, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert main(["run", two_fetches_file, "--monad", "trace", "--json",
+                 "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err

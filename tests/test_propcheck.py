@@ -2,14 +2,16 @@ import json
 
 import pytest
 
+from purify import propcheck
 from purify.check import TypeEnv, typecheck
 from purify.propcheck import (
     GenConfig, SUITE_NAMES, Unsatisfiable, default_signature, gen_term,
     run_suite, shrink,
 )
+from purify.surface import parse_target_expr
 from purify.terms import (
-    COM, Each, Eff, Prod, SRC, STR, Signature, TGT, UNIT, Unt, alpha_eq,
-    size, subterms,
+    App, Ap, COM, Each, Eff, Join, Lam, Map, Prod, SRC, STR, Signature, TGT, UNIT,
+    Unt, Var, alpha_eq, size, subterms,
 )
 
 
@@ -115,3 +117,41 @@ def test_shrinking_soundness():
         if size(small) < size(t):
             shrunk_any = True
     assert shrunk_any
+
+
+def _doubled_ap(f, e, fresh=None):
+    """A wrong smart_ap: binds the argument action once before the real Ap."""
+    return Join(Map(Lam("$dup", Ap(f, e), label=TGT), e, label=TGT), label=TGT)
+
+
+def _swapped_normalize(e, reassoc=False):
+    """A wrong normalize: runs an Ap's argument action before its function."""
+    if not isinstance(e, Ap):
+        return e
+    apply_to = App(Var("$g", label=COM), Var("$y", label=COM), label=COM)
+    flip = Lam("$y", Lam("$g", apply_to, e.fun.ty.inner, label=COM), label=TGT)
+    return Ap(Map(flip, e.arg, label=TGT), e.fun, label=TGT)
+
+
+@pytest.mark.parametrize("suite, depth, seed, trials, attr, wrong", [
+    ("smart_ctors", 4, 61, 40, "smart_ap", _doubled_ap),
+    ("normalize", 5, 101, 100, "normalize", _swapped_normalize),
+])
+def test_target_suites_shrink_failures(monkeypatch, suite, depth, seed, trials, attr,
+                                       wrong):
+    monkeypatch.setattr(propcheck, attr, wrong)
+    rep = run_suite(suite, GenConfig(max_depth=depth, seed=seed), trials)
+    assert rep.failures
+    sig = default_signature()
+    label, generate, check = propcheck._TERM_SUITES[suite]
+    ctx = propcheck._Ctx.of(sig)
+    shrunk = 0
+    for f in rep.failures:
+        small = parse_target_expr(f["term_pretty"], sig)
+        typecheck(small, TGT, TypeEnv(sig))
+        assert check(ctx, small) is not None
+        i = f["seed"] - seed * 1_000_003
+        original = generate(GenConfig(depth, f["seed"], sig, label), i)
+        assert size(small) <= size(original)
+        shrunk += size(small) < size(original)
+    assert shrunk > 0

@@ -30,6 +30,19 @@ def test_relabel_rejects_combinators():
         relabel(Pure(Unt(label=COM), label=TGT), SRC)
 
 
+def test_relabel_copies_target_lambda_with_common_body():
+    body = App(Const("shout", label=COM), Var("x", label=COM), label=COM)
+    out = relabel(Lam("x", body, label=TGT), COM)
+    assert out == Lam("x", body, label=COM)
+    assert out.body is body
+
+
+def test_relabel_rejects_lambda_with_target_body():
+    body = Pure(Var("x", label=COM), label=TGT)
+    with pytest.raises(NotCommon):
+        relabel(Lam("x", body, label=TGT), COM)
+
+
 def test_relabel_identity_on_structure_generated():
     for i in range(200):
         t = gen_term(GenConfig(max_depth=4, seed=i, label=COM))
