@@ -28,7 +28,7 @@ from .semantics import (
 )
 from .metrics import (
     span, work, TraceDag, dyn_span, dyn_work, simulate_latency, dag_iso,
-    to_dot, CyclicDag, UnknownEffect,
+    to_dot, UnknownEffect,
 )
 from .propcheck import (
     GenConfig, gen_term, run_suite, shrink, SuiteReport, SUITE_NAMES,

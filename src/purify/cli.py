@@ -23,8 +23,11 @@ DEFAULT_LATENCY_MS = 100.0
 
 
 def _load_program(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise PurifyError(f"{path}: not UTF-8 text ({exc})") from None
     prog = parse(text)
     sig, body = elaborate(prog)
     ty = typecheck(body, SRC, TypeEnv(sig))
@@ -253,10 +256,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except PurifyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (PurifyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

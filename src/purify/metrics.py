@@ -12,24 +12,23 @@ optimizing translation embeds such calls directly, without a Join).  Second,
 the bind pattern Join(Map(fun, arg)) with a combinator-bodied continuation
 is costed sequentially: the effects of both sides add up.
 
-``TraceDag`` is the runtime counterpart: a dependency DAG of executed effect
-occurrences, with span/work read off the graph and a critical-path latency
-simulation on top.
+``TraceDag`` is the runtime counterpart: a series-parallel tree of executed
+effects, ``Par`` where ``ap`` runs two actions side by side and ``Seq`` where
+``bind`` runs one after the other.  Every node stores its span and work; the
+latency simulation, DOT output and trace isomorphism are folds over the tree.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
+from collections import deque
 from dataclasses import dataclass
 
 from .terms import (
     App, Ap, Const, Each, Fst, Join, Lam, Lit, Map, Prd, Pure, PurifyError,
     Signature, Snd, TGT, Term, Unt, Var,
 )
-
-
-class CyclicDag(PurifyError):
-    pass
 
 
 class UnknownEffect(PurifyError):
@@ -104,196 +103,196 @@ def work(e: Term, signature: Signature | None = None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Trace DAGs
+# Series-parallel traces
 # ---------------------------------------------------------------------------
+# Not frozen: one node is built per compose, and a frozen dataclass's
+# __init__ costs about three times as much.  Nothing mutates a trace.
 
-_ids = itertools.count(1)
+@dataclass(slots=True, eq=False)
+class Leaf:
+    """One executed effect occurrence."""
 
-
-@dataclass(frozen=True)
-class DagNode:
-    id: int
     effect: str
     arg: str
+    span = 1
+    work = 1
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, eq=False)
+class Seq:
+    """``second`` waits for every effect of ``first``."""
+
+    first: Trace
+    second: Trace
+    span: int
+    work: int
+
+
+@dataclass(slots=True, eq=False)
+class Par:
+    """``first`` and ``second`` run independently."""
+
+    first: Trace
+    second: Trace
+    span: int
+    work: int
+
+
+Trace = Leaf | Seq | Par
+
+
+@dataclass(slots=True, eq=False)
 class TraceDag:
-    """Dependency DAG of executed effects; an edge (a, b) means b waits for a."""
+    """An action of the trace monad: the trace of its effects (``None`` when
+    it has none) and its result.  Compare traces with ``dag_iso``."""
 
-    nodes: tuple[DagNode, ...]
-    edges: frozenset[tuple[int, int]]
+    tree: Trace | None
     result: object
 
+    @property
+    def nodes(self) -> tuple[Leaf, ...]:
+        """The executed effects, in construction order."""
+        leaves: list[Leaf] = []
+        _fold(self.tree, leaves.append, _ignore, _ignore)
+        return tuple(leaves)
+
     def with_result(self, result: object) -> "TraceDag":
-        return TraceDag(self.nodes, self.edges, result)
+        return TraceDag(self.tree, result)
 
 
 def empty_dag(result: object) -> TraceDag:
-    return TraceDag((), frozenset(), result)
+    return TraceDag(None, result)
 
 
 def single_effect(effect: str, arg: str, result: object) -> TraceDag:
-    return TraceDag((DagNode(next(_ids), effect, arg),), frozenset(), result)
-
-
-def _renumber(d: TraceDag) -> TraceDag:
-    mapping = {n.id: next(_ids) for n in d.nodes}
-    nodes = tuple(DagNode(mapping[n.id], n.effect, n.arg) for n in d.nodes)
-    edges = frozenset((mapping[a], mapping[b]) for a, b in d.edges)
-    return TraceDag(nodes, edges, d.result)
-
-
-def _sources(d: TraceDag) -> list[int]:
-    targets = {b for _, b in d.edges}
-    return [n.id for n in d.nodes if n.id not in targets]
-
-
-def _sinks(d: TraceDag) -> list[int]:
-    origins = {a for a, _ in d.edges}
-    return [n.id for n in d.nodes if n.id not in origins]
+    return TraceDag(Leaf(effect, arg), result)
 
 
 def parallel_compose(a: TraceDag, b: TraceDag, result: object) -> TraceDag:
     """Both halves may run independently."""
-    a, b = _renumber(a), _renumber(b)
-    return TraceDag(a.nodes + b.nodes, a.edges | b.edges, result)
+    x, y = a.tree, b.tree
+    if x is None or y is None:
+        return TraceDag(y if x is None else x, result)
+    return TraceDag(Par(x, y, max(x.span, y.span), x.work + y.work), result)
 
 
 def sequential_compose(a: TraceDag, b: TraceDag, result: object) -> TraceDag:
     """Everything in ``b`` waits for everything in ``a`` to finish."""
-    a, b = _renumber(a), _renumber(b)
-    bridge = frozenset((s, t) for s in _sinks(a) for t in _sources(b))
-    return TraceDag(a.nodes + b.nodes, a.edges | b.edges | bridge, result)
+    x, y = a.tree, b.tree
+    if x is None or y is None:
+        return TraceDag(y if x is None else x, result)
+    return TraceDag(Seq(x, y, x.span + y.span, x.work + y.work), result)
 
 
-def _dependencies(d: TraceDag) -> dict[int, list[int]]:
-    deps: dict[int, list[int]] = {n.id: [] for n in d.nodes}
-    for a, b in sorted(d.edges):
-        deps[b].append(a)
-    return deps
+def _ignore(a, b) -> None:
+    return None
 
 
-def _topo_depths(d: TraceDag) -> dict[int, int]:
-    """Nodes on the longest dependency path ending at each node."""
-    deps = _dependencies(d)
-    depth: dict[int, int] = {}
-
-    order: list[int] = []
-    state: dict[int, int] = {}
-
-    def visit(n: int, stack: tuple[int, ...]) -> None:
-        if state.get(n) == 2:
-            return
-        if state.get(n) == 1:
-            raise CyclicDag(f"cycle through node {n}")
-        state[n] = 1
-        for p in deps[n]:
-            visit(p, stack + (n,))
-        state[n] = 2
-        order.append(n)
-
-    for node in d.nodes:
-        visit(node.id, ())
-    for n in order:
-        depth[n] = 1 + max((depth[p] for p in deps[n]), default=0)
-    return depth
+def _fold(tree: Trace | None, leaf, seq, par):
+    """Post-order fold with explicit stacks, visiting leaves in order; ``None``
+    for the empty trace.  A subtree shared by two parents (an effect value
+    run twice) is folded once per occurrence, like the effects it stands for."""
+    stack: list = [] if tree is None else [tree]
+    values: list = []
+    while stack:
+        t = stack.pop()
+        kind = type(t)
+        if kind is Leaf:
+            values.append(leaf(t))
+        elif kind is Seq:
+            stack += (seq, t.second, t.first)
+        elif kind is Par:
+            stack += (par, t.second, t.first)
+        else:  # a combiner pushed above, its two operands now folded
+            b = values.pop()
+            values[-1] = t(values[-1], b)
+    return values.pop() if values else None
 
 
 def dyn_span(d: TraceDag) -> int:
-    """Number of nodes on the longest dependency path."""
-    if not d.nodes:
-        return 0
-    return max(_topo_depths(d).values())
+    """Number of effects on the longest dependency path."""
+    return 0 if d.tree is None else d.tree.span
 
 
 def dyn_work(d: TraceDag) -> int:
-    return len(d.nodes)
+    return 0 if d.tree is None else d.tree.work
 
 
 def simulate_latency(d: TraceDag, latencies: dict[str, float]) -> float:
     """Critical-path completion time with unbounded workers."""
-    for n in d.nodes:
-        if n.effect not in latencies:
-            raise UnknownEffect(f"no latency for effect {n.effect!r}")
-    deps = _dependencies(d)
-    _topo_depths(d)  # cycle check
-    by_id = {n.id: n for n in d.nodes}
-    finish: dict[int, float] = {}
+    def cost(leaf: Leaf) -> float:
+        if leaf.effect not in latencies:
+            raise UnknownEffect(f"no latency for effect {leaf.effect!r}")
+        return latencies[leaf.effect]
 
-    def fin(nid: int) -> float:
-        if nid not in finish:
-            finish[nid] = latencies[by_id[nid].effect] + max(
-                (fin(p) for p in deps[nid]), default=0.0
-            )
-        return finish[nid]
+    return float(_fold(d.tree, cost, operator.add, max) or 0)
 
-    return max((fin(n.id) for n in d.nodes), default=0.0)
+
+def _canonical(tree: Trace, table: dict) -> int:
+    """Id in ``table`` of the canonical form of ``tree``: nested Seq and Par
+    flattened, Par children sorted.  Two series-parallel traces are
+    isomorphic exactly when their canonical forms are equal (Valdes, Tarjan
+    & Lawler 1982), and equal forms get equal ids in one table."""
+    def close(v) -> int:
+        kind, parts = v
+        if kind is Leaf:
+            return parts
+        key = (kind, tuple(parts) if kind is Seq else tuple(sorted(parts)))
+        return table.setdefault(key, len(table))
+
+    def flatten(kind):
+        def combine(x, y):
+            xs = x[1] if x[0] is kind else deque((close(x),))
+            ys = y[1] if y[0] is kind else deque((close(y),))
+            if len(xs) >= len(ys):  # splice the shorter run into the longer
+                xs.extend(ys)
+                return kind, xs
+            ys.extendleft(reversed(xs))
+            return kind, ys
+        return combine
+
+    def leaf(t: Leaf):
+        return Leaf, table.setdefault((Leaf, t.effect, t.arg), len(table))
+
+    return close(_fold(tree, leaf, flatten(Seq), flatten(Par)))
 
 
 def dag_iso(a: TraceDag, b: TraceDag) -> bool:
     """Isomorphism respecting effect names, argument labels and edges."""
-    if len(a.nodes) != len(b.nodes) or len(a.edges) != len(b.edges):
-        return False
-
-    def profile(d: TraceDag) -> dict:
-        indeg = {n.id: 0 for n in d.nodes}
-        outdeg = {n.id: 0 for n in d.nodes}
-        for x, y in d.edges:
-            outdeg[x] += 1
-            indeg[y] += 1
-        return {
-            n.id: (n.effect, n.arg, indeg[n.id], outdeg[n.id]) for n in d.nodes
-        }
-
-    pa, pb = profile(a), profile(b)
-    if sorted(pa.values()) != sorted(pb.values()):
-        return False
-
-    b_by_profile: dict[tuple, list[int]] = {}
-    for nid, prof in pb.items():
-        b_by_profile.setdefault(prof, []).append(nid)
-    a_ids = sorted(pa, key=lambda n: (pa[n], n))
-    edges_a, edges_b = a.edges, b.edges
-
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    def ok(aid: int, bid: int) -> bool:
-        for x, y in mapping.items():
-            if ((aid, x) in edges_a) != ((bid, y) in edges_b):
-                return False
-            if ((x, aid) in edges_a) != ((y, bid) in edges_b):
-                return False
-        return True
-
-    def backtrack(i: int) -> bool:
-        if i == len(a_ids):
-            return True
-        aid = a_ids[i]
-        for bid in b_by_profile.get(pa[aid], []):
-            if bid in used or not ok(aid, bid):
-                continue
-            mapping[aid] = bid
-            used.add(bid)
-            if backtrack(i + 1):
-                return True
-            del mapping[aid]
-            used.remove(bid)
-        return False
-
-    return backtrack(0)
+    if a.tree is None or b.tree is None:
+        return a.tree is b.tree
+    table: dict = {}
+    return _canonical(a.tree, table) == _canonical(b.tree, table)
 
 
 def to_dot(d: TraceDag) -> str:
-    """Graphviz rendering; nodes labelled name(arg), edges dependency-ordered."""
-    ordered = sorted(d.nodes, key=lambda n: n.id)
-    remap = {n.id: i for i, n in enumerate(ordered)}
+    """Graphviz rendering of the expanded trace: nodes labelled name(arg) and
+    numbered in construction order, an edge from every last effect of a
+    Seq's first half to every first effect of its second half."""
     lines = ["digraph trace {", '  graph [v=1];']
-    for n in ordered:
-        label = f"{n.effect}({n.arg})" if n.arg else n.effect
-        lines.append(f'  n{remap[n.id]} [label="{label}"];')
-    for a_, b_ in sorted((remap[x], remap[y]) for x, y in d.edges):
-        lines.append(f"  n{a_} -> n{b_};")
+    edges: list[tuple[int, int]] = []
+
+    def leaf(t: Leaf):
+        i = len(lines) - 2
+        label = f"{t.effect}({t.arg})" if t.arg else t.effect
+        lines.append(f'  n{i} [label="{label}"];')
+        return [i], [i]  # sources, sinks
+
+    def seq(x, y):
+        edges.extend(itertools.product(x[1], y[0]))
+        return x[0], y[1]
+
+    def par(x, y):
+        return _union(x[0], y[0]), _union(x[1], y[1])
+
+    _fold(d.tree, leaf, seq, par)
+    lines += (f"  n{a_} -> n{b_};" for a_, b_ in sorted(edges))
     lines.append("}")
     return "\n".join(lines)
+
+
+def _union(xs: list, ys: list) -> list:
+    if len(xs) < len(ys):
+        xs, ys = ys, xs
+    xs.extend(ys)
+    return xs

@@ -47,6 +47,14 @@ def test_missing_file_is_diagnostic(capsys):
     assert main(["check", "/nonexistent/nowhere.pfy"]) == 1
 
 
+def test_non_utf8_program_is_diagnostic(tmp_path, capsys):
+    p = tmp_path / "bytes.pfy"
+    p.write_bytes(b"\xff\xfe")
+    assert main(["check", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert "not UTF-8" in err and "Traceback" not in err
+
+
 def test_analyze_json_two_fetches(two_fetches_file, capsys):
     assert main(["analyze", two_fetches_file, "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
