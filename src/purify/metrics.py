@@ -1,14 +1,16 @@
 """Static and dynamic parallelism measures.
 
 ``span`` is the length of the longest chain of unhandled effect operations
-in a term; ``work`` is their total count.  Both are structural recursions:
+in a term; ``work`` is their total count.  Both are one post-order fold:
 values and pure wrappers cost nothing, pairs/applications combine children
 by max (span) or sum (work), and Each/Join add one.
 
 Two artifact-specific refinements keep the static numbers aligned with what
 actually runs.  First, when a signature is supplied, a saturated application
 of an effectful constant in target position counts as one operation (the
-optimizing translation embeds such calls directly, without a Join).  Second,
+optimizing translation embeds such calls directly, without a Join), also
+when it is the body result of an applied common-bodied lambda (a let-style
+redex, as ``let`` elaborates and normalization leaves behind).  Second,
 the bind pattern Join(Map(fun, arg)) with a combinator-bodied continuation
 is costed sequentially: the effects of both sides add up.
 
@@ -39,67 +41,99 @@ class UnknownEffect(PurifyError):
 # Static span and work
 # ---------------------------------------------------------------------------
 
-def _invocation_weight(e: Term, sig: Signature | None) -> int:
-    """1 when the node is a saturated effectful-constant use in target position."""
-    if sig is None or e.label is not TGT:
-        return 0
-    if isinstance(e, Const):
-        decl = sig.lookup(e.name)
-        return 1 if decl is not None and decl.effectful and decl.effect_arity() == 0 else 0
-    if isinstance(e, App):
-        head, depth = e, 0
-        while isinstance(head, App):
-            head = head.fun
-            depth += 1
-        if isinstance(head, Const):
-            decl = sig.lookup(head.name)
-            if decl is not None and decl.effectful and decl.effect_arity() == depth:
-                return 1
-    return 0
+def _saturated(head: Term, depth: int, arity: dict[str, int]) -> bool:
+    """True when ``head`` applied to ``depth`` arguments performs one effect.
+
+    That is an effectful constant given exactly its effect arity, also when
+    it is the body result of an applied common-bodied lambda: the let-style
+    redex ``(fun x -> fetch(x ++ "config"))("base")`` runs one fetch.
+    """
+    while type(head) is Lam and depth and head.body.label is not TGT:
+        head, depth = head.body, depth - 1
+        while type(head) is App:
+            head, depth = head.fun, depth + 1
+    return type(head) is Const and arity.get(head.name) == depth
 
 
-def _measure(e: Term, sig: Signature | None, combine) -> int:
-    def go(t: Term) -> int:
-        match t:
-            case Var() | Unt() | Lit() | Pure():
-                return 0
-            case Const():
-                return _invocation_weight(t, sig)
-            case Lam():
-                # Sequencing lambdas carry combinator bodies and stay transparent;
-                # ordinary (common-bodied) lambdas are values and cost nothing.
-                return go(t.body) if t.body.label is TGT else 0
-            case Fst(p) | Snd(p):
-                return go(p)
-            case App(a, b):
-                return _invocation_weight(t, sig) + combine(go(a), go(b))
-            case Prd(a, b) | Ap(a, b) | Map(a, b):
-                return combine(go(a), go(b))
-            case Each(x):
-                return 1 + go(x)
-            case Join(x):
-                if (
-                    isinstance(x, Map)
-                    and isinstance(x.fun, Lam)
-                    and x.fun.body.label is TGT
-                ):
-                    # bind pattern: first the argument's effects, then the chain
-                    # built by the continuation
-                    return go(x.arg) + go(x.fun.body)
-                return 1 + go(x)
-        raise PurifyError(f"unknown term former {type(t).__name__}")
+# Instructions on the fold's work stack, between the terms (never ints):
+# combine the top two values by max (span) or + (work), add them (a bind
+# runs one side after the other), add one to the top value (an effect).
+_COMBINE, _ADD, _ONE = range(3)
 
-    return go(e)
+
+def _measure(e: Term, sig: Signature | None, use_max: bool) -> int:
+    """The span (``use_max``) or work fold, with a work and a value stack.
+
+    Lambdas with combinator bodies (the sequencing continuations) are
+    transparent; other lambdas are values and cost nothing.
+    """
+    arity = {d.name: d.effect_arity() for d in sig or () if d.effectful}
+    vals: list[int] = []
+    todo: list = [e]
+    while todo:
+        t = todo.pop()
+        k = type(t)
+        if k is int:
+            if t == _ONE:
+                vals[-1] += 1
+                continue
+            b = vals.pop()
+            if t == _ADD or not use_max:
+                vals[-1] += b
+            elif b > vals[-1]:
+                vals[-1] = b
+        elif k is Ap or k is Map:
+            todo += (_COMBINE, t.arg, t.fun)
+        elif k is App:
+            # the whole application spine at once, since whether a node is
+            # a saturated call depends on its depth in the spine
+            spine = []
+            while type(t) is App:
+                spine.append(t)
+                t = t.fun
+            depth = len(spine)
+            for s in spine:
+                if arity and s.label is TGT and _saturated(t, depth, arity):
+                    todo.append(_ONE)
+                todo += (_COMBINE, s.arg)
+                depth -= 1
+            todo.append(t)
+        elif k is Var or k is Unt or k is Lit or k is Pure:
+            vals.append(0)
+        elif k is Const:
+            vals.append(1 if t.label is TGT and arity.get(t.name) == 0 else 0)
+        elif k is Lam:
+            if t.body.label is TGT:
+                todo.append(t.body)
+            else:
+                vals.append(0)
+        elif k is Join:
+            x = t.nested
+            if type(x) is Map and type(x.fun) is Lam and x.fun.body.label is TGT:
+                # bind pattern: first the argument's effects, then the chain
+                # built by the continuation
+                todo += (_ADD, x.fun.body, x.arg)
+            else:
+                todo += (_ONE, x)
+        elif k is Each:
+            todo += (_ONE, t.eff)
+        elif k is Prd:
+            todo += (_COMBINE, t.snd, t.fst)
+        elif k is Fst or k is Snd:
+            todo.append(t.pair)
+        else:
+            raise PurifyError(f"unknown term former {k.__name__}")
+    return vals[0]
 
 
 def span(e: Term, signature: Signature | None = None) -> int:
     """Longest chain of unhandled effect operations."""
-    return _measure(e, signature, max)
+    return _measure(e, signature, True)
 
 
 def work(e: Term, signature: Signature | None = None) -> int:
     """Total count of unhandled effect operations."""
-    return _measure(e, signature, lambda a, b: a + b)
+    return _measure(e, signature, False)
 
 
 # ---------------------------------------------------------------------------

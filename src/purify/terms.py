@@ -217,27 +217,46 @@ class Join(Term):
 
 def children(e: Term) -> tuple[Term, ...]:
     """Immediate subterms, left to right."""
-    match e:
-        case Var() | Const() | Unt() | Lit():
-            return ()
-        case Prd(a, b) | App(a, b) | Map(a, b) | Ap(a, b):
-            return (a, b)
-        case Fst(a) | Snd(a) | Each(a) | Pure(a) | Join(a):
-            return (a,)
-        case Lam(_, body):
-            return (body,)
+    # exact-type tests: a class pattern in ``match`` costs several times more
+    k = type(e)
+    if k is Ap or k is Map or k is App:
+        return (e.fun, e.arg)
+    if k is Var or k is Const or k is Unt or k is Lit:
+        return ()
+    if k is Pure:
+        return (e.inner,)
+    if k is Lam:
+        return (e.body,)
+    if k is Join:
+        return (e.nested,)
+    if k is Prd:
+        return (e.fst, e.snd)
+    if k is Fst or k is Snd:
+        return (e.pair,)
+    if k is Each:
+        return (e.eff,)
     raise PurifyError(f"unknown term {e!r}")
 
 
 def subterms(e: Term) -> Iterator[Term]:
-    """The term and all its descendants, preorder."""
-    yield e
-    for c in children(e):
-        yield from subterms(c)
+    """The term and all its descendants, preorder (left subtree first)."""
+    stack = [e]
+    while stack:
+        t = stack.pop()
+        yield t
+        kids = children(t)
+        if kids:
+            stack.extend(reversed(kids))
 
 
 def size(e: Term) -> int:
-    return sum(1 for _ in subterms(e))
+    """Number of nodes."""
+    n = 0
+    stack = [e]
+    while stack:
+        n += 1
+        stack.extend(children(stack.pop()))
+    return n
 
 
 def replace_children(e: Term, new: tuple[Term, ...]) -> Term:

@@ -179,8 +179,9 @@ def normalize(e: Term, reassoc: bool = False) -> Term:
     reassociation is only applied when ``reassoc`` is set.  Fuel is derived
     from term size; exhausting it signals a bug in the rule system.
     """
-    sweeps = 4 * size(e) + 4
-    fire_cap = 1000 * size(e) + 1000
+    n = size(e)
+    sweeps = 4 * n + 4
+    fire_cap = 1000 * n + 1000
     fresh = FreshNames()
     cur = e
     fires = 0
@@ -197,22 +198,36 @@ def normalize(e: Term, reassoc: bool = False) -> Term:
 
 
 def _sweep(e: Term, reassoc: bool, fresh: FreshNames) -> tuple[Term, int]:
-    """One innermost-first pass; returns the new term and rules fired."""
+    """One innermost-first pass; returns the new term and rules fired.
+
+    Post-order with an explicit stack: an interior node waits on ``todo``
+    as a ``(node, children)`` pair while its children are swept onto
+    ``done``.  A subtree in which no rule fired is returned as it was, not
+    copied.
+    """
     fired = 0
-    kids = children(e)
-    if kids:
-        new_kids = []
-        for k in kids:
-            nk, f = _sweep(k, reassoc, fresh)
-            fired += f
-            new_kids.append(nk)
-        e = replace_children(e, tuple(new_kids))
-    while True:
-        out = _apply_rule(e, reassoc, fresh)
-        if out is None:
-            return e, fired
-        e = out
-        fired += 1
+    done: list[Term] = []
+    todo: list = [e]
+    while todo:
+        t = todo.pop()
+        if type(t) is tuple:
+            t, kids = t
+            new = tuple(done[-len(kids):])
+            del done[-len(kids):]
+            if new[0] is not kids[0] or new[-1] is not kids[-1]:  # 1 or 2 kids
+                t = replace_children(t, new)
+            while (out := _apply_rule(t, reassoc, fresh)) is not None:
+                t = out
+                fired += 1
+            done.append(t)
+            continue
+        kids = children(t)
+        if kids:
+            todo.append((t, kids))
+            todo.extend(reversed(kids))
+        else:
+            done.append(t)  # no rule rewrites a leaf
+    return done[0], fired
 
 
 def _is_identity_lam(f: Term) -> bool:
@@ -234,69 +249,72 @@ def _is_pure_eta(f: Term) -> bool:
 
 
 def _apply_rule(e: Term, reassoc: bool, fresh: FreshNames) -> Optional[Term]:
-    match e:
-        case Map(f, a):
-            if _is_identity_lam(f):
-                return a
-            if isinstance(a, Map):
-                try:
-                    cf, cg = relabel(f, COM), relabel(a.fun, COM)
-                except NotCommon:
-                    return None
-                x = fresh.fresh()
-                body = App(cf, App(cg, Var(x, label=COM), label=COM), label=COM)
-                return Map(Lam(x, body, label=TGT), a.arg, label=TGT)
-        case Ap(f, a):
-            if isinstance(f, Pure) or isinstance(a, Pure):
-                return smart_ap(f, a, fresh)
-            if reassoc and isinstance(a, Ap):
-                u, v, w = f, a.fun, a.arg
-                # parameter annotations come from the checker's type stamps;
-                # without them the inner composition lambdas cannot be typed
-                tys = (u.ty, v.ty, w.ty)
-                if not all(isinstance(t, Eff) for t in tys):
-                    return None
-                cx, cg, cv = fresh.fresh(), fresh.fresh(), fresh.fresh()
-                compose = Lam(
-                    cx,
+    k = type(e)
+    if k is Map:
+        f, a = e.fun, e.arg
+        if _is_identity_lam(f):
+            return a
+        if isinstance(a, Map):
+            try:
+                cf, cg = relabel(f, COM), relabel(a.fun, COM)
+            except NotCommon:
+                return None
+            x = fresh.fresh()
+            body = App(cf, App(cg, Var(x, label=COM), label=COM), label=COM)
+            return Map(Lam(x, body, label=TGT), a.arg, label=TGT)
+    elif k is Ap:
+        f, a = e.fun, e.arg
+        if isinstance(f, Pure) or isinstance(a, Pure):
+            return smart_ap(f, a, fresh)
+        if reassoc and isinstance(a, Ap):
+            u, v, w = f, a.fun, a.arg
+            # parameter annotations come from the checker's type stamps;
+            # without them the inner composition lambdas cannot be typed
+            tys = (u.ty, v.ty, w.ty)
+            if not all(isinstance(t, Eff) for t in tys):
+                return None
+            cx, cg, cv = fresh.fresh(), fresh.fresh(), fresh.fresh()
+            compose = Lam(
+                cx,
+                Lam(
+                    cg,
                     Lam(
-                        cg,
-                        Lam(
-                            cv,
-                            App(
-                                Var(cx, label=COM),
-                                App(Var(cg, label=COM), Var(cv, label=COM), label=COM),
-                                label=COM,
-                            ),
-                            tys[2].inner,
+                        cv,
+                        App(
+                            Var(cx, label=COM),
+                            App(Var(cg, label=COM), Var(cv, label=COM), label=COM),
                             label=COM,
                         ),
-                        tys[1].inner,
+                        tys[2].inner,
                         label=COM,
                     ),
-                    tys[0].inner,
+                    tys[1].inner,
+                    label=COM,
+                ),
+                tys[0].inner,
+                label=TGT,
+            )
+            return Ap(Ap(Map(compose, u, label=TGT), v, label=TGT), w, label=TGT)
+    elif k is Join:
+        inner = e.nested
+        if isinstance(inner, Pure):
+            return relabel(inner.inner, TGT)  # left unit, join form
+        if isinstance(inner, Map):
+            g, x = inner.fun, inner.arg
+            if isinstance(x, Pure):
+                # left unit, bind form: running a pure action is application
+                return App(g, relabel(x.inner, TGT), label=TGT)
+            if _is_pure_eta(g):
+                return x  # right unit
+            if isinstance(x, Join) and isinstance(x.nested, Map):
+                # associativity: bind g (bind f e) = bind (bind g . f) e
+                f_in, e_in = x.nested.fun, x.nested.arg
+                v = fresh.fresh()
+                rebound = Join(
+                    Map(g, App(f_in, Var(v, label=TGT), label=TGT), label=TGT),
                     label=TGT,
                 )
-                return Ap(Ap(Map(compose, u, label=TGT), v, label=TGT), w, label=TGT)
-        case Join(inner):
-            if isinstance(inner, Pure):
-                return relabel(inner.inner, TGT)  # left unit, join form
-            if isinstance(inner, Map):
-                g, x = inner.fun, inner.arg
-                if isinstance(x, Pure):
-                    # left unit, bind form: running a pure action is application
-                    return App(g, relabel(x.inner, TGT), label=TGT)
-                if _is_pure_eta(g):
-                    return x  # right unit
-                if isinstance(x, Join) and isinstance(x.nested, Map):
-                    # associativity: bind g (bind f e) = bind (bind g . f) e
-                    f_in, e_in = x.nested.fun, x.nested.arg
-                    v = fresh.fresh()
-                    rebound = Join(
-                        Map(g, App(f_in, Var(v, label=TGT), label=TGT), label=TGT),
-                        label=TGT,
-                    )
-                    return Join(
-                        Map(Lam(v, rebound, label=TGT), e_in, label=TGT), label=TGT
-                    )
+                return Join(
+                    Map(Lam(v, rebound, label=TGT), e_in, label=TGT), label=TGT
+                )
     return None
