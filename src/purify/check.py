@@ -76,113 +76,105 @@ def _stamp(e: Term, ty: Ty) -> Ty:
 
 
 def _synth(e: Term, lab: Label, env: TypeEnv) -> Ty:
-    match e:
-        case Var(name):
-            _require_label(e, lab)
-            if name not in env.vars:
-                raise UnboundVar(f"unbound variable {name!r}")
-            return _stamp(e, env.vars[name])
-        case Const(name):
-            _require_label(e, lab)
-            decl = env.sig.lookup(name)
-            if decl is None:
-                raise UnknownConst(f"unknown constant {name!r}")
-            return _stamp(e, decl.ty)
-        case Unt():
-            _require_label(e, lab)
-            return _stamp(e, UNIT)
-        case Lit(_):
-            _require_label(e, lab)
-            return _stamp(e, STR)
-        case Prd(a, b):
-            _require_label(e, lab)
-            return _stamp(e, _prod(_synth(a, lab, env), _synth(b, lab, env)))
-        case Fst(p):
-            _require_label(e, lab)
-            tp = _synth(p, lab, env)
-            if not isinstance(tp, Prod):
-                raise TypeMismatch(f"Fst applied to non-pair type {type_name(tp)}")
-            return _stamp(e, tp.left)
-        case Snd(p):
-            _require_label(e, lab)
-            tp = _synth(p, lab, env)
-            if not isinstance(tp, Prod):
-                raise TypeMismatch(f"Snd applied to non-pair type {type_name(tp)}")
-            return _stamp(e, tp.right)
-        case App(f, a):
-            _require_label(e, lab)
-            return _stamp(e, _synth_app(f, a, lab, env))
-        case Lam():
-            _require_label(e, lab)
-            if e.param_ty is None:
-                raise AnnotationNeeded(
-                    "cannot infer parameter type of unapplied lambda; "
-                    "annotate it as (fun x -> e : T -> U)"
-                )
-            return _stamp(e, _check_lam(e, e.param_ty, lab, env))
-        case Each(inner):
-            if lab is not SRC:
-                raise LabelMismatch(f"Each only lives in the source fragment, not {lab}")
-            _require_label(e, SRC)
-            ti = _synth(inner, SRC, env)
-            if not isinstance(ti, Eff):
-                raise TypeMismatch(f"Each needs an Eff-typed argument, got {type_name(ti)}")
-            return _stamp(e, ti.inner)
-        case Pure(inner):
-            if lab is not TGT:
-                raise LabelMismatch(f"Pure only lives in the target fragment, not {lab}")
-            _require_label(e, TGT)
-            return _stamp(e, Eff(_synth(inner, COM, env)))
-        case Join(nested):
-            if lab is not TGT:
-                raise LabelMismatch(f"Join only lives in the target fragment, not {lab}")
-            _require_label(e, TGT)
-            tn = _synth(nested, TGT, env)
-            if not (isinstance(tn, Eff) and isinstance(tn.inner, Eff)):
-                raise TypeMismatch(
-                    f"Join needs an Eff (Eff _)-typed argument, got {type_name(tn)}"
-                )
-            return _stamp(e, tn.inner)
-        case Map(f, a):
-            if lab is not TGT:
-                raise LabelMismatch(f"Map only lives in the target fragment, not {lab}")
-            _require_label(e, TGT)
-            ta = _synth(a, TGT, env)
-            if not isinstance(ta, Eff):
-                raise TypeMismatch(f"Map argument must be Eff-typed, got {type_name(ta)}")
-            tf = _synth_fun(f, ta.inner, TGT, env)
-            return _stamp(e, Eff(tf.cod))
-        case Ap(f, a):
-            if lab is not TGT:
-                raise LabelMismatch(f"Ap only lives in the target fragment, not {lab}")
-            _require_label(e, TGT)
-            ta = _synth(a, TGT, env)
-            if not isinstance(ta, Eff):
-                raise TypeMismatch(f"Ap argument must be Eff-typed, got {type_name(ta)}")
-            if isinstance(f, Pure) and isinstance(f.inner, Lam) and f.inner.param_ty is None:
-                # a lifted unannotated lambda: its parameter comes from the
-                # argument side, like an ordinary application site
-                _require_label(f, TGT)
-                arrow = _check_lam(f.inner, ta.inner, COM, env)
-                tf: Ty = Eff(arrow)
-                f.ty = tf
-            else:
-                tf = _synth(f, TGT, env)
-            if not (isinstance(tf, Eff) and isinstance(tf.inner, Arrow)):
-                raise TypeMismatch(
-                    f"Ap function side must have type Eff (s -> t), got {type_name(tf)}"
-                )
-            if tf.inner.dom != ta.inner:
-                raise TypeMismatch(
-                    f"Ap domain {type_name(tf.inner.dom)} does not match argument "
-                    f"{type_name(ta.inner)}"
-                )
-            return _stamp(e, Eff(tf.inner.cod))
-    raise TypeCheckError(f"unknown term former {type(e).__name__}")
-
-
-def _prod(a: Ty, b: Ty) -> Ty:
-    return Prod(a, b)
+    # exact-type tests, most frequent kind first: cheaper than class patterns
+    k = type(e)
+    if k is Lit:
+        _require_label(e, lab)
+        return _stamp(e, STR)
+    if k is App:
+        _require_label(e, lab)
+        return _stamp(e, _synth_app(e.fun, e.arg, lab, env))
+    if k is Const:
+        _require_label(e, lab)
+        decl = env.sig.lookup(e.name)
+        if decl is None:
+            raise UnknownConst(f"unknown constant {e.name!r}")
+        return _stamp(e, decl.ty)
+    if k is Prd:
+        _require_label(e, lab)
+        return _stamp(e, Prod(_synth(e.fst, lab, env), _synth(e.snd, lab, env)))
+    if k is Lam:
+        _require_label(e, lab)
+        if e.param_ty is None:
+            raise AnnotationNeeded(
+                "cannot infer parameter type of unapplied lambda; "
+                "annotate it as (fun x -> e : T -> U)"
+            )
+        return _stamp(e, _check_lam(e, e.param_ty, lab, env))
+    if k is Each:
+        if lab is not SRC:
+            raise LabelMismatch(f"Each only lives in the source fragment, not {lab}")
+        _require_label(e, SRC)
+        ti = _synth(e.eff, SRC, env)
+        if not isinstance(ti, Eff):
+            raise TypeMismatch(f"Each needs an Eff-typed argument, got {type_name(ti)}")
+        return _stamp(e, ti.inner)
+    if k is Unt:
+        _require_label(e, lab)
+        return _stamp(e, UNIT)
+    if k is Var:
+        _require_label(e, lab)
+        if e.name not in env.vars:
+            raise UnboundVar(f"unbound variable {e.name!r}")
+        return _stamp(e, env.vars[e.name])
+    if k is Fst or k is Snd:
+        _require_label(e, lab)
+        tp = _synth(e.pair, lab, env)
+        if not isinstance(tp, Prod):
+            raise TypeMismatch(f"{k.__name__} applied to non-pair type {type_name(tp)}")
+        return _stamp(e, tp.left if k is Fst else tp.right)
+    if k is Pure:
+        if lab is not TGT:
+            raise LabelMismatch(f"Pure only lives in the target fragment, not {lab}")
+        _require_label(e, TGT)
+        return _stamp(e, Eff(_synth(e.inner, COM, env)))
+    if k is Map:
+        if lab is not TGT:
+            raise LabelMismatch(f"Map only lives in the target fragment, not {lab}")
+        _require_label(e, TGT)
+        ta = _synth(e.arg, TGT, env)
+        if not isinstance(ta, Eff):
+            raise TypeMismatch(f"Map argument must be Eff-typed, got {type_name(ta)}")
+        tf = _synth_fun(e.fun, ta.inner, TGT, env)
+        return _stamp(e, Eff(tf.cod))
+    if k is Ap:
+        if lab is not TGT:
+            raise LabelMismatch(f"Ap only lives in the target fragment, not {lab}")
+        _require_label(e, TGT)
+        f = e.fun
+        ta = _synth(e.arg, TGT, env)
+        if not isinstance(ta, Eff):
+            raise TypeMismatch(f"Ap argument must be Eff-typed, got {type_name(ta)}")
+        if isinstance(f, Pure) and isinstance(f.inner, Lam) and f.inner.param_ty is None:
+            # a lifted unannotated lambda: its parameter comes from the
+            # argument side, like an ordinary application site
+            _require_label(f, TGT)
+            arrow = _check_lam(f.inner, ta.inner, COM, env)
+            tf: Ty = Eff(arrow)
+            f.ty = tf
+        else:
+            tf = _synth(f, TGT, env)
+        if not (isinstance(tf, Eff) and isinstance(tf.inner, Arrow)):
+            raise TypeMismatch(
+                f"Ap function side must have type Eff (s -> t), got {type_name(tf)}"
+            )
+        if tf.inner.dom != ta.inner:
+            raise TypeMismatch(
+                f"Ap domain {type_name(tf.inner.dom)} does not match argument "
+                f"{type_name(ta.inner)}"
+            )
+        return _stamp(e, Eff(tf.inner.cod))
+    if k is Join:
+        if lab is not TGT:
+            raise LabelMismatch(f"Join only lives in the target fragment, not {lab}")
+        _require_label(e, TGT)
+        tn = _synth(e.nested, TGT, env)
+        if not (isinstance(tn, Eff) and isinstance(tn.inner, Eff)):
+            raise TypeMismatch(
+                f"Join needs an Eff (Eff _)-typed argument, got {type_name(tn)}"
+            )
+        return _stamp(e, tn.inner)
+    raise TypeCheckError(f"unknown term former {k.__name__}")
 
 
 def _check_lam(lam: Lam, dom: Ty, lab: Label, env: TypeEnv) -> Arrow:

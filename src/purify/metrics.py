@@ -55,6 +55,10 @@ def _saturated(head: Term, depth: int, arity: dict[str, int]) -> bool:
     return type(head) is Const and arity.get(head.name) == depth
 
 
+def _effect_arities(sig: Signature) -> dict[str, int]:
+    return {d.name: d.effect_arity() for d in sig if d.effectful}
+
+
 # Instructions on the fold's work stack, between the terms (never ints):
 # combine the top two values by max (span) or + (work), add them (a bind
 # runs one side after the other), add one to the top value (an effect).
@@ -67,7 +71,7 @@ def _measure(e: Term, sig: Signature | None, use_max: bool) -> int:
     Lambdas with combinator bodies (the sequencing continuations) are
     transparent; other lambdas are values and cost nothing.
     """
-    arity = {d.name: d.effect_arity() for d in sig or () if d.effectful}
+    arity = sig.table(_effect_arities) if sig is not None else {}
     vals: list[int] = []
     todo: list = [e]
     while todo:

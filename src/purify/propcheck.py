@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .check import TypeEnv, typecheck
-from .metrics import span, work
+from .metrics import dyn_span, dyn_work, span, work
 from .pretty import pretty
 from .semantics import (
     ConstEnv, MonadDict, actions_agree, builtin_monads, check_laws, evaluate,
@@ -59,11 +59,34 @@ def default_signature() -> Signature:
 _WORDS = ("", "a", "b", "foo", "bar", "xy")
 
 
+def _gen_tables(sig: Signature) -> tuple[dict, dict, dict]:
+    """The generator's signature lookups, each list in signature order.
+
+    Effectful decls by the result of their Eff layer; pure decls, with their
+    argument types, by every result an argument prefix reaches; constant
+    names by declared type.  Built once per signature (``Signature.table``).
+    """
+    effects: dict[Ty, list[ConstDecl]] = {}
+    calls: dict[Ty, list[tuple[ConstDecl, tuple[Ty, ...]]]] = {}
+    consts: dict[Ty, list[str]] = {}
+    for d in sig:
+        consts.setdefault(d.ty, []).append(d.name)
+        args, t = [], d.ty
+        while isinstance(t, Arrow):
+            args.append(t.dom)
+            t = t.cod
+            if not d.effectful:
+                calls.setdefault(t, []).append((d, tuple(args)))
+        if d.effectful and isinstance(t, Eff):
+            effects.setdefault(t.inner, []).append(d)
+    return effects, calls, consts
+
+
 class _Gen:
     def __init__(self, rng: random.Random, sig: Signature):
         self.rng = rng
-        self.sig = sig
         self._names = 0
+        self._effects, self._calls, self._consts = sig.table(_gen_tables)
 
     def fresh_var(self) -> str:
         self._names += 1
@@ -79,29 +102,14 @@ class _Gen:
             return UNIT
         return Prod(STR, STR)
 
-    def _effect_decls_for(self, inner: Ty) -> list[ConstDecl]:
-        out = []
-        for d in self.sig:
-            if d.effectful:
-                t = d.ty
-                while isinstance(t, Arrow):
-                    t = t.cod
-                if isinstance(t, Eff) and t.inner == inner:
-                    out.append(d)
-        return out
+    def _effect_decls_for(self, inner: Ty) -> Sequence[ConstDecl]:
+        return self._effects.get(inner, ())
 
-    def _pure_call_decls(self, result: Ty) -> list[tuple[ConstDecl, list[Ty]]]:
-        out = []
-        for d in self.sig:
-            if d.effectful:
-                continue
-            args, t = [], d.ty
-            while isinstance(t, Arrow):
-                args.append(t.dom)
-                t = t.cod
-                if t == result and args:
-                    out.append((d, list(args)))
-        return out
+    def _pure_call_decls(self, result: Ty) -> Sequence[tuple[ConstDecl, tuple[Ty, ...]]]:
+        return self._calls.get(result, ())
+
+    def _consts_of(self, t: Ty) -> Sequence[str]:
+        return self._consts.get(t, ())
 
     # -- minimal terms ---------------------------------------------------
 
@@ -119,7 +127,7 @@ class _Gen:
                     body = self.minimal(c, COM, {**env, x: d})
                     return Lam(x, body, d, label=lab)
                 except Unsatisfiable:
-                    named = [dc.name for dc in self.sig if dc.ty == t]
+                    named = self._consts_of(t)
                     if named:
                         return Const(named[0], label=lab)
                     raise
@@ -128,7 +136,7 @@ class _Gen:
                     return Pure(self.minimal(inner, COM, env), label=TGT)
                 if lab is SRC:
                     return self.effect_call(inner, SRC, env, depth=1)
-                named = [dc.name for dc in self.sig if dc.ty == t]
+                named = self._consts_of(t)
                 if named:
                     return Const(named[0], label=COM)
                 raise Unsatisfiable(f"no common term of type Eff {inner!r}")
@@ -178,7 +186,7 @@ class _Gen:
             opts.append(lambda: Var(self.rng.choice(vars_), label=lab))
         # an unapplied effectful constant is an ordinary function/action value;
         # goals of such types only arise on effect-allowing paths
-        consts = [d.name for d in self.sig if d.ty == t]
+        consts = self._consts_of(t)
         if consts:
             opts.append(lambda: Const(self.rng.choice(consts), label=lab))
         if t == UNIT:
@@ -565,10 +573,18 @@ def _check_effect_free(c: _Ctx, term: Term) -> Optional[str]:
 
 
 def _check_normalize(c: _Ctx, term: Term) -> Optional[str]:
+    """The normal form keeps type and meaning, its static span/work do not
+    grow, and they equal the span/work of its trace.
+
+    The last is not asked of an action whose result is an action: the
+    static measures may count effects of that inner action, which its trace
+    does not run.
+    """
     ty = typecheck(term, TGT, c.env_t)
     out = normalize(term)
     typecheck(out, TGT, c.env_t)
-    if span(out, c.sig) > span(term, c.sig) or work(out, c.sig) > work(term, c.sig):
+    s_out, w_out = span(out, c.sig), work(out, c.sig)
+    if s_out > span(term, c.sig) or w_out > work(term, c.sig):
         return "normalize increased span/work"
     for m, env in c.envs.values():
         if isinstance(ty, Eff):
@@ -576,6 +592,10 @@ def _check_normalize(c: _Ctx, term: Term) -> Optional[str]:
             b = _as_action(evaluate(term, TGT, m, env))
             if not actions_agree(ty.inner, m, a, b):
                 return f"normalize disagrees under {m.name}"
+            if (m.name == "trace" and not isinstance(ty.inner, Eff)
+                    and (dyn_span(a), dyn_work(a)) != (s_out, w_out)):
+                return (f"static span/work {s_out}/{w_out} of the normal form,"
+                        f" trace {dyn_span(a)}/{dyn_work(a)}")
         elif not value_eq_for(ty, m)(evaluate(out, TGT, m, env), evaluate(term, TGT, m, env)):
             return f"normalize disagrees under {m.name}"
     return None

@@ -408,73 +408,74 @@ def evaluate(e: Term, label: Label, m: MonadDict, consts: ConstEnv,
 
 def _eval_direct(e: Term, m: MonadDict, consts: ConstEnv,
                  scope: dict[str, Value]) -> Value:
-    match e:
-        case Var(name):
-            if name not in scope:
-                raise EvalError(f"unbound variable {name!r} at runtime")
-            return scope[name]
-        case Const(name):
-            return consts.value(name)
-        case Unt():
-            return VUNIT
-        case Lit(text):
-            return VStr(text)
-        case Prd(a, b):
-            return VPair(
-                _eval_direct(a, m, consts, scope), _eval_direct(b, m, consts, scope)
-            )
-        case Fst(p):
-            return _pair(_eval_direct(p, m, consts, scope)).fst
-        case Snd(p):
-            return _pair(_eval_direct(p, m, consts, scope)).snd
-        case App(f, a):
-            vf = _eval_direct(f, m, consts, scope)
-            va = _eval_direct(a, m, consts, scope)
-            return _apply(vf, va)
-        case Lam(param, body, _):
-            def closure(v: Value, _param=param, _body=body) -> Value:
-                inner = dict(scope)
-                inner[_param] = v
-                return _eval_direct(_body, m, consts, inner)
+    # exact-type tests, most frequent kind first: cheaper than class patterns
+    k = type(e)
+    if k is Lit:
+        return VStr(e.value)
+    if k is App:
+        return _apply(_eval_direct(e.fun, m, consts, scope),
+                      _eval_direct(e.arg, m, consts, scope))
+    if k is Lam:
+        param, body = e.param, e.body
 
-            return VFun(closure)
-        case Pure(inner):
-            return VEff(m.pure(_eval_direct(inner, m, consts, scope)))
-        case Map(f, a):
-            vf = _eval_direct(f, m, consts, scope)
-            va = _eval_direct(a, m, consts, scope)
-            return VEff(m.map(vf.fn, _as_action(va)))
-        case Ap(f, a):
-            vf = _eval_direct(f, m, consts, scope)
-            va = _eval_direct(a, m, consts, scope)
-            return VEff(m.ap(_as_action(vf), _as_action(va)))
-        case Join(n):
-            vn = _eval_direct(n, m, consts, scope)
-            return VEff(m.bind(_as_action, _as_action(vn)))
-        case Each():
-            raise EvalError("Each is a source construct; evaluate at src")
-    raise EvalError(f"unknown term former {type(e).__name__}")
+        def closure(v: Value) -> Value:
+            inner = dict(scope)
+            inner[param] = v
+            return _eval_direct(body, m, consts, inner)
+
+        return VFun(closure)
+    if k is Const:
+        return consts.value(e.name)
+    if k is Prd:
+        return VPair(_eval_direct(e.fst, m, consts, scope),
+                     _eval_direct(e.snd, m, consts, scope))
+    if k is Unt:
+        return VUNIT
+    if k is Pure:
+        return VEff(m.pure(_eval_direct(e.inner, m, consts, scope)))
+    if k is Var:
+        if e.name not in scope:
+            raise EvalError(f"unbound variable {e.name!r} at runtime")
+        return scope[e.name]
+    if k is Map:
+        vf = _eval_direct(e.fun, m, consts, scope)
+        va = _eval_direct(e.arg, m, consts, scope)
+        return VEff(m.map(vf.fn, _as_action(va)))
+    if k is Fst:
+        return _pair(_eval_direct(e.pair, m, consts, scope)).fst
+    if k is Ap:
+        vf = _eval_direct(e.fun, m, consts, scope)
+        va = _eval_direct(e.arg, m, consts, scope)
+        return VEff(m.ap(_as_action(vf), _as_action(va)))
+    if k is Join:
+        vn = _eval_direct(e.nested, m, consts, scope)
+        return VEff(m.bind(_as_action, _as_action(vn)))
+    if k is Snd:
+        return _pair(_eval_direct(e.pair, m, consts, scope)).snd
+    if k is Each:
+        raise EvalError("Each is a source construct; evaluate at src")
+    raise EvalError(f"unknown term former {k.__name__}")
 
 
 def _eval_src(e: Term, m: MonadDict, consts: ConstEnv, scope: dict[str, Value]):
-    match e:
-        case Var() | Const() | Unt() | Lit() | Lam():
-            return m.pure(_eval_direct(e, m, consts, scope))
-        case Fst(p):
-            return m.map(lambda v: _pair(v).fst, _eval_src(p, m, consts, scope))
-        case Snd(p):
-            return m.map(lambda v: _pair(v).snd, _eval_src(p, m, consts, scope))
-        case App(f, a):
-            return m.ap(_eval_src(f, m, consts, scope), _eval_src(a, m, consts, scope))
-        case Prd(a, b):
-            pairing = m.map(
-                lambda va: VFun(lambda vb: VPair(va, vb)),
-                _eval_src(a, m, consts, scope),
-            )
-            return m.ap(pairing, _eval_src(b, m, consts, scope))
-        case Each(inner):
-            return m.bind(_as_action, _eval_src(inner, m, consts, scope))
-    raise EvalError(f"{type(e).__name__} is not a source term former")
+    k = type(e)
+    if k is App:
+        return m.ap(_eval_src(e.fun, m, consts, scope), _eval_src(e.arg, m, consts, scope))
+    if k is Const or k is Lit or k is Lam or k is Unt or k is Var:
+        return m.pure(_eval_direct(e, m, consts, scope))
+    if k is Each:
+        return m.bind(_as_action, _eval_src(e.eff, m, consts, scope))
+    if k is Prd:
+        pairing = m.map(
+            lambda va: VFun(lambda vb: VPair(va, vb)),
+            _eval_src(e.fst, m, consts, scope),
+        )
+        return m.ap(pairing, _eval_src(e.snd, m, consts, scope))
+    if k is Fst:
+        return m.map(lambda v: _pair(v).fst, _eval_src(e.pair, m, consts, scope))
+    if k is Snd:
+        return m.map(lambda v: _pair(v).snd, _eval_src(e.pair, m, consts, scope))
+    raise EvalError(f"{k.__name__} is not a source term former")
 
 
 def _pair(v: Value) -> VPair:

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional, TypeVar
+
+_T = TypeVar("_T")
 
 
 class PurifyError(Exception):
@@ -261,29 +263,15 @@ def size(e: Term) -> int:
 
 def replace_children(e: Term, new: tuple[Term, ...]) -> Term:
     """Same node kind and label with replaced immediate subterms."""
-    match e:
-        case Var() | Const() | Unt() | Lit():
-            return e
-        case Prd():
-            return Prd(new[0], new[1], label=e.label, ty=e.ty)
-        case App():
-            return App(new[0], new[1], label=e.label, ty=e.ty)
-        case Map():
-            return Map(new[0], new[1], label=e.label, ty=e.ty)
-        case Ap():
-            return Ap(new[0], new[1], label=e.label, ty=e.ty)
-        case Fst():
-            return Fst(new[0], label=e.label, ty=e.ty)
-        case Snd():
-            return Snd(new[0], label=e.label, ty=e.ty)
-        case Each():
-            return Each(new[0], label=e.label, ty=e.ty)
-        case Pure():
-            return Pure(new[0], label=e.label, ty=e.ty)
-        case Join():
-            return Join(new[0], label=e.label, ty=e.ty)
-        case Lam(param, _, param_ty):
-            return Lam(param, new[0], param_ty, label=e.label, ty=e.ty)
+    k = type(e)
+    if k is App or k is Ap or k is Map or k is Prd:
+        return k(new[0], new[1], label=e.label, ty=e.ty)
+    if k is Fst or k is Snd or k is Pure or k is Join or k is Each:
+        return k(new[0], label=e.label, ty=e.ty)
+    if k is Lam:
+        return Lam(e.param, new[0], e.param_ty, label=e.label, ty=e.ty)
+    if k is Var or k is Const or k is Unt or k is Lit:
+        return e
     raise PurifyError(f"unknown term {e!r}")
 
 
@@ -329,6 +317,7 @@ class Signature:
     def __init__(self, decls: list[ConstDecl] | None = None):
         self.decls: list[ConstDecl] = []
         self._by_name: dict[str, ConstDecl] = {}
+        self._tables: dict[Callable, object] = {}
         for d in decls or []:
             self.add(d)
 
@@ -342,6 +331,16 @@ class Signature:
             )
         self.decls.append(decl)
         self._by_name[decl.name] = decl
+        self._tables.clear()
+
+    def table(self, build: Callable[[Signature], _T]) -> _T:
+        """``build(self)``, computed at first use and kept until the next
+        ``add``: an index a layer derives from the declarations, such as
+        the generator's lookups by result type or the effect arities."""
+        tab = self._tables.get(build)
+        if tab is None:
+            tab = self._tables[build] = build(self)
+        return tab
 
     def lookup(self, name: str) -> Optional[ConstDecl]:
         return self._by_name.get(name)
@@ -392,24 +391,24 @@ def relabel(e: Term, target: Label) -> Term:
     common at every label.  Raises NotCommon on Each/Pure/Map/Ap/Join and on
     a lambda with a non-common body node.
     """
-    match e:
-        case Var(name):
-            return Var(name, label=target, ty=e.ty)
-        case Const(name):
-            return Const(name, label=target, ty=e.ty)
-        case Unt():
-            return Unt(label=target, ty=e.ty)
-        case Lit(value):
-            return Lit(value, label=target, ty=e.ty)
-        case Lam(param, body, param_ty):
-            if any(n.label is not COM for n in subterms(body)):
-                raise NotCommon("relabel: lambda body contains non-common nodes")
-            return Lam(param, body, param_ty, label=target, ty=e.ty)
-        case Prd() | Fst() | Snd() | App():
-            out = replace_children(e, tuple(relabel(c, target) for c in children(e)))
-            out.label = target
-            return out
-    raise NotCommon(f"relabel: {type(e).__name__} is not a common term former")
+    k = type(e)
+    if k is Lit:
+        return Lit(e.value, label=target, ty=e.ty)
+    if k is Const or k is Var:
+        return k(e.name, label=target, ty=e.ty)
+    if k is App:
+        return App(relabel(e.fun, target), relabel(e.arg, target), label=target, ty=e.ty)
+    if k is Prd:
+        return Prd(relabel(e.fst, target), relabel(e.snd, target), label=target, ty=e.ty)
+    if k is Lam:
+        if any(n.label is not COM for n in subterms(e.body)):
+            raise NotCommon("relabel: lambda body contains non-common nodes")
+        return Lam(e.param, e.body, e.param_ty, label=target, ty=e.ty)
+    if k is Fst or k is Snd:
+        return k(relabel(e.pair, target), label=target, ty=e.ty)
+    if k is Unt:
+        return Unt(label=target, ty=e.ty)
+    raise NotCommon(f"relabel: {k.__name__} is not a common term former")
 
 
 def is_effect_free(e: Term) -> bool:

@@ -82,29 +82,25 @@ def _translate(
     """The translation equations, with ``ap`` and ``join`` as constructors."""
 
     def go(t: Term) -> Term:
-        match t:
-            case Var() | Const() | Unt() | Lit() | Lam():
-                return Pure(relabel(t, COM), label=TGT)
-            case Fst(p):
-                x = fresh.fresh()
-                lift = Lam(x, Fst(Var(x, label=COM), label=COM), p.ty, label=COM)
-                return ap(Pure(lift, label=TGT), go(p))
-            case Snd(p):
-                x = fresh.fresh()
-                lift = Lam(x, Snd(Var(x, label=COM), label=COM), p.ty, label=COM)
-                return ap(Pure(lift, label=TGT), go(p))
-            case Prd(a, b):
-                # the inner lambda is never syntactically applied, so it keeps
-                # its parameter type from the checked source
-                x, y = fresh.fresh(), fresh.fresh()
-                pair = Prd(Var(x, label=COM), Var(y, label=COM), label=COM)
-                lift = Lam(x, Lam(y, pair, b.ty, label=COM), a.ty, label=COM)
-                return ap(ap(Pure(lift, label=TGT), go(a)), go(b))
-            case App(f, a):
-                return ap(go(f), go(a))
-            case Each(inner):
-                return join(go(inner))
-        raise PurifyError(f"not a source term former: {type(t).__name__}")
+        k = type(t)
+        if k is App:
+            return ap(go(t.fun), go(t.arg))
+        if k is Const or k is Lit or k is Lam or k is Unt or k is Var:
+            return Pure(relabel(t, COM), label=TGT)
+        if k is Each:
+            return join(go(t.eff))
+        if k is Prd:
+            # the inner lambda is never syntactically applied, so it keeps
+            # its parameter type from the checked source
+            x, y = fresh.fresh(), fresh.fresh()
+            pair = Prd(Var(x, label=COM), Var(y, label=COM), label=COM)
+            lift = Lam(x, Lam(y, pair, t.snd.ty, label=COM), t.fst.ty, label=COM)
+            return ap(ap(Pure(lift, label=TGT), go(t.fst)), go(t.snd))
+        if k is Fst or k is Snd:
+            x = fresh.fresh()
+            lift = Lam(x, k(Var(x, label=COM), label=COM), t.pair.ty, label=COM)
+            return ap(Pure(lift, label=TGT), go(t.pair))
+        raise PurifyError(f"not a source term former: {k.__name__}")
 
     return go(e)
 
@@ -128,27 +124,21 @@ def seq_translate(e: Term, fresh: FreshNames | None = None) -> Term:
 
     def compile_(t: Term) -> Term:
         """Common-fragment value of ``t``; effect marks become bindings."""
-        match t:
-            case Var() | Const() | Unt() | Lit() | Lam():
-                return relabel(t, COM)
-            case Prd(a, b):
-                ca = compile_(a)
-                cb = compile_(b)
-                return Prd(ca, cb, label=COM)
-            case Fst(p):
-                return Fst(compile_(p), label=COM)
-            case Snd(p):
-                return Snd(compile_(p), label=COM)
-            case App(f, a):
-                cf = compile_(f)
-                ca = compile_(a)
-                return App(cf, ca, label=COM)
-            case Each(inner):
-                payload = compile_(inner)
-                name = fresh.fresh()
-                bindings.append((name, payload))
-                return Var(name, label=COM)
-        raise PurifyError(f"not a source term former: {type(t).__name__}")
+        k = type(t)
+        if k is App:
+            return App(compile_(t.fun), compile_(t.arg), label=COM)
+        if k is Const or k is Lit or k is Lam or k is Unt or k is Var:
+            return relabel(t, COM)
+        if k is Each:
+            payload = compile_(t.eff)
+            name = fresh.fresh()
+            bindings.append((name, payload))
+            return Var(name, label=COM)
+        if k is Prd:
+            return Prd(compile_(t.fst), compile_(t.snd), label=COM)
+        if k is Fst or k is Snd:
+            return k(compile_(t.pair), label=COM)
+        raise PurifyError(f"not a source term former: {k.__name__}")
 
     final = compile_(e)
     return _build_chain(bindings, final)

@@ -1,18 +1,22 @@
 import json
+import random
 
 import pytest
 
-from purify import propcheck
+from purify import metrics, propcheck
 from purify.check import TypeEnv, typecheck
+from purify.metrics import span, work
+from purify.pretty import pretty
 from purify.propcheck import (
     GenConfig, SUITE_NAMES, Unsatisfiable, default_signature, gen_term,
     run_suite, shrink,
 )
-from purify.surface import parse_target_expr
+from purify.surface import parse_and_elaborate, parse_target_expr
 from purify.terms import (
-    App, Ap, COM, Each, Eff, Join, Lam, Map, Prod, SRC, STR, Signature, TGT, UNIT,
-    Unt, Var, alpha_eq, size, subterms,
+    App, Ap, Arrow, COM, Const, ConstDecl, ConstKind, Each, Eff, Join, Lam, Lit,
+    Map, Prod, SRC, STR, Signature, TGT, UNIT, Unt, Var, alpha_eq, size, subterms,
 )
+from purify.translate import opt_translate
 
 
 def test_generator_soundness_all_labels():
@@ -155,3 +159,116 @@ def test_target_suites_shrink_failures(monkeypatch, suite, depth, seed, trials, 
         assert size(small) <= size(original)
         shrunk += size(small) < size(original)
     assert shrunk > 0
+
+
+def test_normalize_check_compares_statics_with_the_trace(monkeypatch):
+    """A normal form whose static span/work undercount its trace fails.
+
+    Costing the let-style redex ``(fun x -> fetch(x))(v)``, which the bind
+    associativity rule leaves in this chain's normal form, as zero effects
+    measures it 2/2 against a 3/3 trace.  Bounding only the growth of the
+    static measures let that pass.
+    """
+    sig, body = parse_and_elaborate(
+        'effect fetch : Str -> Eff Str\npurify { fetch(fetch(fetch("u")!)!)! }'
+    )
+    typecheck(body, SRC, TypeEnv(sig))
+    term = opt_translate(body)
+    ctx = propcheck._Ctx.of(sig)
+    assert propcheck._check_normalize(ctx, term) is None
+
+    def no_let_redex(head, depth, arity):
+        return type(head) is Const and arity.get(head.name) == depth
+
+    monkeypatch.setattr(metrics, "_saturated", no_let_redex)
+    assert propcheck._check_normalize(ctx, term) == (
+        "static span/work 2/2 of the normal form, trace 3/3"
+    )
+
+
+def _names(sig, seeds):
+    """Constant names in generated source terms."""
+    return {n.name for i in seeds
+            for n in subterms(gen_term(GenConfig(5, i, sig, SRC)))
+            if isinstance(n, Const)}
+
+
+def test_tables_follow_signature_add():
+    sig = default_signature()
+    call = App(Const("ping", label=TGT), Lit("a", label=TGT), label=TGT)
+    assert "ping" not in _names(sig, range(100))
+    assert work(call, sig) == 0
+    sig.add(ConstDecl("ping", Arrow(STR, Eff(STR)), ConstKind.EFFECTFUL))
+    assert "ping" in _names(sig, range(100))
+    assert span(call, sig) == work(call, sig) == 1
+
+
+def test_signatures_never_share_tables():
+    call = App(Const("go", label=TGT), Lit("a", label=TGT), label=TGT)
+    rng = random.Random(5)
+    for i in range(200):
+        arity = rng.choice((1, 2))
+        ty = Eff(STR)
+        for _ in range(arity):
+            ty = Arrow(STR, ty)
+        sig = Signature([ConstDecl("go", ty, ConstKind.EFFECTFUL)])
+        assert work(call, sig) == (arity == 1)
+        gen_term(GenConfig(4, i, sig, SRC))  # typechecks in its own signature
+        del sig  # the next one may reuse its id(), so tables keyed by id() go stale
+
+
+def _scanning_lookups(sig):
+    """The generator's lookups as scans of the signature per call."""
+    def effect_decls_for(self, inner):
+        out = []
+        for d in sig:
+            if d.effectful:
+                t = d.ty
+                while isinstance(t, Arrow):
+                    t = t.cod
+                if isinstance(t, Eff) and t.inner == inner:
+                    out.append(d)
+        return out
+
+    def pure_call_decls(self, result):
+        out = []
+        for d in sig:
+            if d.effectful:
+                continue
+            args, t = [], d.ty
+            while isinstance(t, Arrow):
+                args.append(t.dom)
+                t = t.cod
+                if t == result and args:
+                    out.append((d, list(args)))
+        return out
+
+    def consts_of(self, t):
+        return [d.name for d in sig if d.ty == t]
+
+    return effect_decls_for, pure_call_decls, consts_of
+
+
+def test_tabled_generator_draws_the_scanned_terms(monkeypatch):
+    sig = default_signature()
+    sig.add(ConstDecl("both", Arrow(STR, Arrow(UNIT, Eff(Prod(STR, STR)))),
+                      ConstKind.EFFECTFUL))
+    sig.add(ConstDecl("twice", Arrow(STR, Arrow(STR, Prod(STR, STR))), ConstKind.PURE))
+    gens = [(label, propcheck._gen_plain) for label in (SRC, COM, TGT)]
+    gens += [(TGT, propcheck._gen_smart), (TGT, propcheck._gen_action)]
+
+    def draw():
+        out = []
+        for i in range(500):
+            for label, generate in gens:
+                try:
+                    out.append(pretty(generate(GenConfig(4 + i % 3, i, sig, label), i)))
+                except Unsatisfiable:
+                    out.append(None)
+        return out
+
+    tabled = draw()
+    for name, scan in zip(("_effect_decls_for", "_pure_call_decls", "_consts_of"),
+                          _scanning_lookups(sig)):
+        monkeypatch.setattr(propcheck._Gen, name, scan)
+    assert draw() == tabled

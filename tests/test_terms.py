@@ -1,8 +1,12 @@
+from purify.check import TypeEnv, typecheck
 from purify.propcheck import GenConfig, default_signature, gen_term
+from purify.semantics import evaluate, make_const_env, trace_monad
 from purify.terms import (
-    App, COM, Const, Each, Fst, Lam, Lit, NotCommon, Prd, Pure, SRC, TGT,
-    Unt, Var, alpha_eq, erase_labels, is_effect_free, relabel, size, subterms,
+    App, COM, Const, Each, Fst, Lam, Lit, NotCommon, Prd, Pure, PurifyError, SRC,
+    TGT, Term, Unt, Var, alpha_eq, erase_labels, is_effect_free, relabel,
+    replace_children, size, subterms,
 )
+from purify.translate import naive_translate, opt_translate, seq_translate
 
 import pytest
 
@@ -137,3 +141,31 @@ def test_effect_arity():
     assert sig.lookup("fetch").effect_arity() == 1
     assert sig.lookup("probe").effect_arity() == 0
     assert sig.lookup("concat").effect_arity() is None
+
+
+class _Alien(Term):
+    """A node kind that no layer knows."""
+
+
+def test_unknown_node_kind_is_a_diagnostic():
+    sig = default_signature()
+    m = trace_monad()
+    env = make_const_env(sig, m)
+    alien = _Alien(label=SRC)
+    nested = App(Const("shout", label=SRC), _Alien(label=SRC), label=SRC)
+    calls = {
+        "evaluate src": lambda t: evaluate(t, SRC, m, env),
+        "evaluate tgt": lambda t: evaluate(t, TGT, m, env),
+        "typecheck": lambda t: typecheck(t, SRC, TypeEnv(sig)),
+        "opt_translate": opt_translate,
+        "naive_translate": naive_translate,
+        "seq_translate": seq_translate,
+        "relabel": lambda t: relabel(t, TGT),
+    }
+    for t in (alien, nested):
+        for name, call in calls.items():
+            with pytest.raises(PurifyError):
+                call(t)
+                pytest.fail(f"{name} accepted an unknown node kind")
+    with pytest.raises(PurifyError):
+        replace_children(alien, ())
