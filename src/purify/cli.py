@@ -8,18 +8,16 @@ import sys
 from typing import Optional
 
 from .check import TypeEnv, typecheck
-from .metrics import dyn_span, dyn_work, simulate_latency, span, to_dot, work
+from .metrics import span, to_dot, work
 from .pretty import pretty
 from .propcheck import SUITE_NAMES, GenConfig, run_suite
-from .semantics import (
-    ABSENT, builtin_monads, check_laws, evaluate, make_const_env,
-    mixed_order_writer, render_value,
-)
+from .semantics import BEHAVIOR_KINDS, MONADS, check_laws, evaluate, make_const_env
 from .surface import elaborate, parse
 from .terms import PurifyError, SRC, TGT, type_name
 from .translate import naive_translate, normalize, opt_translate, seq_translate
 
 DEFAULT_LATENCY_MS = 100.0
+TRANSLATIONS = {"opt": opt_translate, "naive": naive_translate, "seq": seq_translate}
 
 
 def _load_program(path: str):
@@ -56,21 +54,18 @@ def _load_config(path: Optional[str], sig) -> dict:
                     f"config names an undeclared effect {name!r} in {section}"
                 )
     for name, ms in config.get("latency_ms", {}).items():
-        if isinstance(ms, bool) or not isinstance(ms, (int, float)) or not ms >= 0:
+        if (isinstance(ms, bool) or not isinstance(ms, (int, float))
+                or not 0 <= ms <= sys.float_info.max):
             raise PurifyError(f"latency for {name!r} must be a nonnegative number")
     for name, behavior in config.get("behavior", {}).items():
         if not isinstance(behavior, dict):
             raise PurifyError(f"behavior for {name!r} must be a JSON object")
+        if "kind" in behavior and behavior["kind"] not in BEHAVIOR_KINDS:
+            raise PurifyError(
+                f"behavior for {name!r} has unknown kind {behavior['kind']!r}; "
+                f"choose from {', '.join(BEHAVIOR_KINDS)}"
+            )
     return config
-
-
-def _monad_by_name(name: str):
-    for m in builtin_monads():
-        if m.name == name:
-            return m
-    if name == mixed_order_writer().name:
-        return mixed_order_writer()
-    raise PurifyError(f"unknown monad {name!r}")
 
 
 def _require_positive(args, *names: str) -> None:
@@ -87,12 +82,7 @@ def cmd_check(args) -> int:
 
 def cmd_translate(args) -> int:
     sig, body, _ = _load_program(args.file)
-    if args.mode == "opt":
-        out = opt_translate(body)
-    elif args.mode == "naive":
-        out = naive_translate(body)
-    else:
-        out = seq_translate(body)
+    out = TRANSLATIONS[args.mode](body)
     if args.normalize:
         out = normalize(out, reassoc=args.reassoc)
     typecheck(out, TGT, TypeEnv(sig))
@@ -103,68 +93,39 @@ def cmd_translate(args) -> int:
 def cmd_analyze(args) -> int:
     sig, body, _ = _load_program(args.file)
     env = TypeEnv(sig)
-    opt = opt_translate(body)
-    naive = naive_translate(body)
-    seq = seq_translate(body)
-    for t in (opt, naive, seq):
-        typecheck(t, TGT, env)
-    stats = {
-        "v": 1,
-        "span_src": span(body, sig),
-        "work_src": work(body, sig),
-        "span_opt": span(opt, sig),
-        "work_opt": work(opt, sig),
-        "span_naive": span(naive, sig),
-        "work_naive": work(naive, sig),
-        "span_seq": span(seq, sig),
-        "work_seq": work(seq, sig),
-    }
+    terms = {"src": body, **{key: t(body) for key, t in TRANSLATIONS.items()}}
+    for key in TRANSLATIONS:
+        typecheck(terms[key], TGT, env)
+    stats = {"v": 1}
+    for key, t in terms.items():
+        stats["span_" + key], stats["work_" + key] = span(t, sig), work(t, sig)
     if args.json:
         print(json.dumps(stats))
     else:
-        for key in ("src", "opt", "naive", "seq"):
+        for key in terms:
             print(f"{key}: span={stats['span_' + key]} work={stats['work_' + key]}")
     return 0
 
 
 def cmd_run(args) -> int:
+    if args.dot and args.monad != "trace":
+        raise PurifyError("--dot writes the trace DAG; it needs --monad trace")
     sig, body, ty = _load_program(args.file)
     config = _load_config(args.config, sig)
-    m = _monad_by_name(args.monad)
+    m = MONADS[args.monad]()
     env = make_const_env(sig, m, config.get("behavior"))
     action = evaluate(body, SRC, m, env)
 
-    out: dict = {"v": 1, "monad": m.name}
-    if m.name == "option":
-        if action is ABSENT:
-            out["absent"] = True
-        else:
-            out["absent"] = False
-            out["value"] = render_value(action)
-    elif m.name == "state":
-        value, final_state = action(0)
-        out["value"] = render_value(value)
-        out["final_state"] = final_state
-    elif m.name.startswith("writer"):
-        value, log = action
-        out["value"] = render_value(value)
-        out["log"] = list(log)
-    elif m.name == "trace":
-        out["value"] = render_value(action.result)
-        out["dyn_span"] = dyn_span(action)
-        out["dyn_work"] = dyn_work(action)
-        latency_cfg = config.get("latency_ms", {})
-        latencies = {
-            name: float(latency_cfg.get(name, DEFAULT_LATENCY_MS))
-            for name in sig.effectful_names()
-        }
-        out["latency_ms"] = simulate_latency(action, latencies)
-        if args.dot:
-            with open(args.dot, "w", encoding="utf-8") as fh:
-                fh.write(to_dot(action) + "\n")
-            out["dot"] = args.dot
-    else:
-        out["value"] = f"<{m.name} action>"
+    latency_cfg = config.get("latency_ms", {})
+    latencies = {
+        name: float(latency_cfg.get(name, DEFAULT_LATENCY_MS))
+        for name in sig.effectful_names()
+    }
+    out: dict = {"v": 1, "monad": m.name, **m.report(action, latencies)}
+    if args.dot:
+        with open(args.dot, "w", encoding="utf-8") as fh:
+            fh.write(to_dot(action) + "\n")
+        out["dot"] = args.dot
 
     if args.json:
         print(json.dumps(out))
@@ -178,8 +139,7 @@ def cmd_run(args) -> int:
 
 def cmd_laws(args) -> int:
     _require_positive(args, "trials")
-    m = _monad_by_name(args.monad)
-    report = check_laws(m, args.trials, args.seed)
+    report = check_laws(MONADS[args.monad](), args.trials, args.seed)
     if args.json:
         print(json.dumps(report.to_dict()))
     else:
@@ -217,7 +177,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     p = sub.add_parser("translate", help="print the combinator translation")
     p.add_argument("file")
-    p.add_argument("--mode", choices=("opt", "naive", "seq"), default="opt")
+    p.add_argument("--mode", choices=tuple(TRANSLATIONS), default="opt")
     p.add_argument("--normalize", action="store_true")
     p.add_argument("--reassoc", action="store_true",
                    help="enable the ap-composition reassociation rule")
@@ -231,7 +191,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     p = sub.add_parser("run", help="evaluate a program under a monad")
     p.add_argument("file")
     p.add_argument("--monad", required=True,
-                   choices=("option", "state", "writer", "trace", "writer-rtl"))
+                   choices=tuple(MONADS))
     p.add_argument("--config", help="effect-behavior config (JSON)")
     p.add_argument("--dot", help="write the trace DAG as graphviz (trace only)")
     p.add_argument("--json", action="store_true")
@@ -239,7 +199,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     p = sub.add_parser("laws", help="check the seven monad laws")
     p.add_argument("--monad", required=True,
-                   choices=("option", "state", "writer", "trace", "writer-rtl"))
+                   choices=tuple(MONADS))
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
@@ -259,6 +219,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (PurifyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:  # a fault of purify itself, not of its input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -2,8 +2,10 @@
 
 ``span`` is the length of the longest chain of unhandled effect operations
 in a term; ``work`` is their total count.  Both are one post-order fold:
-values and pure wrappers cost nothing, pairs/applications combine children
-by max (span) or sum (work), and Each/Join add one.
+values and pure wrappers cost nothing, a map costs its argument (its
+function is applied to the argument's result, never run), pairs and
+applications combine children by max (span) or sum (work), and Each/Join
+add one.
 
 Two artifact-specific refinements keep the static numbers aligned with what
 actually runs.  First, when a signature is supplied, a saturated application
@@ -86,8 +88,10 @@ def _measure(e: Term, sig: Signature | None, use_max: bool) -> int:
                 vals[-1] += b
             elif b > vals[-1]:
                 vals[-1] = b
-        elif k is Ap or k is Map:
+        elif k is Ap:
             todo += (_COMBINE, t.arg, t.fun)
+        elif k is Map:
+            todo.append(t.arg)
         elif k is App:
             # the whole application spine at once, since whether a node is
             # a saturated call depends on its depth in the spine

@@ -574,12 +574,7 @@ def _check_effect_free(c: _Ctx, term: Term) -> Optional[str]:
 
 def _check_normalize(c: _Ctx, term: Term) -> Optional[str]:
     """The normal form keeps type and meaning, its static span/work do not
-    grow, and they equal the span/work of its trace.
-
-    The last is not asked of an action whose result is an action: the
-    static measures may count effects of that inner action, which its trace
-    does not run.
-    """
+    grow, and they equal the span/work of its trace."""
     ty = typecheck(term, TGT, c.env_t)
     out = normalize(term)
     typecheck(out, TGT, c.env_t)
@@ -592,8 +587,7 @@ def _check_normalize(c: _Ctx, term: Term) -> Optional[str]:
             b = _as_action(evaluate(term, TGT, m, env))
             if not actions_agree(ty.inner, m, a, b):
                 return f"normalize disagrees under {m.name}"
-            if (m.name == "trace" and not isinstance(ty.inner, Eff)
-                    and (dyn_span(a), dyn_work(a)) != (s_out, w_out)):
+            if m.name == "trace" and (dyn_span(a), dyn_work(a)) != (s_out, w_out):
                 return (f"static span/work {s_out}/{w_out} of the normal form,"
                         f" trace {dyn_span(a)}/{dyn_work(a)}")
         elif not value_eq_for(ty, m)(evaluate(out, TGT, m, env), evaluate(term, TGT, m, env)):

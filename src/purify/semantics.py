@@ -6,7 +6,9 @@ monad's operations.  Four builtin monads are provided (option, state,
 writer, trace), plus a deliberately order-flipped writer whose ``ap`` runs
 its argument before its function: it satisfies every law, yet distinguishes
 the applicative from the left-to-right bind chaining -- which is exactly why
-the translation keeps Ap nodes instead of lowering them to binds.
+the translation keeps Ap nodes instead of lowering them to binds.  Each
+monad's constructor is the one place that defines its behaviour, including
+what one effect call does and what ``purify run`` reports.
 """
 
 from __future__ import annotations
@@ -15,7 +17,10 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .metrics import TraceDag, dag_iso, empty_dag, parallel_compose, sequential_compose, single_effect
+from .metrics import (
+    TraceDag, dag_iso, dyn_span, dyn_work, empty_dag, parallel_compose,
+    sequential_compose, simulate_latency, single_effect,
+)
 from .terms import (
     App, Ap, Arrow, Const, Each, Eff, Fst, Join, Label, Lam, Lit, Map,
     Prd, Prod, Pure, PurifyError, SRC, STR, Signature, Snd, Term, Unit,
@@ -117,7 +122,13 @@ ValueEq = Callable[[Value, Value], bool]
 
 @dataclass
 class MonadDict:
-    """Runtime bundle of pure/map/ap/bind plus observational equality."""
+    """Runtime bundle of pure/map/ap/bind plus observational equality.
+
+    ``effect(name, args, tag, result, result_ty, behavior)`` is the action of
+    one effect call (``args`` rendered, ``tag`` the call as text, ``result``
+    its default value, ``behavior`` its config entry or {}), and
+    ``report(action, latencies)`` the JSON fields ``purify run`` prints.
+    """
 
     name: str
     pure: Callable
@@ -125,7 +136,9 @@ class MonadDict:
     ap: Callable
     bind: Callable
     run_eq: Callable
-    sample_action: Optional[Callable[[random.Random], object]] = None
+    sample_action: Callable[[random.Random], object]
+    effect: Callable
+    report: Callable[[object, dict[str, float]], dict]
 
 
 class _Absent:
@@ -161,7 +174,15 @@ def option_monad() -> MonadDict:
             return ABSENT
         return pure(_gen_value(rng))
 
-    return MonadDict("option", pure, map_, ap, bind, run_eq, sample)
+    def effect(name, args, tag, result, result_ty, behavior):
+        return ABSENT if behavior.get("kind") == "absent" else result
+
+    def report(a, latencies):
+        if a is ABSENT:
+            return {"absent": True}
+        return {"absent": False, "value": render_value(a)}
+
+    return MonadDict("option", pure, map_, ap, bind, run_eq, sample, effect, report)
 
 
 def state_monad() -> MonadDict:
@@ -206,10 +227,20 @@ def state_monad() -> MonadDict:
 
         return run
 
-    return MonadDict("state", pure, map_, ap, bind, run_eq, sample)
+    def effect(name, args, tag, result, result_ty, behavior):
+        if behavior.get("kind") == "value":
+            return pure(result)
+        return lambda s: (seed_value(result_ty, f"{tag}@{s}", m), s + 1)
+
+    def report(a, latencies):
+        value, final_state = a(0)
+        return {"value": render_value(value), "final_state": final_state}
+
+    m = MonadDict("state", pure, map_, ap, bind, run_eq, sample, effect, report)
+    return m
 
 
-def _writer(name: str, flipped: bool) -> MonadDict:
+def _writer(monad_name: str, flipped: bool) -> MonadDict:
     def pure(v):
         return (v, ())
 
@@ -235,7 +266,16 @@ def _writer(name: str, flipped: bool) -> MonadDict:
         tag = f"w{rng.randint(0, 5)}"
         return _gen_value(rng), (tag,)
 
-    return MonadDict(name, pure, map_, ap, bind, run_eq, sample)
+    def effect(name, args, tag, result, result_ty, behavior):
+        kind, payload = behavior.get("kind"), behavior.get("payload")
+        if kind == "value":
+            return pure(result)
+        return result, (str(payload) if kind == "log" and payload is not None else tag,)
+
+    def report(a, latencies):
+        return {"value": render_value(a[0]), "log": list(a[1])}
+
+    return MonadDict(monad_name, pure, map_, ap, bind, run_eq, sample, effect, report)
 
 
 def writer_monad() -> MonadDict:
@@ -272,11 +312,26 @@ def trace_monad() -> MonadDict:
     def sample(rng: random.Random):
         return single_effect(f"e{rng.randint(0, 3)}", "", _gen_value(rng))
 
-    return MonadDict("trace", pure, map_, ap, bind, run_eq, sample)
+    def effect(name, args, tag, result, result_ty, behavior):
+        return single_effect(name, args, result)
+
+    def report(d: TraceDag, latencies):
+        return {"value": render_value(d.result), "dyn_span": dyn_span(d),
+                "dyn_work": dyn_work(d), "latency_ms": simulate_latency(d, latencies)}
+
+    return MonadDict("trace", pure, map_, ap, bind, run_eq, sample, effect, report)
+
+
+MONADS: dict[str, Callable[[], MonadDict]] = {
+    "option": option_monad, "state": state_monad, "writer": writer_monad,
+    "trace": trace_monad, "writer-rtl": mixed_order_writer,
+}
 
 
 def builtin_monads() -> list[MonadDict]:
-    return [option_monad(), state_monad(), writer_monad(), trace_monad()]
+    """The monads every suite runs under: all of MONADS but the order-flipped
+    writer, which the sequential baseline tells apart by design."""
+    return [make() for make in MONADS.values() if make is not mixed_order_writer]
 
 
 # ---------------------------------------------------------------------------
@@ -309,41 +364,25 @@ def seed_value(ty, tag: str, m: MonadDict) -> Value:
     raise EvalError(f"unknown type {ty!r}")
 
 
+# Behavior kinds a config may name; each monad's ``effect`` reads the ones it
+# observes, and ``state_incr`` is the state monad's default.
+BEHAVIOR_KINDS = ("value", "absent", "state_incr", "log")
+
+
 def _effect_action(m: MonadDict, name: str, args: list[Value], result_ty,
-                   behavior: Optional[dict]):
+                   behavior: dict):
     arg_str = ",".join(render_value(a) for a in args)
     tag = f"{name}({arg_str})" if args else name
-    kind = (behavior or {}).get("kind")
-    payload = (behavior or {}).get("payload")
+    payload = behavior.get("payload")
     if payload is not None and result_ty == STR:
         result = VStr(str(payload))
     else:
         result = seed_value(result_ty, tag, m)
-
-    if m.name == "option":
-        return ABSENT if kind == "absent" else result
-    if m.name.startswith("writer"):
-        if kind == "value":
-            return (result, ())
-        entry = str(payload) if (kind == "log" and payload is not None) else tag
-        return (result, (entry,))
-    if m.name == "state":
-        if kind == "value":
-            return lambda s: (result, s)
-
-        def run(s):
-            if result_ty == STR:
-                return VStr(f"{tag}@{s}"), s + 1
-            return seed_value(result_ty, f"{tag}@{s}", m), s + 1
-
-        return run
-    if m.name == "trace":
-        return single_effect(name, arg_str, result)
-    return m.pure(result)
+    return m.effect(name, arg_str, tag, result, result_ty, behavior)
 
 
 def _curried_effect(m: MonadDict, name: str, ty, arity: int,
-                    behavior: Optional[dict]) -> Value:
+                    behavior: dict) -> Value:
     def build(args: list[Value], t) -> Value:
         if len(args) == arity:
             assert isinstance(t, Eff)
@@ -378,7 +417,7 @@ def make_const_env(sig: Signature, m: MonadDict,
     env = ConstEnv()
     for decl in sig:
         if decl.effectful:
-            behavior = (behaviors or {}).get(decl.name)
+            behavior = (behaviors or {}).get(decl.name) or {}
             env.values[decl.name] = _curried_effect(
                 m, decl.name, decl.ty, decl.effect_arity() or 0, behavior
             )
@@ -599,7 +638,7 @@ def _gen_fun(rng: random.Random) -> Callable[[Value], Value]:
 
 
 def _gen_action(rng: random.Random, m: MonadDict):
-    if m.sample_action is not None and rng.random() < 0.7:
+    if rng.random() < 0.7:
         return m.sample_action(rng)
     return m.pure(_gen_value(rng))
 

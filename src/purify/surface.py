@@ -18,7 +18,7 @@ from .terms import (
     App, Ap, Arrow, COM, Const, ConstDecl, ConstKind, Each, Eff, FRESH_PREFIX,
     Fst, Join, Label, Lam, Lit, Map, Prd, Prod, Pure, PurifyError, SRC,
     Signature, Snd, STR, TGT, Term, Ty, UNIT, Unt, Var, is_effect_free,
-    relabel,
+    relabel, subterms,
 )
 
 KEYWORDS = {
@@ -27,7 +27,8 @@ KEYWORDS = {
     "pure", "map", "ap", "join",
 }
 
-COMBINATORS = {"pure": 1, "map": 2, "ap": 2, "join": 1}
+# keyword -> (core node, arity)
+COMBINATORS = {"pure": (Pure, 1), "map": (Map, 2), "ap": (Ap, 2), "join": (Join, 1)}
 
 
 class ParseError(PurifyError):
@@ -326,7 +327,7 @@ class _Parser:
     def parse_app(self) -> SExpr:
         if self.combinators and self.peek().kind == "kw" and self.peek().text in COMBINATORS:
             t = self.next()
-            arity = COMBINATORS[t.text]
+            arity = COMBINATORS[t.text][1]
             args = [self.parse_post() for _ in range(arity)]
             return SComb(t.text, args, pos=(t.line, t.col))
         f = self.parse_post()
@@ -438,7 +439,7 @@ def _parse_expr_text(text: str, combinators: bool) -> SExpr:
 
 
 # ---------------------------------------------------------------------------
-# Elaboration: surface -> core source term
+# Elaboration: surface -> core term
 # ---------------------------------------------------------------------------
 
 def elaborate(p: SurfaceProgram) -> tuple[Signature, Term]:
@@ -446,51 +447,77 @@ def elaborate(p: SurfaceProgram) -> tuple[Signature, Term]:
     sig = Signature()
     for d in p.decls:
         sig.add(d)
-    body = _elab(p.body, sig, scope=set(), lab=SRC)
+    body = _elab(p.body, sig, set(), SRC, target=False)
     return sig, body
 
 
-def _elab(e: SExpr, sig: Signature, scope: set[str], lab: Label) -> Term:
-    match e:
-        case SVar(name):
-            if name in scope:
-                return Var(name, label=lab)
-            if name in sig:
-                return Const(name, label=lab)
-            raise UnboundName(f"{e.pos[0]}:{e.pos[1]}: unbound name {name!r}")
-        case SLit(value):
-            return Lit(value, label=lab)
-        case SUnit():
-            return Unt(label=lab)
-        case SPair(a, b):
-            return Prd(_elab(a, sig, scope, lab), _elab(b, sig, scope, lab), label=lab)
-        case SProj(inner, idx):
-            core = _elab(inner, sig, scope, lab)
-            return (Fst if idx == 1 else Snd)(core, label=lab)
-        case SApp(f, a):
-            return App(_elab(f, sig, scope, lab), _elab(a, sig, scope, lab), label=lab)
-        case SLam(param, body, annot):
-            inner = _elab(body, sig, scope | {param}, COM)
-            param_ty = annot.dom if isinstance(annot, Arrow) else None
-            return Lam(param, inner, param_ty, label=lab)
-        case SMark(inner):
-            if lab is COM:
-                raise MarkUnderLambda(
-                    f"{e.pos[0]}:{e.pos[1]}: effect mark '!' under a lambda; "
-                    "lambda bodies are pure"
-                )
-            core = _elab(inner, sig, scope, SRC)
-            return Each(core, label=SRC)
-        case SLet(name, bound, body):
-            return _elab_let(e, name, bound, body, sig, scope, lab)
-        case SComb():
+def parse_target_expr(text: str, sig: Signature) -> Term:
+    """Parse a pretty-printed target term back into a Tgt-labelled tree."""
+    surf = _parse_expr_text(text, combinators=True)
+    return _elab(surf, sig, set(), TGT, target=True)
+
+
+def _elab(e: SExpr, sig: Signature, scope: set[str], lab: Label,
+          target: bool) -> Term:
+    """Elaborate a source (marks, let) or target (combinators) expression.
+
+    A lambda body is common, except a target lambda body that holds a
+    combinator, which is labelled Tgt.
+    """
+    k = type(e)
+    if k is SVar:
+        if e.name in scope:
+            return Var(e.name, label=lab)
+        if e.name in sig:
+            return Const(e.name, label=lab)
+        raise UnboundName(f"{e.pos[0]}:{e.pos[1]}: unbound name {e.name!r}")
+    if k is SApp:
+        return App(_elab(e.fun, sig, scope, lab, target),
+                   _elab(e.arg, sig, scope, lab, target), label=lab)
+    if k is SLit:
+        return Lit(e.value, label=lab)
+    if k is SUnit:
+        return Unt(label=lab)
+    if k is SPair:
+        return Prd(_elab(e.fst, sig, scope, lab, target),
+                   _elab(e.snd, sig, scope, lab, target), label=lab)
+    if k is SProj:
+        core = _elab(e.expr, sig, scope, lab, target)
+        return (Fst if e.index == 1 else Snd)(core, label=lab)
+    if k is SLam:
+        body_lab = TGT if lab is TGT else COM
+        inner = _elab(e.body, sig, scope | {e.param}, body_lab, target)
+        if body_lab is TGT and not any(isinstance(n, (Pure, Map, Ap, Join))
+                                       for n in subterms(inner)):
+            inner = relabel(inner, COM)
+        param_ty = e.annot.dom if isinstance(e.annot, Arrow) else None
+        return Lam(e.param, inner, param_ty, label=lab)
+    if k is SComb:
+        if not target:
             raise ParseError(e.pos[0], e.pos[1],
                              "a surface expression (combinators are target-only)")
+        if lab is not TGT:
+            raise ParseError(e.pos[0], e.pos[1], "a pure expression (combinator in common position)")
+        node = COMBINATORS[e.kind][0]
+        arg_lab = COM if node is Pure else TGT
+        return node(*(_elab(a, sig, scope, arg_lab, target) for a in e.args), label=TGT)
+    if k is SMark:
+        if target:
+            raise ParseError(e.pos[0], e.pos[1], "no effect mark in target terms")
+        if lab is COM:
+            raise MarkUnderLambda(
+                f"{e.pos[0]}:{e.pos[1]}: effect mark '!' under a lambda; "
+                "lambda bodies are pure"
+            )
+        return Each(_elab(e.expr, sig, scope, SRC, target), label=SRC)
+    if k is SLet:
+        if target:
+            raise ParseError(e.pos[0], e.pos[1], "no let in target terms")
+        return _elab_let(e, sig, scope, lab)
     raise PurifyError(f"unknown surface node {e!r}")
 
 
-def _elab_let(e: SExpr, name: str, bound: SExpr, body: SExpr,
-              sig: Signature, scope: set[str], lab: Label) -> Term:
+def _elab_let(e: SLet, sig: Signature, scope: set[str], lab: Label) -> Term:
     """Desugar ``let x = e in b`` to immediate application.
 
     The bound expression must be effect free.  The continuation either has
@@ -498,94 +525,23 @@ def _elab_let(e: SExpr, name: str, bound: SExpr, body: SExpr,
     which commutes out of the fabricated lambda.  Anything else is rejected
     with a hint to use nested marks instead.
     """
-    bound_core = _elab(bound, sig, scope, lab)
+    bound_core = _elab(e.bound, sig, scope, lab, target=False)
     if not is_effect_free(bound_core):
         raise LetTooEffectful(
             f"{e.pos[0]}:{e.pos[1]}: bound expression of let has effect marks; "
             "rewrite with nested marks, e.g. f(g(x)!)!"
         )
-    body_core = _elab(body, sig, scope | {name}, lab)
+    body_core = _elab(e.body, sig, scope | {e.name}, lab, target=False)
     if is_effect_free(body_core):
-        return App(Lam(name, relabel(body_core, COM), label=lab), bound_core, label=lab)
+        return App(Lam(e.name, relabel(body_core, COM), label=lab), bound_core, label=lab)
     if isinstance(body_core, Each) and is_effect_free(body_core.eff):
-        inner = App(Lam(name, relabel(body_core.eff, COM), label=SRC),
+        inner = App(Lam(e.name, relabel(body_core.eff, COM), label=SRC),
                     relabel(bound_core, SRC), label=SRC)
         return Each(inner, label=SRC)
     raise LetTooEffectful(
         f"{e.pos[0]}:{e.pos[1]}: let continuation uses more than one effect "
         "mark; rewrite with nested marks (f(g(x)!)! style)"
     )
-
-
-# ---------------------------------------------------------------------------
-# Target expressions (round-tripping pretty-printed translations)
-# ---------------------------------------------------------------------------
-
-def parse_target_expr(text: str, sig: Signature) -> Term:
-    """Parse a pretty-printed target term back into a Tgt-labelled tree."""
-    surf = _parse_expr_text(text, combinators=True)
-    return _elab_target(surf, sig, scope=set(), lab=TGT)
-
-
-def _contains_combinator(e: SExpr) -> bool:
-    match e:
-        case SComb():
-            return True
-        case SPair(a, b) | SApp(a, b):
-            return _contains_combinator(a) or _contains_combinator(b)
-        case SProj(inner, _) | SMark(inner) | SLam(_, inner, _):
-            return _contains_combinator(inner)
-        case SLet(_, a, b):
-            return _contains_combinator(a) or _contains_combinator(b)
-        case _:
-            return False
-
-
-def _elab_target(e: SExpr, sig: Signature, scope: set[str], lab: Label) -> Term:
-    match e:
-        case SComb(kind, args):
-            if lab is not TGT:
-                raise ParseError(e.pos[0], e.pos[1], "a pure expression (combinator in common position)")
-            if kind == "pure":
-                return Pure(_elab_target(args[0], sig, scope, COM), label=TGT)
-            if kind == "join":
-                return Join(_elab_target(args[0], sig, scope, TGT), label=TGT)
-            if kind == "map":
-                return Map(_elab_target(args[0], sig, scope, TGT),
-                           _elab_target(args[1], sig, scope, TGT), label=TGT)
-            if kind == "ap":
-                return Ap(_elab_target(args[0], sig, scope, TGT),
-                          _elab_target(args[1], sig, scope, TGT), label=TGT)
-            raise PurifyError(f"unknown combinator {kind!r}")
-        case SLam(param, body, annot):
-            body_lab = TGT if (lab is TGT and _contains_combinator(body)) else COM
-            inner = _elab_target(body, sig, scope | {param}, body_lab)
-            param_ty = annot.dom if isinstance(annot, Arrow) else None
-            return Lam(param, inner, param_ty, label=lab)
-        case SMark(_):
-            raise ParseError(e.pos[0], e.pos[1], "no effect mark in target terms")
-        case SLet(_, _, _):
-            raise ParseError(e.pos[0], e.pos[1], "no let in target terms")
-        case SVar(name):
-            if name in scope:
-                return Var(name, label=lab)
-            if name in sig:
-                return Const(name, label=lab)
-            raise UnboundName(f"{e.pos[0]}:{e.pos[1]}: unbound name {name!r}")
-        case SLit(value):
-            return Lit(value, label=lab)
-        case SUnit():
-            return Unt(label=lab)
-        case SPair(a, b):
-            return Prd(_elab_target(a, sig, scope, lab),
-                       _elab_target(b, sig, scope, lab), label=lab)
-        case SProj(inner, idx):
-            core = _elab_target(inner, sig, scope, lab)
-            return (Fst if idx == 1 else Snd)(core, label=lab)
-        case SApp(f, a):
-            return App(_elab_target(f, sig, scope, lab),
-                       _elab_target(a, sig, scope, lab), label=lab)
-    raise PurifyError(f"unknown surface node {e!r}")
 
 
 def parse_and_elaborate(text: str) -> tuple[Signature, Term]:

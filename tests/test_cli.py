@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from purify.cli import main
 
@@ -218,6 +219,10 @@ def test_out_of_range_counts_are_diagnostics(argv, capsys):
     ("{\"latency_ms\": {\"fetch\": null}}", "must be a nonnegative number"),
     ("{\"latency_ms\": {\"fetch\": -1}}", "must be a nonnegative number"),
     ("{\"behavior\": {\"fetch\": \"absent\"}}", "behavior for 'fetch' must be a JSON object"),
+    ("{\"behavior\": {\"fetch\": {\"kind\": \"absnet\"}}}", "unknown kind 'absnet'"),
+    ("{\"latency_ms\": {\"fetch\": 1e999}}", "must be a nonnegative number"),
+    pytest.param("{\"latency_ms\": {\"fetch\": 1" + "0" * 400 + "}}",
+                 "must be a nonnegative number", id="latency-beyond-float"),
 ])
 def test_bad_config_is_diagnostic(two_fetches_file, tmp_path, capsys, text, message):
     cfg = tmp_path / "cfg.json"
@@ -227,3 +232,42 @@ def test_bad_config_is_diagnostic(two_fetches_file, tmp_path, capsys, text, mess
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+
+
+def test_dot_without_trace_is_diagnostic(two_fetches_file, tmp_path, capsys):
+    dot_path = tmp_path / "trace.dot"
+    assert main(["run", two_fetches_file, "--monad", "writer", "--dot", str(dot_path)]) == 1
+    assert "needs --monad trace" in capsys.readouterr().err
+    assert not dot_path.exists()
+
+
+PIPELINE = (["check"], ["translate"], ["analyze"], ["run", "--monad", "trace"])
+
+
+def test_internal_fault_exits_3(tmp_path, capsys):
+    """300 nested marks exceed Python's recursion limit in the parser: a
+    fault of purify, not of the program, reported in one line."""
+    p = tmp_path / "deep.pfy"
+    p.write_text("effect fetch : Str -> Eff Str\npurify { "
+                 + "fetch(" * 300 + '"u"' + ")!" * 300 + " }")
+    for cmd in PIPELINE:
+        assert main([cmd[0], str(p), *cmd[1:]]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: RecursionError")
+        assert err.count("\n") == 1
+
+
+_TOKENS = ("fetch", "concat", "x", '"a"', "(", ")", ",", "!", ".1", ".2", "++", "fun",
+           "->", "let", "=", "in", ":", "Str", "Eff", "()")
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.sampled_from(_TOKENS), max_size=10))
+def test_random_programs_end_in_result_or_diagnostic(tmp_path, capsys, toks):
+    p = tmp_path / "fuzz.pfy"
+    p.write_text("prim concat : Str -> Str -> Str\neffect fetch : Str -> Eff Str\n"
+                 "purify { " + " ".join(toks) + " }")
+    for cmd in PIPELINE:
+        assert main([cmd[0], str(p), *cmd[1:]]) in (0, 1)
+    capsys.readouterr()

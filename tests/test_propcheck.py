@@ -14,7 +14,8 @@ from purify.propcheck import (
 from purify.surface import parse_and_elaborate, parse_target_expr
 from purify.terms import (
     App, Ap, Arrow, COM, Const, ConstDecl, ConstKind, Each, Eff, Join, Lam, Lit,
-    Map, Prod, SRC, STR, Signature, TGT, UNIT, Unt, Var, alpha_eq, size, subterms,
+    Map, Prod, PurifyError, SRC, STR, Signature, TGT, UNIT, Unt, Var, alpha_eq, size,
+    subterms,
 )
 from purify.translate import opt_translate
 
@@ -184,6 +185,30 @@ def test_normalize_check_compares_statics_with_the_trace(monkeypatch):
     assert propcheck._check_normalize(ctx, term) == (
         "static span/work 2/2 of the normal form, trace 3/3"
     )
+
+
+def test_static_span_work_survive_print_and_parse():
+    """Printing drops labels, so a lambda body that holds no combinator
+    re-parses as common.  Static span/work must not depend on that: a map's
+    function is applied to a result, never run, and costs nothing."""
+    sig = default_signature()
+    env = TypeEnv(sig)
+    actions = mismatches = 0
+    for depth in (4, 5, 6):
+        for seed in range(150):
+            term = propcheck._gen_action(GenConfig(depth, seed, sig, TGT), seed)
+            for s in subterms(term):
+                try:
+                    ty = typecheck(s, TGT, env)
+                except PurifyError:  # a free variable of an enclosing lambda
+                    continue
+                if isinstance(ty, Eff):
+                    actions += 1
+                    back = parse_target_expr(pretty(s), sig)
+                    mismatches += ((span(s, sig), work(s, sig))
+                                   != (span(back, sig), work(back, sig)))
+    assert actions > 1000
+    assert mismatches == 0
 
 
 def _names(sig, seeds):
