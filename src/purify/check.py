@@ -5,9 +5,11 @@ discipline (Each only in source position, combinators only in target
 position, lambda bodies common) and synthesizes the unique type of a term,
 stamping every node's ``ty`` field along the way.
 
-Lambda parameters do not need annotations when the application site
-determines them; an unapplied lambda must carry a ``param_ty`` annotation
-(surface syntax ``(fun x -> e : T -> U)``).
+Lambda parameters do not need annotations when the context determines
+them (bidirectional typing): an application's argument, or the action a
+``map`` or ``ap`` runs, gives the parameter type, also through ``pure``.
+Any other lambda must carry a ``param_ty`` annotation (surface syntax
+``(fun x -> e : T -> U)``).
 """
 
 from __future__ import annotations
@@ -63,173 +65,107 @@ def typecheck(e: Term, expected_label: Label, env: TypeEnv) -> Ty:
     return _synth(e, expected_label, env)
 
 
-def _require_label(e: Term, want: Label) -> None:
-    if e.label is not want:
-        raise LabelMismatch(
-            f"{type(e).__name__} node labelled {e.label} where {want} is required"
-        )
+# node kinds that live in one fragment only; every other kind is common
+_FRAGMENT = {Each: SRC, Pure: TGT, Map: TGT, Ap: TGT, Join: TGT}
 
 
-def _stamp(e: Term, ty: Ty) -> Ty:
-    e.ty = ty
-    return ty
-
-
-def _synth(e: Term, lab: Label, env: TypeEnv) -> Ty:
-    # exact-type tests, most frequent kind first: cheaper than class patterns
+def _synth(e: Term, lab: Label, env: TypeEnv, dom: Ty | None = None) -> Ty:
+    """Type ``e`` at label ``lab``.  ``dom`` is the parameter type the
+    context gives a lambda in function position (an application's argument,
+    a ``map``'s or ``ap``'s action); ``pure`` passes it on to its payload."""
     k = type(e)
+    if _FRAGMENT.get(k, lab) is not lab:
+        raise LabelMismatch(
+            f"{k.__name__} only lives in the {_FRAGMENT[k]} fragment, not {lab}"
+        )
+    if e.label is not lab:
+        raise LabelMismatch(
+            f"{k.__name__} node labelled {e.label} where {lab} is required"
+        )
+    # exact-type tests, most frequent kind first: cheaper than class patterns
     if k is Lit:
-        _require_label(e, lab)
-        return _stamp(e, STR)
-    if k is App:
-        _require_label(e, lab)
-        return _stamp(e, _synth_app(e.fun, e.arg, lab, env))
-    if k is Const:
-        _require_label(e, lab)
+        ty: Ty = STR
+    elif k is App:
+        # argument first, so an unannotated lambda gets its parameter type
+        ta = _synth(e.arg, lab, env)
+        tf = _synth(e.fun, lab, env, ta)
+        if not isinstance(tf, Arrow):
+            raise TypeMismatch(f"application of non-function type {type_name(tf)}")
+        if tf.dom != ta:
+            raise TypeMismatch(
+                f"argument type {type_name(ta)} does not match domain {type_name(tf.dom)}"
+            )
+        ty = tf.cod
+    elif k is Const:
         decl = env.sig.lookup(e.name)
         if decl is None:
             raise UnknownConst(f"unknown constant {e.name!r}")
-        return _stamp(e, decl.ty)
-    if k is Prd:
-        _require_label(e, lab)
-        return _stamp(e, Prod(_synth(e.fst, lab, env), _synth(e.snd, lab, env)))
-    if k is Lam:
-        _require_label(e, lab)
-        if e.param_ty is None:
+        ty = decl.ty
+    elif k is Prd:
+        ty = Prod(_synth(e.fst, lab, env), _synth(e.snd, lab, env))
+    elif k is Lam:
+        param_ty = dom if e.param_ty is None else e.param_ty
+        if param_ty is None:
             raise AnnotationNeeded(
                 "cannot infer parameter type of unapplied lambda; "
                 "annotate it as (fun x -> e : T -> U)"
             )
-        return _stamp(e, _check_lam(e, e.param_ty, lab, env))
-    if k is Each:
-        if lab is not SRC:
-            raise LabelMismatch(f"Each only lives in the source fragment, not {lab}")
-        _require_label(e, SRC)
+        body_lab = e.body.label
+        # Sequencing lambdas fabricated by the do-notation baseline carry
+        # explicit combinator bodies; they only make sense in target terms.
+        if body_lab is not COM and (body_lab is not TGT or lab is not TGT):
+            raise LabelMismatch(
+                f"lambda body labelled {body_lab} (bodies are common, or "
+                f"target inside target terms)"
+            )
+        ty = Arrow(param_ty, _synth(e.body, body_lab, env.bind(e.param, param_ty)))
+    elif k is Each:
         ti = _synth(e.eff, SRC, env)
         if not isinstance(ti, Eff):
             raise TypeMismatch(f"Each needs an Eff-typed argument, got {type_name(ti)}")
-        return _stamp(e, ti.inner)
-    if k is Unt:
-        _require_label(e, lab)
-        return _stamp(e, UNIT)
-    if k is Var:
-        _require_label(e, lab)
+        ty = ti.inner
+    elif k is Unt:
+        ty = UNIT
+    elif k is Var:
         if e.name not in env.vars:
             raise UnboundVar(f"unbound variable {e.name!r}")
-        return _stamp(e, env.vars[e.name])
-    if k is Fst or k is Snd:
-        _require_label(e, lab)
+        ty = env.vars[e.name]
+    elif k is Fst or k is Snd:
         tp = _synth(e.pair, lab, env)
         if not isinstance(tp, Prod):
             raise TypeMismatch(f"{k.__name__} applied to non-pair type {type_name(tp)}")
-        return _stamp(e, tp.left if k is Fst else tp.right)
-    if k is Pure:
-        if lab is not TGT:
-            raise LabelMismatch(f"Pure only lives in the target fragment, not {lab}")
-        _require_label(e, TGT)
-        return _stamp(e, Eff(_synth(e.inner, COM, env)))
-    if k is Map:
-        if lab is not TGT:
-            raise LabelMismatch(f"Map only lives in the target fragment, not {lab}")
-        _require_label(e, TGT)
+        ty = tp.left if k is Fst else tp.right
+    elif k is Pure:
+        ty = Eff(_synth(e.inner, COM, env, dom))
+    elif k is Map or k is Ap:
         ta = _synth(e.arg, TGT, env)
         if not isinstance(ta, Eff):
-            raise TypeMismatch(f"Map argument must be Eff-typed, got {type_name(ta)}")
-        tf = _synth_fun(e.fun, ta.inner, TGT, env)
-        return _stamp(e, Eff(tf.cod))
-    if k is Ap:
-        if lab is not TGT:
-            raise LabelMismatch(f"Ap only lives in the target fragment, not {lab}")
-        _require_label(e, TGT)
-        f = e.fun
-        ta = _synth(e.arg, TGT, env)
-        if not isinstance(ta, Eff):
-            raise TypeMismatch(f"Ap argument must be Eff-typed, got {type_name(ta)}")
-        if isinstance(f, Pure) and isinstance(f.inner, Lam) and f.inner.param_ty is None:
-            # a lifted unannotated lambda: its parameter comes from the
-            # argument side, like an ordinary application site
-            _require_label(f, TGT)
-            arrow = _check_lam(f.inner, ta.inner, COM, env)
-            tf: Ty = Eff(arrow)
-            f.ty = tf
-        else:
-            tf = _synth(f, TGT, env)
-        if not (isinstance(tf, Eff) and isinstance(tf.inner, Arrow)):
             raise TypeMismatch(
-                f"Ap function side must have type Eff (s -> t), got {type_name(tf)}"
+                f"{k.__name__} argument must be Eff-typed, got {type_name(ta)}"
             )
-        if tf.inner.dom != ta.inner:
+        tf = _synth(e.fun, TGT, env, ta.inner)
+        if k is Ap:
+            if not (isinstance(tf, Eff) and isinstance(tf.inner, Arrow)):
+                raise TypeMismatch(
+                    f"Ap function side must have type Eff (s -> t), got {type_name(tf)}"
+                )
+            tf = tf.inner
+        elif not isinstance(tf, Arrow):
+            raise TypeMismatch(f"expected a function, got {type_name(tf)}")
+        if tf.dom != ta.inner:
             raise TypeMismatch(
-                f"Ap domain {type_name(tf.inner.dom)} does not match argument "
+                f"{k.__name__} domain {type_name(tf.dom)} does not match argument "
                 f"{type_name(ta.inner)}"
             )
-        return _stamp(e, Eff(tf.inner.cod))
-    if k is Join:
-        if lab is not TGT:
-            raise LabelMismatch(f"Join only lives in the target fragment, not {lab}")
-        _require_label(e, TGT)
+        ty = Eff(tf.cod)
+    elif k is Join:
         tn = _synth(e.nested, TGT, env)
         if not (isinstance(tn, Eff) and isinstance(tn.inner, Eff)):
             raise TypeMismatch(
                 f"Join needs an Eff (Eff _)-typed argument, got {type_name(tn)}"
             )
-        return _stamp(e, tn.inner)
-    raise TypeCheckError(f"unknown term former {k.__name__}")
-
-
-def _check_lam(lam: Lam, dom: Ty, lab: Label, env: TypeEnv) -> Arrow:
-    """Check a lambda against a known parameter type."""
-    if lam.param_ty is not None and lam.param_ty != dom:
-        raise TypeMismatch(
-            f"lambda annotated {type_name(lam.param_ty)} used where "
-            f"{type_name(dom)} is required"
-        )
-    body_env = env.bind(lam.param, dom)
-    if lam.body.label is COM:
-        cod = _synth(lam.body, COM, body_env)
-    elif lam.body.label is TGT and lab is TGT:
-        # Sequencing lambdas fabricated by the do-notation baseline carry
-        # explicit combinator bodies; they only make sense in target terms.
-        cod = _synth(lam.body, TGT, body_env)
+        ty = tn.inner
     else:
-        raise LabelMismatch(
-            f"lambda body labelled {lam.body.label} (bodies are common, or "
-            f"target inside target terms)"
-        )
-    ty = Arrow(dom, cod)
-    lam.ty = ty
+        raise TypeCheckError(f"unknown term former {k.__name__}")
+    e.ty = ty
     return ty
-
-
-def _synth_fun(f: Term, dom: Ty, lab: Label, env: TypeEnv) -> Arrow:
-    """Type a term in function position whose domain is already known."""
-    if isinstance(f, Lam):
-        _require_label(f, lab)
-        return _check_lam(f, dom, lab, env)
-    tf = _synth(f, lab, env)
-    if not isinstance(tf, Arrow):
-        raise TypeMismatch(f"expected a function, got {type_name(tf)}")
-    if tf.dom != dom:
-        raise TypeMismatch(
-            f"function domain {type_name(tf.dom)} does not match argument "
-            f"{type_name(dom)}"
-        )
-    return tf
-
-
-def _synth_app(f: Term, a: Term, lab: Label, env: TypeEnv) -> Ty:
-    if isinstance(f, Lam) and f.param_ty is None:
-        # Argument-first so unannotated lambdas get their parameter type
-        # from the application site.
-        ta = _synth(a, lab, env)
-        tf = _synth_fun(f, ta, lab, env)
-        return tf.cod
-    tf = _synth(f, lab, env)
-    if not isinstance(tf, Arrow):
-        raise TypeMismatch(f"application of non-function type {type_name(tf)}")
-    ta = _synth(a, lab, env)
-    if tf.dom != ta:
-        raise TypeMismatch(
-            f"argument type {type_name(ta)} does not match domain {type_name(tf.dom)}"
-        )
-    return tf.cod

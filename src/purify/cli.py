@@ -17,6 +17,7 @@ from .terms import PurifyError, SRC, TGT, type_name
 from .translate import naive_translate, normalize, opt_translate, seq_translate
 
 DEFAULT_LATENCY_MS = 100.0
+CONFIG_SECTIONS = ("latency_ms", "behavior")
 TRANSLATIONS = {"opt": opt_translate, "naive": naive_translate, "seq": seq_translate}
 
 
@@ -44,8 +45,12 @@ def _load_config(path: Optional[str], sig) -> dict:
     if not isinstance(config, dict):
         raise PurifyError(f"config {path}: top level must be a JSON object")
     declared = set(sig.effectful_names())
-    for section in ("latency_ms", "behavior"):
-        entries = config.get(section, {})
+    for section, entries in config.items():
+        if section not in CONFIG_SECTIONS:
+            raise PurifyError(
+                f"config {path}: unknown key {section!r}; "
+                f"choose from {', '.join(CONFIG_SECTIONS)}"
+            )
         if not isinstance(entries, dict):
             raise PurifyError(f"config section {section!r} must be a JSON object")
         for name in entries:
@@ -60,11 +65,17 @@ def _load_config(path: Optional[str], sig) -> dict:
     for name, behavior in config.get("behavior", {}).items():
         if not isinstance(behavior, dict):
             raise PurifyError(f"behavior for {name!r} must be a JSON object")
+        for key in sorted(behavior.keys() - {"kind", "payload"}):
+            raise PurifyError(
+                f"behavior for {name!r} has unknown field {key!r}; choose from kind, payload"
+            )
         if "kind" in behavior and behavior["kind"] not in BEHAVIOR_KINDS:
             raise PurifyError(
                 f"behavior for {name!r} has unknown kind {behavior['kind']!r}; "
                 f"choose from {', '.join(BEHAVIOR_KINDS)}"
             )
+        if not isinstance(behavior.get("payload", ""), str):
+            raise PurifyError(f"behavior payload for {name!r} must be a JSON string")
     return config
 
 
@@ -163,8 +174,17 @@ def cmd_suite(args) -> int:
     return 0 if report.all_passed else 2
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a malformed command line as a diagnostic (exit code 1);
+    argparse's own exit code 2 is the code for property failures."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise PurifyError(message)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="purify",
         description="Compile direct-style effect programs to applicative/monadic "
                     "combinators and check the translation's guarantees.",
@@ -213,8 +233,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_suite)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.fn(args)
     except (PurifyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,8 +11,8 @@ Two artifact-specific refinements keep the static numbers aligned with what
 actually runs.  First, when a signature is supplied, a saturated application
 of an effectful constant in target position counts as one operation (the
 optimizing translation embeds such calls directly, without a Join), also
-when it is the body result of an applied common-bodied lambda (a let-style
-redex, as ``let`` elaborates and normalization leaves behind).  Second,
+when it is reached through applied common-bodied lambdas (let-style
+redexes, as ``let`` elaborates and normalization leaves behind).  Second,
 the bind pattern Join(Map(fun, arg)) with a combinator-bodied continuation
 is costed sequentially: the effects of both sides add up.
 
@@ -43,18 +43,43 @@ class UnknownEffect(PurifyError):
 # Static span and work
 # ---------------------------------------------------------------------------
 
-def _saturated(head: Term, depth: int, arity: dict[str, int]) -> bool:
-    """True when ``head`` applied to ``depth`` arguments performs one effect.
+def _saturated(head: Term, apps: list[App], depth: int,
+               arity: dict[str, int]) -> bool:
+    """True when ``head`` applied to the arguments of the innermost
+    ``depth`` of ``apps`` (an application spine, outermost first) performs
+    one effect.
 
     That is an effectful constant given exactly its effect arity, also when
     it is the body result of an applied common-bodied lambda: the let-style
-    redex ``(fun x -> fetch(x ++ "config"))("base")`` runs one fetch.
+    redex ``(fun x -> fetch(x ++ "config"))("base")`` runs one fetch.  A
+    parameter of a lambda entered on the way that is still applied to an
+    argument stands for the argument it was bound to, so
+    ``(fun f -> f("u"))(fetch)`` runs one fetch too.  Each binding is
+    followed once at most, so the walk stays linear in the term and ends
+    on any term, an ill-typed self-application included.
     """
-    while type(head) is Lam and depth and head.body.label is not TGT:
-        head, depth = head.body, depth - 1
-        while type(head) is App:
-            head, depth = head.fun, depth + 1
-    return type(head) is Const and arity.get(head.name) == depth
+    if type(head) is Const:
+        return arity.get(head.name) == depth
+    todo = [(a.arg, None) for a in apps[len(apps) - depth:]]  # next one last
+    scope = None  # bindings made on the way: [param, (arg, its scope), outer, followed]
+    while True:
+        k = type(head)
+        if k is App:
+            todo.append((head.arg, scope))
+            head = head.fun
+        elif k is Lam and todo and head.body.label is not TGT:
+            scope = [head.param, todo.pop(), scope, False]
+            head = head.body
+        elif k is Var and todo:
+            b = scope
+            while b is not None and b[0] != head.name:
+                b = b[2]
+            if b is None or b[3]:
+                return False
+            b[3] = True
+            head, scope = b[1]
+        else:
+            return k is Const and arity.get(head.name) == len(todo)
 
 
 def _effect_arities(sig: Signature) -> dict[str, int]:
@@ -101,7 +126,7 @@ def _measure(e: Term, sig: Signature | None, use_max: bool) -> int:
                 t = t.fun
             depth = len(spine)
             for s in spine:
-                if arity and s.label is TGT and _saturated(t, depth, arity):
+                if arity and s.label is TGT and _saturated(t, spine, depth, arity):
                     todo.append(_ONE)
                 todo += (_COMBINE, s.arg)
                 depth -= 1

@@ -9,116 +9,77 @@ from __future__ import annotations
 
 from .terms import (
     App, Ap, Arrow, Const, Each, Fst, Join, Lam, Lit, Map, Prd, Pure,
-    Snd, Term, Unt, Var, type_name,
+    PurifyError, Snd, Term, Unt, Var, type_name,
 )
 
 CONCAT_NAME = "concat"
 
 
+_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t"})
+
+
 def escape_string(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch == "\\":
-            out.append("\\\\")
-        elif ch == '"':
-            out.append('\\"')
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\t":
-            out.append("\\t")
-        else:
-            out.append(ch)
-    return '"' + "".join(out) + '"'
+    return '"' + s.translate(_ESCAPES) + '"'
+
+
+# Binding levels, tightest first.  A node printed in a slot that accepts a
+# lower level than its own is parenthesized (Ramsey, "Unparsing Expressions
+# with Prefix and Postfix Operators", SP&E 1998).
+ATOM, POSTFIX, OPERAND, EXPR = range(4)
+
+
+def _lam(e: Lam) -> tuple:
+    # always parenthesized, so it sits in any slot
+    typed = e.param_ty is not None and isinstance(e.ty, Arrow)
+    close = f" : {type_name(e.ty)})" if typed else ")"
+    return ATOM, (f"(fun {e.param} -> ", (e.body, EXPR), close)
+
+
+def _app(e: App) -> tuple:
+    f = e.fun
+    if type(f) is App and type(f.fun) is Const and f.fun.name == CONCAT_NAME:
+        return EXPR, ((f.arg, OPERAND), " ++ ", (e.arg, OPERAND))
+    return POSTFIX, ((f, POSTFIX), "(", (e.arg, EXPR), ")")
+
+
+# node kind -> its binding level and layout: literal text pieces and
+# (child, slot level) pairs, left to right
+_LAYOUTS = {
+    App: _app,
+    Var: lambda e: (ATOM, (e.name,)),
+    Const: lambda e: (ATOM, (e.name,)),
+    Lit: lambda e: (ATOM, (escape_string(e.value),)),
+    Unt: lambda e: (ATOM, ("()",)),
+    Prd: lambda e: (ATOM, ("(", (e.fst, EXPR), ", ", (e.snd, EXPR), ")")),
+    Lam: _lam,
+    Each: lambda e: (POSTFIX, ((e.eff, POSTFIX), "!")),
+    Fst: lambda e: (POSTFIX, ((e.pair, POSTFIX), ".1")),
+    Snd: lambda e: (POSTFIX, ((e.pair, POSTFIX), ".2")),
+    Pure: lambda e: (OPERAND, ("pure ", (e.inner, ATOM))),
+    Map: lambda e: (OPERAND, ("map ", (e.fun, ATOM), " ", (e.arg, ATOM))),
+    Ap: lambda e: (OPERAND, ("ap ", (e.fun, ATOM), " ", (e.arg, ATOM))),
+    Join: lambda e: (OPERAND, ("join ", (e.nested, ATOM))),
+}
 
 
 def pretty(e: Term) -> str:
     """Render a term; parse(pretty(e)) is alpha-equivalent to e."""
-    return _expr(e)
-
-
-def _is_concat_app(e: Term) -> bool:
-    return (
-        isinstance(e, App)
-        and isinstance(e.fun, App)
-        and isinstance(e.fun.fun, Const)
-        and e.fun.fun.name == CONCAT_NAME
-    )
-
-
-def _expr(e: Term) -> str:
-    if _is_concat_app(e):
-        return f"{_operand(e.fun.arg)} ++ {_operand(e.arg)}"
-    return _operand(e)
-
-
-def _operand(e: Term) -> str:
-    match e:
-        case Lam(param, body, _):
-            lam = f"fun {param} -> {_expr(body)}"
-            if e.param_ty is not None and isinstance(e.ty, Arrow):
-                return f"({lam} : {type_name(e.ty)})"
-            return f"({lam})"
-        case Each(inner):
-            return f"{_post(inner)}!"
-        case Fst(p):
-            return f"{_post(p)}.1"
-        case Snd(p):
-            return f"{_post(p)}.2"
-        case App():
-            return _call(e)
-        case Pure(inner):
-            return f"pure {_atom(inner)}"
-        case Map(f, a):
-            return f"map {_atom(f)} {_atom(a)}"
-        case Ap(f, a):
-            return f"ap {_atom(f)} {_atom(a)}"
-        case Join(inner):
-            return f"join {_atom(inner)}"
-        case _:
-            return _atom(e)
-
-
-def _call(e: App) -> str:
-    if _is_concat_app(e):
-        return f"({_expr(e)})"
-    return f"{_post(e.fun)}({_expr(e.arg)})"
-
-
-def _post(e: Term) -> str:
-    """Position that may take glued postfix operators (call, !, .1, .2)."""
-    match e:
-        case Var(name) | Const(name):
-            return name
-        case Unt() | Lit() | Prd():
-            return _atom(e)
-        case App():
-            return _call(e)
-        case Fst(p):
-            return f"{_post(p)}.1"
-        case Snd(p):
-            return f"{_post(p)}.2"
-        case Each(inner):
-            return f"{_post(inner)}!"
-        case Lam():
-            return _operand(e)  # already parenthesized
-        case _:
-            return f"({_expr(e)})"
-
-
-def _atom(e: Term) -> str:
-    match e:
-        case Var(name) | Const(name):
-            return name
-        case Unt():
-            return "()"
-        case Lit(value):
-            return escape_string(value)
-        case Prd(a, b):
-            return f"({_expr(a)}, {_expr(b)})"
-        case Lam():
-            return _operand(e)  # already parenthesized
-        case _:
-            return f"({_expr(e)})"
+    out: list[str] = []
+    stack: list = [(e, EXPR)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        t, slot = item
+        layout = _LAYOUTS.get(type(t))
+        if layout is None:
+            raise PurifyError(f"cannot print term former {type(t).__name__}")
+        level, pieces = layout(t)
+        if level > slot:
+            pieces = ("(", *pieces, ")")
+        stack.extend(reversed(pieces))
+    return "".join(out)
 
 
 def pretty_program(sig, body: Term) -> str:

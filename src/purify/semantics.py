@@ -396,13 +396,7 @@ def _curried_effect(m: MonadDict, name: str, ty, arity: int,
 def _pure_const(m: MonadDict, name: str, ty) -> Value:
     if name == "concat" and ty == Arrow(STR, Arrow(STR, STR)):
         return VFun(lambda a: VFun(lambda b: VStr(a.text + b.text)))
-
-    def build(t, tag: str) -> Value:
-        if isinstance(t, Arrow):
-            return VFun(lambda v, _t=t: build(_t.cod, f"{tag}({render_value(v)})"))
-        return seed_value(t, tag, m)
-
-    return build(ty, name)
+    return seed_value(ty, name, m)
 
 
 def make_const_env(sig: Signature, m: MonadDict,
@@ -436,13 +430,11 @@ def _as_action(v: Value):
     return v.action
 
 
-def evaluate(e: Term, label: Label, m: MonadDict, consts: ConstEnv,
-             scope: Optional[dict[str, Value]] = None):
+def evaluate(e: Term, label: Label, m: MonadDict, consts: ConstEnv):
     """Evaluate a checked term: an action at src, a direct value otherwise."""
-    scope = scope or {}
     if label is SRC:
-        return _eval_src(e, m, consts, scope)
-    return _eval_direct(e, m, consts, scope)
+        return _eval_src(e, m, consts, {})
+    return _eval_direct(e, m, consts, {})
 
 
 def _eval_direct(e: Term, m: MonadDict, consts: ConstEnv,

@@ -135,3 +135,18 @@ def test_generated_terms_check_at_each_label(sig):
 def test_effectful_signature_shape_enforced():
     with pytest.raises(Exception):
         Signature([ConstDecl("bad", STR, ConstKind.EFFECTFUL)])
+
+
+def test_lifted_lambda_under_ap_must_be_common(env):
+    """``ap (pure (fun …))`` types the lambda from the action it is applied
+    to, under the same label rule as any other payload of ``pure``."""
+    fetch_a = App(Const("fetch", label=TGT), Lit("a", label=TGT), label=TGT)
+    for lam_label, ok in ((COM, True), (TGT, False)):
+        lam = Lam("x", Var("x", label=COM), label=lam_label)
+        t = Ap(Pure(lam, label=TGT), fetch_a, label=TGT)
+        if ok:
+            assert typecheck(t, TGT, env) == Eff(STR)
+            assert lam.ty == Arrow(STR, STR)
+        else:
+            with pytest.raises(LabelMismatch):
+                typecheck(t, TGT, env)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from purify.cli import main
+from purify.semantics import MONADS
 
 TWO_FETCHES = """prim concat : Str -> Str -> Str
 effect fetch : Str -> Eff Str
@@ -223,6 +224,13 @@ def test_out_of_range_counts_are_diagnostics(argv, capsys):
     ("{\"latency_ms\": {\"fetch\": 1e999}}", "must be a nonnegative number"),
     pytest.param("{\"latency_ms\": {\"fetch\": 1" + "0" * 400 + "}}",
                  "must be a nonnegative number", id="latency-beyond-float"),
+    ("{\"behavior\": {\"fetch\": {\"kind\": \"log\", \"payload\": {\"a\": [1]}}}}",
+     "payload for 'fetch' must be a JSON string"),
+    ("{\"behavior\": {\"fetch\": {\"payload\": null}}}",
+     "payload for 'fetch' must be a JSON string"),
+    ("{\"latency\": {\"fetch\": 50}}", "unknown key 'latency'"),
+    ("{\"behavior\": {\"fetch\": {\"kind\": \"value\", \"paylod\": \"x\"}}}",
+     "unknown field 'paylod'"),
 ])
 def test_bad_config_is_diagnostic(two_fetches_file, tmp_path, capsys, text, message):
     cfg = tmp_path / "cfg.json"
@@ -271,3 +279,80 @@ def test_random_programs_end_in_result_or_diagnostic(tmp_path, capsys, toks):
     for cmd in PIPELINE:
         assert main([cmd[0], str(p), *cmd[1:]]) in (0, 1)
     capsys.readouterr()
+
+
+USAGE_ERRORS = (
+    [],
+    ["run"],
+    ["suite", "nope"],
+    ["laws", "--monad", "trace", "--trials", "x"],
+    ["check", "a.pfy", "--bogus"],
+)
+
+
+def test_usage_errors_exit_1_and_help_exits_0(capsys):
+    """Exit code 2 belongs to property failures, so a malformed command line
+    is a diagnostic: argparse's usage, then one error line."""
+    for argv in USAGE_ERRORS:
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("usage: purify")
+        assert err.splitlines()[-1].startswith("error: ")
+        assert sum(line.startswith("error: ") for line in err.splitlines()) == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: purify")
+
+
+_ARGV_WORDS = ("check", "translate", "analyze", "run", "laws", "suite",
+               "--mode", "--normalize", "--reassoc", "--json", "--monad", "--config",
+               "--dot", "--trials", "--depth", "--seed", "--help",
+               "0", "1", "-1", "x", "trace", "types",
+               "ok.pfy", "missing.pfy", "bytes.pfy")
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.sampled_from(_ARGV_WORDS), max_size=8))
+def test_random_argv_ends_in_result_or_diagnostic(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)  # --dot writes where it is told
+    (tmp_path / "ok.pfy").write_text(TWO_FETCHES)
+    (tmp_path / "bytes.pfy").write_bytes(b"\xff\xfe")
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # --help
+        code = exc.code
+    assert code in (0, 1)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(("fetch", "kind", "payload", "x")), inner, max_size=3),
+    max_leaves=8,
+)
+# a config with the random value at one level of the schema
+_CONFIG_LEVELS = (
+    lambda v: v,
+    lambda v: {"latency_ms": v},
+    lambda v: {"behavior": v},
+    lambda v: {"latency_ms": {"fetch": v}},
+    lambda v: {"behavior": {"fetch": v}},
+    lambda v: {"behavior": {"fetch": {"kind": v}}},
+    lambda v: {"behavior": {"fetch": {"kind": "log", "payload": v}}},
+)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(_CONFIG_LEVELS), _JSON)
+def test_random_configs_end_in_result_or_diagnostic(two_fetches_file, tmp_path, capsys,
+                                                    level, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(level(value)))
+    for monad in MONADS:
+        assert main(["run", two_fetches_file, "--monad", monad, "--json",
+                     "--config", str(cfg)]) in (0, 1)
+    assert "Traceback" not in capsys.readouterr().err

@@ -178,7 +178,7 @@ def test_normalize_check_compares_statics_with_the_trace(monkeypatch):
     ctx = propcheck._Ctx.of(sig)
     assert propcheck._check_normalize(ctx, term) is None
 
-    def no_let_redex(head, depth, arity):
+    def no_let_redex(head, apps, depth, arity):
         return type(head) is Const and arity.get(head.name) == depth
 
     monkeypatch.setattr(metrics, "_saturated", no_let_redex)

@@ -1,4 +1,5 @@
 from purify.check import TypeEnv, typecheck
+from purify.pretty import pretty
 from purify.propcheck import GenConfig, default_signature, gen_term
 from purify.semantics import evaluate, make_const_env, trace_monad
 from purify.terms import (
@@ -161,6 +162,7 @@ def test_unknown_node_kind_is_a_diagnostic():
         "naive_translate": naive_translate,
         "seq_translate": seq_translate,
         "relabel": lambda t: relabel(t, TGT),
+        "pretty": pretty,
     }
     for t in (alien, nested):
         for name, call in calls.items():

@@ -14,6 +14,7 @@ import purify.terms as terms
 from purify.check import TypeEnv, typecheck
 from purify.cli import main
 from purify.metrics import dyn_span, dyn_work, span, work
+from purify.pretty import pretty
 from purify.propcheck import GenConfig, Unsatisfiable, default_signature, gen_term
 from purify.semantics import evaluate, make_const_env, trace_monad
 from purify.surface import parse_and_elaborate
@@ -194,6 +195,19 @@ def test_normalize_deep_rewrite_without_recursion():
     assert normalize(t) == _fetch_tgt()
 
 
+def test_pretty_prints_deep_terms_without_recursion():
+    fetch_chain: Term = Lit("u", label=SRC)
+    concat_chain: Term = Lit("a", label=SRC)
+    expected = '"a"'
+    for i in range(DEEP):
+        fetch_chain = Each(App(Const("fetch", label=SRC), fetch_chain, label=SRC), label=SRC)
+        concat_chain = App(App(Const("concat", label=SRC), concat_chain, label=SRC),
+                           Lit("a", label=SRC), label=SRC)
+        expected = (expected if i == 0 else f"({expected})") + ' ++ "a"'
+    assert pretty(fetch_chain) == "fetch(" * DEEP + '"u"' + ")!" * DEEP
+    assert pretty(concat_chain) == expected
+
+
 # ---------------------------------------------------------------------------
 # Let-style redexes at target
 # ---------------------------------------------------------------------------
@@ -225,6 +239,8 @@ def _let_redexes():
         (_c(_lam("x", fetch_x, COM), Lit("u", label=COM), label=COM), 0),
         # a combinator-bodied lambda is transparent and not a let-redex
         (_c(_lam("x", _c(Const("fetch", label=TGT), Var("x", label=TGT))), u), 1),
+        # an ill-typed self-application: following parameters still ends
+        (_c(_lam("x", _c(x, x, label=COM)), _lam("x", _c(x, x, label=COM))), 0),
     ]
 
 
@@ -256,3 +272,31 @@ def test_normalized_fetch_chain_statics_equal_its_trace():
     m = trace_monad()
     d = evaluate(n, TGT, m, make_const_env(sig, m)).action
     assert (span(n, sig), work(n, sig)) == (dyn_span(d), dyn_work(d)) == (3, 3)
+
+
+LET_BOUND_EFFECTS = [
+    'let f = fetch in f("u")!',
+    '(let f = fetch in f("a")!) ++ (let f = fetch in f("b")!)',
+    'let g = (fun x -> fetch(x) : Str -> Eff Str) in g("u")!',
+]
+
+
+@pytest.mark.parametrize("program", LET_BOUND_EFFECTS)
+def test_let_bound_effects_cost_what_their_trace_runs(program):
+    # a let-bound parameter applied to arguments stands for what it is bound to
+    sig, body = parse_and_elaborate(
+        "effect fetch : Str -> Eff Str\nprim concat : Str -> Str -> Str\n"
+        f"purify {{ {program} }}"
+    )
+    env = TypeEnv(sig)
+    typecheck(body, SRC, env)
+    m = trace_monad()
+    consts = make_const_env(sig, m)
+    sides = [(body, SRC)] + [
+        (translate(body), TGT) for translate in (opt_translate, naive_translate, seq_translate)
+    ]
+    for t, lab in sides:
+        typecheck(t, lab, env)
+        d = evaluate(t, lab, m, consts)
+        d = d if lab is SRC else d.action
+        assert (span(t, sig), work(t, sig)) == (dyn_span(d), dyn_work(d)), pretty(t)
