@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -183,7 +184,10 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise PurifyError(message)
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+@functools.cache
+def _parser() -> _ArgumentParser:
+    """The command-line grammar, built at the first ``main`` call and shared
+    by every later one: building it costs far more than parsing an argv."""
     parser = _ArgumentParser(
         prog="purify",
         description="Compile direct-style effect programs to applicative/monadic "
@@ -232,9 +236,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_suite)
+    return parser
 
+
+def main(argv: Optional[list[str]] = None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.fn(args)
     except (PurifyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -242,7 +249,3 @@ def main(argv: Optional[list[str]] = None) -> int:
     except Exception as exc:  # a fault of purify itself, not of its input
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

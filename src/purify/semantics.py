@@ -24,7 +24,7 @@ from .metrics import (
 from .terms import (
     App, Ap, Arrow, Const, Each, Eff, Fst, Join, Label, Lam, Lit, Map,
     Prd, Prod, Pure, PurifyError, SRC, STR, Signature, Snd, Term, Unit,
-    Str, Unt, Var,
+    Str, Unt, Var, type_name,
 )
 
 
@@ -82,35 +82,32 @@ VUNIT = VUnit()
 
 
 def render_value(v: Value) -> str:
-    match v:
-        case VUnit():
-            return "()"
-        case VStr(text):
-            return text
-        case VPair(a, b):
-            return f"({render_value(a)},{render_value(b)})"
-        case VFun():
-            return "<fun>"
-        case VEff():
-            return "<eff>"
+    k = type(v)
+    if k is VStr:
+        return v.text
+    if k is VUnit:
+        return "()"
+    if k is VPair:
+        return f"({render_value(v.fst)},{render_value(v.snd)})"
+    if k is VFun:
+        return "<fun>"
+    if k is VEff:
+        return "<eff>"
     raise EvalError(f"unknown value {v!r}")
 
 
 def base_value_eq(a: Value, b: Value) -> bool:
     """Structural equality on first-order values."""
-    match a, b:
-        case VUnit(), VUnit():
-            return True
-        case VStr(x), VStr(y):
-            return x == y
-        case VPair(x1, y1), VPair(x2, y2):
-            return base_value_eq(x1, x2) and base_value_eq(y1, y2)
-        case _:
-            if type(a) is not type(b):
-                return False
-            raise EvalError(
-                f"{type(a).__name__} values need a type-directed comparator"
-            )
+    k = type(a)
+    if k is not type(b):
+        return False
+    if k is VStr:
+        return a.text == b.text
+    if k is VUnit:
+        return True
+    if k is VPair:
+        return base_value_eq(a.fst, b.fst) and base_value_eq(a.snd, b.snd)
+    raise EvalError(f"{k.__name__} values need a type-directed comparator")
 
 
 # ---------------------------------------------------------------------------
@@ -350,17 +347,18 @@ class ConstEnv:
 
 def seed_value(ty, tag: str, m: MonadDict) -> Value:
     """Deterministic, type-correct default value derived from a tag."""
-    match ty:
-        case Unit():
-            return VUNIT
-        case Str():
-            return VStr(tag)
-        case Prod(left, right):
-            return VPair(seed_value(left, tag + ".1", m), seed_value(right, tag + ".2", m))
-        case Arrow(dom, cod):
-            return VFun(lambda v: seed_value(cod, f"{tag}({render_value(v)})", m))
-        case Eff(inner):
-            return VEff(m.pure(seed_value(inner, tag + "^", m)))
+    k = type(ty)
+    if k is Str:
+        return VStr(tag)
+    if k is Unit:
+        return VUNIT
+    if k is Prod:
+        return VPair(seed_value(ty.left, tag + ".1", m), seed_value(ty.right, tag + ".2", m))
+    if k is Arrow:
+        cod = ty.cod
+        return VFun(lambda v: seed_value(cod, f"{tag}({render_value(v)})", m))
+    if k is Eff:
+        return VEff(m.pure(seed_value(ty.inner, tag + "^", m)))
     raise EvalError(f"unknown type {ty!r}")
 
 
@@ -393,6 +391,25 @@ def _curried_effect(m: MonadDict, name: str, ty, arity: int,
     return build([], ty)
 
 
+def _require_observed_payload(m: MonadDict, name: str, ty, arity: int,
+                              behavior: dict) -> None:
+    """A payload the monad never observes is a config error.  The monad
+    decides: the effect's action with the payload and with another one must
+    differ under its ``run_eq``."""
+    args = []
+    for _ in range(arity):
+        args.append(seed_value(ty.dom, "arg", m))
+        ty = ty.cod
+    other = {**behavior, "payload": f"{behavior['payload']}'"}
+    if m.run_eq(_effect_action(m, name, args, ty.inner, behavior),
+                _effect_action(m, name, args, ty.inner, other),
+                value_eq_for(ty.inner, m)):
+        raise PurifyError(
+            f"behavior payload for {name!r} is never observed under the {m.name} "
+            f"monad (kind {behavior.get('kind', 'default')}, result {type_name(ty.inner)})"
+        )
+
+
 def _pure_const(m: MonadDict, name: str, ty) -> Value:
     if name == "concat" and ty == Arrow(STR, Arrow(STR, STR)):
         return VFun(lambda a: VFun(lambda b: VStr(a.text + b.text)))
@@ -406,15 +423,17 @@ def make_const_env(sig: Signature, m: MonadDict,
     Effectful constants become curried functions ending in an action whose
     observable behavior depends on the monad (a trace node, a log entry, a
     state increment, an optional value), optionally overridden per name by
-    an effect-behavior config.
+    an effect-behavior config.  A config payload the monad never observes
+    raises ``PurifyError``.
     """
     env = ConstEnv()
     for decl in sig:
         if decl.effectful:
             behavior = (behaviors or {}).get(decl.name) or {}
-            env.values[decl.name] = _curried_effect(
-                m, decl.name, decl.ty, decl.effect_arity() or 0, behavior
-            )
+            arity = decl.effect_arity() or 0
+            if behavior.get("payload") is not None:
+                _require_observed_payload(m, decl.name, decl.ty, arity, behavior)
+            env.values[decl.name] = _curried_effect(m, decl.name, decl.ty, arity, behavior)
         else:
             env.values[decl.name] = _pure_const(m, decl.name, decl.ty)
     return env
@@ -555,21 +574,21 @@ def value_eq_for(ty, m: MonadDict) -> ValueEq:
     """Observational equality at a type: structural at base types, pointwise
     on sampled arguments for functions, run_eq on underlying actions for
     effect types."""
-    match ty:
-        case Unit():
-            return lambda a, b: True
-        case Str():
-            return lambda a, b: a.text == b.text
-        case Prod(left, right):
-            le, re = value_eq_for(left, m), value_eq_for(right, m)
-            return lambda a, b: le(a.fst, b.fst) and re(a.snd, b.snd)
-        case Arrow(dom, cod):
-            args = sample_values(dom, m)[:EXTENSIONAL_SAMPLES]
-            ce = value_eq_for(cod, m)
-            return lambda a, b: all(ce(a.fn(x), b.fn(x)) for x in args)
-        case Eff(inner):
-            ie = value_eq_for(inner, m)
-            return lambda a, b: m.run_eq(a.action, b.action, ie)
+    k = type(ty)
+    if k is Str:
+        return lambda a, b: a.text == b.text
+    if k is Unit:
+        return lambda a, b: True
+    if k is Prod:
+        le, re = value_eq_for(ty.left, m), value_eq_for(ty.right, m)
+        return lambda a, b: le(a.fst, b.fst) and re(a.snd, b.snd)
+    if k is Arrow:
+        args = sample_values(ty.dom, m)[:EXTENSIONAL_SAMPLES]
+        ce = value_eq_for(ty.cod, m)
+        return lambda a, b: all(ce(a.fn(x), b.fn(x)) for x in args)
+    if k is Eff:
+        ie = value_eq_for(ty.inner, m)
+        return lambda a, b: m.run_eq(a.action, b.action, ie)
     raise EvalError(f"unknown type {ty!r}")
 
 

@@ -89,8 +89,10 @@ def tokenize(src: str) -> list[Tok]:
             glued = False
             continue
         if src.startswith("--", i):
-            while i < n and src[i] != "\n":
-                i += 1
+            end = src.find("\n", i)
+            end = n if end < 0 else end
+            col += end - i
+            i = end
             continue
         start_line, start_col = line, col
         if ch == '"':

@@ -38,28 +38,24 @@ def smart_ap(f: Term, e: Term, fresh: FreshNames | None = None) -> Term:
     else keeps the parallel Ap node.
     """
     fresh = fresh or FreshNames()
-    match f, e:
-        case Pure(pf), Pure(pe):
-            return Pure(App(pf, pe, label=COM), label=TGT)
-        case Pure(pf), _:
-            x = fresh.fresh()
-            body = App(pf, Var(x, label=COM), label=COM)
-            return Map(Lam(x, body, label=TGT), e, label=TGT)
-        case _, Pure(pe):
-            x = fresh.fresh()
-            body = App(Var(x, label=COM), pe, label=COM)
-            return Map(Lam(x, body, label=TGT), f, label=TGT)
-        case _, _:
-            return Ap(f, e, label=TGT)
+    if type(f) is Pure:
+        if type(e) is Pure:
+            return Pure(App(f.inner, e.inner, label=COM), label=TGT)
+        x = fresh.fresh()
+        body = App(f.inner, Var(x, label=COM), label=COM)
+        return Map(Lam(x, body, label=TGT), e, label=TGT)
+    if type(e) is Pure:
+        x = fresh.fresh()
+        body = App(Var(x, label=COM), e.inner, label=COM)
+        return Map(Lam(x, body, label=TGT), f, label=TGT)
+    return Ap(f, e, label=TGT)
 
 
 def smart_join(e: Term) -> Term:
     """Effect flattening; a Pure payload embeds directly into the target."""
-    match e:
-        case Pure(inner):
-            return relabel(inner, TGT)
-        case _:
-            return Join(e, label=TGT)
+    if type(e) is Pure:
+        return relabel(e.inner, TGT)
+    return Join(e, label=TGT)
 
 
 def opt_translate(e: Term, fresh: FreshNames | None = None) -> Term:

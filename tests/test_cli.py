@@ -356,3 +356,87 @@ def test_random_configs_end_in_result_or_diagnostic(two_fetches_file, tmp_path, 
         assert main(["run", two_fetches_file, "--monad", monad, "--json",
                      "--config", str(cfg)]) in (0, 1)
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("monad, result, kind, observed", [
+    ("trace", "Str", None, True),
+    ("trace", "Unit", "value", False),
+    ("trace", "Unit", "log", False),
+    ("option", "Str", None, True),
+    ("option", "Str", "absent", False),
+    ("state", "Str", "value", True),
+    ("state", "Str", None, False),
+    ("state", "Unit", "log", False),
+    ("writer", "Unit", "log", True),
+    ("writer", "Unit", "value", False),
+    ("writer-rtl", "(Str, Unit)", "log", True),
+])
+def test_unobserved_payload_is_diagnostic(tmp_path, capsys, monad, result, kind, observed):
+    """Each monad decides whether it reads a payload, for the behavior's
+    kind and the effect's result type; a payload it never reads is refused."""
+    prog = tmp_path / "prog.pfy"
+    prog.write_text(f"effect stamp : Str -> Eff {result}\npurify {{ stamp(\"a\")! }}")
+    behavior = {"payload": "x"} if kind is None else {"kind": kind, "payload": "x"}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"behavior": {"stamp": behavior}}))
+    code = main(["run", str(prog), "--monad", monad, "--json", "--config", str(cfg)])
+    out, err = capsys.readouterr()
+    if observed:
+        assert code == 0 and '"x"' in out
+    else:
+        assert code == 1 and out == ""
+        assert f"payload for 'stamp' is never observed under the {monad} monad" in err
+
+
+def _outcome(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # --help
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_shared_parser_matches_a_fresh_one(two_chains_file, tmp_path, monkeypatch, capsys):
+    """main reuses one parser across calls; no call's outcome depends on
+    the calls before it."""
+    import purify.cli as cli
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"latency_ms": {"fetch": 50}}))
+    dot = str(tmp_path / "trace.dot")
+    sequence = (
+        ["check", two_chains_file, "--bogus"],
+        ["--help"],
+        ["translate", two_chains_file, "--mode", "naive", "--normalize"],
+        ["translate", two_chains_file, "--mode", "naive"],
+        ["run", two_chains_file, "--monad", "trace", "--config", str(cfg), "--dot", dot],
+        ["run", two_chains_file, "--monad", "trace"],
+        ["suite", "types", "--trials", "0"],
+        ["laws", "--monad", "option", "--trials", "-3"],
+        ["check", two_chains_file],
+    )
+    shared = [_outcome(argv, capsys) for argv in sequence]
+    monkeypatch.setattr(cli, "_parser", cli._parser.__wrapped__)  # a new parser per call
+    fresh = [_outcome(argv, capsys) for argv in sequence]
+    for argv, got, want in zip(sequence, shared, fresh):
+        assert got == want, argv
+    assert [code for code, _, _ in shared] == [1, 0, 0, 0, 0, 0, 1, 1, 0]
+
+
+def test_parser_is_built_once(two_fetches_file, monkeypatch, capsys):
+    import purify.cli as cli
+
+    built = []
+    init = cli._ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._ArgumentParser, "__init__", counting_init)
+    cli._parser.cache_clear()
+    for _ in range(20):
+        assert main(["check", two_fetches_file]) == 0
+    capsys.readouterr()
+    assert built.count("purify") == 1

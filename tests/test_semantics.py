@@ -4,7 +4,7 @@ from purify.check import TypeEnv, typecheck
 from purify.metrics import dyn_span, dyn_work
 from purify.propcheck import GenConfig, default_signature, gen_term
 from purify.semantics import (
-    ABSENT, SignatureMismatch, VPair, VStr, VUNIT, VUnit, actions_agree,
+    ABSENT, EvalError, SignatureMismatch, VFun, VPair, VStr, VUNIT, VUnit, actions_agree,
     base_value_eq, builtin_monads, check_laws, evaluate, make_const_env,
     mixed_order_writer, option_monad, render_value, state_monad, trace_monad,
     value_eq_for, writer_monad,
@@ -156,6 +156,10 @@ def test_base_value_eq():
     assert base_value_eq(VPair(VUNIT, VStr("a")), VPair(VUNIT, VStr("a")))
     assert not base_value_eq(VStr("a"), VStr("b"))
     assert not base_value_eq(VStr("a"), VUNIT)
+    f = VFun(lambda v: v)
+    assert not base_value_eq(f, VStr("a"))
+    with pytest.raises(EvalError, match="VFun values need a type-directed comparator"):
+        base_value_eq(f, f)
 
 
 def test_extensional_function_comparison(sig):
@@ -200,3 +204,5 @@ def test_run_eq_state_distinguishes_final_states():
 def test_render_value():
     assert render_value(VUNIT) == "()"
     assert render_value(VPair(VStr("a"), VUNIT)) == "(a,())"
+    with pytest.raises(EvalError, match="unknown value"):
+        render_value("a")

@@ -49,6 +49,19 @@ def test_comments_and_whitespace():
     assert body == Const("a", label=SRC)
 
 
+def test_trailing_comment_keeps_column():
+    """A comment advances the column like any other text, so the
+    end-of-input error after it points where the input ends."""
+    line = 'purify { fetch("u")! '
+    comment = "-- trailing comment"
+    positions = []
+    for tail in (comment, " " * len(comment)):
+        with pytest.raises(ParseError) as ei:
+            parse("effect fetch : Str -> Eff Str\n" + line + tail)
+        positions.append((ei.value.line, ei.value.col))
+    assert positions[0] == positions[1] == (2, len(line + comment) + 1)
+
+
 def test_duplicate_decl():
     with pytest.raises(DuplicateDecl):
         parse("prim a : Str\nprim a : Str\npurify { a }")
