@@ -17,8 +17,8 @@ from .check import TypeEnv, typecheck
 from .metrics import dyn_span, dyn_work, span, work
 from .pretty import pretty
 from .semantics import (
-    ConstEnv, MonadDict, actions_agree, builtin_monads, check_laws, evaluate,
-    make_const_env, value_eq_for, _as_action,
+    REIFIED, ConstEnv, MonadDict, actions_agree, builtin_monads, check_laws,
+    evaluate, make_const_env, run, value_eq_for, _as_action,
 )
 from .terms import (
     App, Ap, Arrow, COM, Const, ConstDecl, ConstKind, Each, Eff, Fst, Join,
@@ -445,16 +445,18 @@ def _sub_seed(seed: int, i: int) -> int:
 
 @dataclass
 class _Ctx:
-    """What a suite check needs besides its term."""
+    """What a suite check needs besides its term.  Terms are evaluated once,
+    under ``REIFIED``, and run under each monad."""
 
     sig: Signature
     env_t: TypeEnv
-    envs: dict[str, tuple[MonadDict, ConstEnv]]  # monad name -> (monad, consts)
+    monads: dict[str, MonadDict]
+    consts: ConstEnv
 
     @classmethod
     def of(cls, sig: Signature) -> _Ctx:
-        envs = {m.name: (m, make_const_env(sig, m)) for m in builtin_monads()}
-        return cls(sig, TypeEnv(sig), envs)
+        monads = {m.name: m for m in builtin_monads()}
+        return cls(sig, TypeEnv(sig), monads, make_const_env(sig, REIFIED))
 
 
 # -- generators: (trial config, trial index) -> a checked term --------------
@@ -509,9 +511,9 @@ def _check_semantics(c: _Ctx, term: Term) -> Optional[str]:
     src_ty = typecheck(term, SRC, c.env_t)
     out = opt_translate(term)
     typecheck(out, TGT, c.env_t)
-    for m, env in c.envs.values():
-        a_src = evaluate(term, SRC, m, env)
-        a_tgt = _as_action(evaluate(out, TGT, m, env))
+    a_src = evaluate(term, SRC, REIFIED, c.consts)
+    a_tgt = _as_action(evaluate(out, TGT, REIFIED, c.consts))
+    for m in c.monads.values():
         if not actions_agree(src_ty, m, a_tgt, a_src):
             return f"disagrees under {m.name}"
     return None
@@ -539,9 +541,9 @@ def _check_smart_ctors(c: _Ctx, term: Term) -> Optional[str]:
     ty = typecheck(term, TGT, c.env_t)
     if span(opt, c.sig) > span(term, c.sig) or work(opt, c.sig) > work(term, c.sig):
         return f"smart {kind} increased span/work"
-    for m, env in c.envs.values():
-        a = _as_action(evaluate(opt, TGT, m, env))
-        b = _as_action(evaluate(term, TGT, m, env))
+    a = _as_action(evaluate(opt, TGT, REIFIED, c.consts))
+    b = _as_action(evaluate(term, TGT, REIFIED, c.consts))
+    for m in c.monads.values():
         if not actions_agree(ty.inner, m, a, b):
             return f"{kind} disagrees under {m.name}"
     return None
@@ -555,9 +557,9 @@ def _check_relabel(c: _Ctx, term: Term) -> Optional[str]:
     typecheck(out, TGT, c.env_t)
     if span(out, c.sig) != 0 or work(out, c.sig) != 0:
         return "relabelled term has nonzero span/work"
-    for m, env in c.envs.values():
-        va = evaluate(term, COM, m, env)
-        vb = evaluate(out, TGT, m, env)
+    va = evaluate(term, COM, REIFIED, c.consts)
+    vb = evaluate(out, TGT, REIFIED, c.consts)
+    for m in c.monads.values():
         if not value_eq_for(ty, m)(va, vb):
             return f"relabel changes value under {m.name}"
     return None
@@ -581,16 +583,17 @@ def _check_normalize(c: _Ctx, term: Term) -> Optional[str]:
     s_out, w_out = span(out, c.sig), work(out, c.sig)
     if s_out > span(term, c.sig) or w_out > work(term, c.sig):
         return "normalize increased span/work"
-    for m, env in c.envs.values():
+    v_out = evaluate(out, TGT, REIFIED, c.consts)
+    v_term = evaluate(term, TGT, REIFIED, c.consts)
+    for m in c.monads.values():
         if isinstance(ty, Eff):
-            a = _as_action(evaluate(out, TGT, m, env))
-            b = _as_action(evaluate(term, TGT, m, env))
-            if not actions_agree(ty.inner, m, a, b):
+            a = run(m, _as_action(v_out))
+            if not actions_agree(ty.inner, m, a, _as_action(v_term)):
                 return f"normalize disagrees under {m.name}"
             if m.name == "trace" and (dyn_span(a), dyn_work(a)) != (s_out, w_out):
                 return (f"static span/work {s_out}/{w_out} of the normal form,"
                         f" trace {dyn_span(a)}/{dyn_work(a)}")
-        elif not value_eq_for(ty, m)(evaluate(out, TGT, m, env), evaluate(term, TGT, m, env)):
+        elif not value_eq_for(ty, m)(v_out, v_term):
             return f"normalize disagrees under {m.name}"
     return None
 
@@ -599,10 +602,10 @@ def _check_baseline(c: _Ctx, term: Term) -> Optional[str]:
     src_ty = typecheck(term, SRC, c.env_t)
     out = seq_translate(term)
     typecheck(out, TGT, c.env_t)
+    a_src = evaluate(term, SRC, REIFIED, c.consts)
+    a_seq = _as_action(evaluate(out, TGT, REIFIED, c.consts))
     for name in ("option", "state", "writer"):  # trace would see the lost parallelism
-        m, env = c.envs[name]
-        a_src = evaluate(term, SRC, m, env)
-        a_seq = _as_action(evaluate(out, TGT, m, env))
+        m = c.monads[name]
         if not actions_agree(src_ty, m, a_seq, a_src):
             return f"sequential baseline disagrees under {m.name}"
     return None

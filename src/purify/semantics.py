@@ -8,7 +8,8 @@ its argument before its function: it satisfies every law, yet distinguishes
 the applicative from the left-to-right bind chaining -- which is exactly why
 the translation keeps Ap nodes instead of lowering them to binds.  Each
 monad's constructor is the one place that defines its behaviour, including
-what one effect call does and what ``purify run`` reports.
+what one effect call does and what ``purify run`` reports.  The suites
+evaluate a term once, under ``REIFIED``, and ``run`` it under each monad.
 """
 
 from __future__ import annotations
@@ -124,7 +125,8 @@ class MonadDict:
     ``effect(name, args, tag, result, result_ty, behavior)`` is the action of
     one effect call (``args`` rendered, ``tag`` the call as text, ``result``
     its default value, ``behavior`` its config entry or {}), and
-    ``report(action, latencies)`` the JSON fields ``purify run`` prints.
+    ``report(action, latencies)`` the JSON fields ``purify run`` prints, and
+    ``kinds`` the behavior kinds a config may give its effects.
     """
 
     name: str
@@ -136,6 +138,7 @@ class MonadDict:
     sample_action: Callable[[random.Random], object]
     effect: Callable
     report: Callable[[object, dict[str, float]], dict]
+    kinds: frozenset[str]
 
 
 class _Absent:
@@ -179,7 +182,8 @@ def option_monad() -> MonadDict:
             return {"absent": True}
         return {"absent": False, "value": render_value(a)}
 
-    return MonadDict("option", pure, map_, ap, bind, run_eq, sample, effect, report)
+    return MonadDict("option", pure, map_, ap, bind, run_eq, sample, effect, report,
+                     frozenset({"value", "absent"}))
 
 
 def state_monad() -> MonadDict:
@@ -233,7 +237,8 @@ def state_monad() -> MonadDict:
         value, final_state = a(0)
         return {"value": render_value(value), "final_state": final_state}
 
-    m = MonadDict("state", pure, map_, ap, bind, run_eq, sample, effect, report)
+    m = MonadDict("state", pure, map_, ap, bind, run_eq, sample, effect, report,
+                  frozenset({"value", "state_incr"}))
     return m
 
 
@@ -272,7 +277,8 @@ def _writer(monad_name: str, flipped: bool) -> MonadDict:
     def report(a, latencies):
         return {"value": render_value(a[0]), "log": list(a[1])}
 
-    return MonadDict(monad_name, pure, map_, ap, bind, run_eq, sample, effect, report)
+    return MonadDict(monad_name, pure, map_, ap, bind, run_eq, sample, effect, report,
+                     frozenset({"value", "log"}))
 
 
 def writer_monad() -> MonadDict:
@@ -316,7 +322,8 @@ def trace_monad() -> MonadDict:
         return {"value": render_value(d.result), "dyn_span": dyn_span(d),
                 "dyn_work": dyn_work(d), "latency_ms": simulate_latency(d, latencies)}
 
-    return MonadDict("trace", pure, map_, ap, bind, run_eq, sample, effect, report)
+    return MonadDict("trace", pure, map_, ap, bind, run_eq, sample, effect, report,
+                     frozenset({"value"}))
 
 
 MONADS: dict[str, Callable[[], MonadDict]] = {
@@ -362,8 +369,8 @@ def seed_value(ty, tag: str, m: MonadDict) -> Value:
     raise EvalError(f"unknown type {ty!r}")
 
 
-# Behavior kinds a config may name; each monad's ``effect`` reads the ones it
-# observes, and ``state_incr`` is the state monad's default.
+# Behavior kinds a config may name; each monad's ``kinds`` are the ones its
+# ``effect`` reads, and ``state_incr`` is the state monad's default.
 BEHAVIOR_KINDS = ("value", "absent", "state_incr", "log")
 
 
@@ -423,8 +430,8 @@ def make_const_env(sig: Signature, m: MonadDict,
     Effectful constants become curried functions ending in an action whose
     observable behavior depends on the monad (a trace node, a log entry, a
     state increment, an optional value), optionally overridden per name by
-    an effect-behavior config.  A config payload the monad never observes
-    raises ``PurifyError``.
+    an effect-behavior config.  A config payload the monad never observes,
+    or a kind it does not read, raises ``PurifyError``.
     """
     env = ConstEnv()
     for decl in sig:
@@ -433,10 +440,100 @@ def make_const_env(sig: Signature, m: MonadDict,
             arity = decl.effect_arity() or 0
             if behavior.get("payload") is not None:
                 _require_observed_payload(m, decl.name, decl.ty, arity, behavior)
+            if behavior.get("kind", "value") not in m.kinds:
+                raise PurifyError(f"behavior kind {behavior['kind']!r} for {decl.name!r} "
+                                  f"is never observed under the {m.name} monad")
             env.values[decl.name] = _curried_effect(m, decl.name, decl.ty, arity, behavior)
         else:
             env.values[decl.name] = _pure_const(m, decl.name, decl.ty)
     return env
+
+
+# ---------------------------------------------------------------------------
+# Reified actions
+# ---------------------------------------------------------------------------
+# REIFIED evaluates to a monad-independent action tree (the free/freer
+# structure of Capriotti & Kaposi 2014 and Kiselyov & Ishii 2015), applying
+# the identity laws as it builds; ``run`` folds it into any monad's action.
+# Plain slotted classes, since a dataclass costs about 0.3 ms at import.
+
+class APure:
+    __slots__ = ("value",)
+
+    def __init__(self, value: Value):
+        self.value = value
+
+
+class AEffect:
+    __slots__ = ("call",)
+
+    def __init__(self, call: tuple):  # the arguments of ``MonadDict.effect``
+        self.call = call
+
+
+class AMap:
+    __slots__ = ("fn", "arg")
+
+    def __init__(self, fn: Callable[[Value], Value], arg):
+        self.fn, self.arg = fn, arg
+
+
+class AAp:
+    __slots__ = ("fun", "arg")
+
+    def __init__(self, fun, arg):
+        self.fun, self.arg = fun, arg
+
+
+class ABind:
+    __slots__ = ("cont", "arg")
+
+    def __init__(self, cont: Callable[[Value], object], arg):
+        self.cont, self.arg = cont, arg
+
+
+def _reified_monad() -> MonadDict:
+    def map_(f, a):
+        return APure(f(a.value)) if type(a) is APure else AMap(f, a)
+
+    def ap(af, ax):
+        if type(af) is not APure:
+            return AAp(af, ax)
+        if type(ax) is APure:
+            return APure(af.value.fn(ax.value))
+        return AMap(af.value.fn, ax)
+
+    def bind(k, a):
+        return k(a.value) if type(a) is APure else ABind(k, a)
+
+    def effect(*call):
+        return AEffect(call)
+
+    def unobservable(*_):
+        raise EvalError("a reified action is observed only through run(m, action)")
+
+    return MonadDict("reified", APure, map_, ap, bind, unobservable, unobservable,
+                     effect, unobservable, frozenset(BEHAVIOR_KINDS))
+
+
+REIFIED = _reified_monad()
+
+
+def run(m: MonadDict, action):
+    """Monad ``m``'s own action for a reified one; an action that is already
+    ``m``'s is returned unchanged."""
+    k = type(action)
+    if k is AEffect:
+        return m.effect(*action.call)
+    if k is AAp:
+        return m.ap(run(m, action.fun), run(m, action.arg))
+    if k is AMap:
+        return m.map(action.fn, run(m, action.arg))
+    if k is ABind:
+        return m.bind(lambda v, _k=action.cont: run(m, _k(v)), run(m, action.arg))
+    if k is APure:
+        return m.pure(action.value)
+    return action
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +670,7 @@ def sample_values(ty, m: MonadDict) -> list[Value]:
 def value_eq_for(ty, m: MonadDict) -> ValueEq:
     """Observational equality at a type: structural at base types, pointwise
     on sampled arguments for functions, run_eq on underlying actions for
-    effect types."""
+    effect types, run first when reified."""
     k = type(ty)
     if k is Str:
         return lambda a, b: a.text == b.text
@@ -588,13 +685,13 @@ def value_eq_for(ty, m: MonadDict) -> ValueEq:
         return lambda a, b: all(ce(a.fn(x), b.fn(x)) for x in args)
     if k is Eff:
         ie = value_eq_for(ty.inner, m)
-        return lambda a, b: m.run_eq(a.action, b.action, ie)
+        return lambda a, b: m.run_eq(run(m, a.action), run(m, b.action), ie)
     raise EvalError(f"unknown type {ty!r}")
 
 
 def actions_agree(ty, m: MonadDict, a, b) -> bool:
-    """run_eq two actions whose results have type ``ty``."""
-    return m.run_eq(a, b, value_eq_for(ty, m))
+    """run_eq two actions, reified or ``m``'s own, whose results have type ``ty``."""
+    return m.run_eq(run(m, a), run(m, b), value_eq_for(ty, m))
 
 
 # ---------------------------------------------------------------------------

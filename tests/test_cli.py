@@ -388,6 +388,24 @@ def test_unobserved_payload_is_diagnostic(tmp_path, capsys, monad, result, kind,
         assert f"payload for 'stamp' is never observed under the {monad} monad" in err
 
 
+@pytest.mark.parametrize("monad", tuple(MONADS))
+@pytest.mark.parametrize("kind", ("value", "absent", "log", "state_incr"))
+def test_unread_behavior_kind_is_diagnostic(two_fetches_file, tmp_path, capsys, kind, monad):
+    """A kind is accepted only under a monad that reads it; ``value`` under
+    every monad, as the README's example config gives it a payload."""
+    read = {"value": MONADS, "absent": ("option",), "log": ("writer", "writer-rtl"),
+            "state_incr": ("state",)}[kind]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"behavior": {"fetch": {"kind": kind}}}))
+    code = main(["run", two_fetches_file, "--monad", monad, "--json", "--config", str(cfg)])
+    out, err = capsys.readouterr()
+    if monad in read:
+        assert code == 0 and out
+    else:
+        assert code == 1 and out == ""
+        assert f"behavior kind {kind!r} for 'fetch' is never observed under the {monad} monad" in err
+
+
 def _outcome(argv, capsys):
     try:
         code = main(argv)

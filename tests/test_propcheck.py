@@ -297,3 +297,25 @@ def test_tabled_generator_draws_the_scanned_terms(monkeypatch):
                           _scanning_lookups(sig)):
         monkeypatch.setattr(propcheck._Gen, name, scan)
     assert draw() == tabled
+
+
+@pytest.mark.parametrize("suite", ["semantics", "smart_ctors", "relabel", "normalize",
+                                   "baseline"])
+def test_each_check_evaluates_each_side_once(monkeypatch, suite):
+    """A check evaluates its two terms once each and runs the results under
+    every monad, instead of evaluating them again per monad."""
+    calls = []
+    evaluate = propcheck.evaluate
+    monkeypatch.setattr(propcheck, "evaluate", lambda *a: calls.append(a) or evaluate(*a))
+    label, generate, check = propcheck._TERM_SUITES[suite]
+    per_check = []
+
+    def counted(ctx, term):
+        before = len(calls)
+        detail = check(ctx, term)
+        per_check.append(len(calls) - before)
+        return detail
+
+    monkeypatch.setitem(propcheck._TERM_SUITES, suite, (label, generate, counted))
+    rep = run_suite(suite, GenConfig(max_depth=5, seed=17), 40)
+    assert rep.all_passed and per_check and set(per_check) == {2}
