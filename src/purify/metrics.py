@@ -7,14 +7,14 @@ function is applied to the argument's result, never run), pairs and
 applications combine children by max (span) or sum (work), and Each/Join
 add one.
 
-Two artifact-specific refinements keep the static numbers aligned with what
-actually runs.  First, when a signature is supplied, a saturated application
-of an effectful constant in target position counts as one operation (the
-optimizing translation embeds such calls directly, without a Join), also
-when it is reached through applied common-bodied lambdas (let-style
-redexes, as ``let`` elaborates and normalization leaves behind).  Second,
-the bind pattern Join(Map(fun, arg)) with a combinator-bodied continuation
-is costed sequentially: the effects of both sides add up.
+Three refinements keep the static numbers aligned with what actually
+runs.  First, a saturated application of an effectful constant in target
+position counts as one operation (the optimizing translation embeds such
+calls directly, without a Join), also when it is reached through applied
+common-bodied lambdas (let-style redexes, as ``let`` elaborates and
+normalization leaves behind).  Second, the bind pattern Join(Map(fun, arg))
+with a combinator-bodied continuation is costed sequentially: the effects
+of both sides add up.  Third, a mark on a ``prim`` constant's call adds none.
 
 ``TraceDag`` is the runtime counterpart: a series-parallel tree of executed
 effects, ``Par`` where ``ap`` runs two actions side by side and ``Seq`` where
@@ -30,7 +30,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .terms import (
-    App, Ap, Const, Each, Fst, Join, Lam, Lit, Map, Prd, Pure, PurifyError,
+    App, Ap, COM, Const, Each, Fst, Join, Lam, Lit, Map, Prd, Pure, PurifyError,
     Signature, Snd, TGT, Term, Unt, Var,
 )
 
@@ -86,19 +86,38 @@ def _effect_arities(sig: Signature) -> dict[str, int]:
     return {d.name: d.effect_arity() for d in sig if d.effectful}
 
 
+def _prim_call(action: Term, sig: Signature) -> bool:
+    """True when ``action`` (under Each), or the action it returns (under
+    Join), is a call of a constant the signature declares ``prim``, whose
+    action runs no effect: ``p(x)``, ``(fun y -> p(y))(x)``, ``pure (p x)``,
+    ``ap (pure p) a`` or ``map (fun y -> p(y)) a``."""
+    while True:
+        k = type(action)
+        if k is App or k is Ap or k is Map:
+            action = action.fun
+        elif k is Pure:
+            action = action.inner
+        elif k is Lam and action.body.label is COM:
+            action = action.body
+        else:
+            break
+    decl = sig.lookup(action.name) if k is Const else None
+    return decl is not None and not decl.effectful
+
+
 # Instructions on the fold's work stack, between the terms (never ints):
 # combine the top two values by max (span) or + (work), add them (a bind
 # runs one side after the other), add one to the top value (an effect).
 _COMBINE, _ADD, _ONE = range(3)
 
 
-def _measure(e: Term, sig: Signature | None, use_max: bool) -> int:
+def _measure(e: Term, sig: Signature, use_max: bool) -> int:
     """The span (``use_max``) or work fold, with a work and a value stack.
 
     Lambdas with combinator bodies (the sequencing continuations) are
     transparent; other lambdas are values and cost nothing.
     """
-    arity = sig.table(_effect_arities) if sig is not None else {}
+    arity = sig.table(_effect_arities)
     vals: list[int] = []
     todo: list = [e]
     while todo:
@@ -146,10 +165,12 @@ def _measure(e: Term, sig: Signature | None, use_max: bool) -> int:
                 # bind pattern: first the argument's effects, then the chain
                 # built by the continuation
                 todo += (_ADD, x.fun.body, x.arg)
+            elif _prim_call(x, sig):
+                todo.append(x)
             else:
                 todo += (_ONE, x)
         elif k is Each:
-            todo += (_ONE, t.eff)
+            todo += (t.eff,) if _prim_call(t.eff, sig) else (_ONE, t.eff)
         elif k is Prd:
             todo += (_COMBINE, t.snd, t.fst)
         elif k is Fst or k is Snd:
@@ -159,12 +180,12 @@ def _measure(e: Term, sig: Signature | None, use_max: bool) -> int:
     return vals[0]
 
 
-def span(e: Term, signature: Signature | None = None) -> int:
+def span(e: Term, signature: Signature) -> int:
     """Longest chain of unhandled effect operations."""
     return _measure(e, signature, True)
 
 
-def work(e: Term, signature: Signature | None = None) -> int:
+def work(e: Term, signature: Signature) -> int:
     """Total count of unhandled effect operations."""
     return _measure(e, signature, False)
 

@@ -1,9 +1,12 @@
-"""Concrete syntax: lexing, parsing and elaboration into core terms.
+"""Concrete syntax: a lexer and a one-pass parser to labelled core terms.
 
 A program is a list of constant declarations followed by exactly one
 ``purify { ... }`` block.  The effect mark is postfix ``!``.  A left paren
 glued to the preceding token is a call argument, so ``f("a")!`` marks the
 whole call while ``f ("a")!`` applies ``f`` to a marked string.
+
+The parser elaborates as it goes, with no intermediate syntax tree: it
+resolves names, labels each node from its context and desugars ``let``.
 
 ``parse_target_expr`` additionally understands the combinator keywords
 ``pure``/``map``/``ap``/``join`` so pretty-printed target terms re-parse.
@@ -11,14 +14,13 @@ whole call while ``f ("a")!`` applies ``f`` to a marked string.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .terms import (
     App, Ap, Arrow, COM, Const, ConstDecl, ConstKind, Each, Eff, FRESH_PREFIX,
-    Fst, Join, Label, Lam, Lit, Map, Prd, Prod, Pure, PurifyError, SRC,
-    Signature, Snd, STR, TGT, Term, Ty, UNIT, Unt, Var, is_effect_free,
-    relabel, subterms,
+    Fst, Join, Lam, Lit, Map, Prd, Prod, Pure, PurifyError, SRC, Signature,
+    Snd, STR, TGT, Term, Ty, UNIT, Unt, Var, is_effect_free, relabel,
 )
 
 KEYWORDS = {
@@ -153,89 +155,34 @@ def tokenize(src: str) -> list[Tok]:
 
 
 # ---------------------------------------------------------------------------
-# Surface AST
+# Parser: tokens -> labelled core terms
 # ---------------------------------------------------------------------------
-
-@dataclass
-class SExpr:
-    pos: tuple[int, int] = field(kw_only=True, default=(0, 0))
-
-
-@dataclass
-class SVar(SExpr):
-    name: str
-
-
-@dataclass
-class SLit(SExpr):
-    value: str
-
-
-@dataclass
-class SUnit(SExpr):
-    pass
-
-
-@dataclass
-class SPair(SExpr):
-    fst: SExpr
-    snd: SExpr
-
-
-@dataclass
-class SProj(SExpr):
-    expr: SExpr
-    index: int
-
-
-@dataclass
-class SApp(SExpr):
-    fun: SExpr
-    arg: SExpr
-
-
-@dataclass
-class SLam(SExpr):
-    param: str
-    body: SExpr
-    annot: Optional[Ty] = None
-
-
-@dataclass
-class SLet(SExpr):
-    name: str
-    bound: SExpr
-    body: SExpr
-
-
-@dataclass
-class SMark(SExpr):
-    expr: SExpr
-
-
-@dataclass
-class SComb(SExpr):
-    kind: str
-    args: list[SExpr]
-
 
 @dataclass
 class SurfaceProgram:
-    decls: list[ConstDecl]
-    body: SExpr
+    sig: Signature
+    body: Term
 
-
-# ---------------------------------------------------------------------------
-# Parser
-# ---------------------------------------------------------------------------
 
 class _Parser:
-    def __init__(self, toks: list[Tok], combinators: bool):
+    """Recursive descent that builds labelled core terms as it parses.
+
+    ``lab`` is the label of the node being parsed: Src at the top of a
+    program, Com under a lambda; in target mode Tgt, or Com inside
+    ``pure``.  Names resolve against ``scope`` (the enclosing binders),
+    then the signature.  Elaboration errors are recorded so that a syntax
+    error is reported first; ``finish`` raises the first one met.
+    """
+
+    def __init__(self, toks: list[Tok], sig: Signature, target: bool):
         self.toks = toks
         self.i = 0
-        self.combinators = combinators
-        # fresh-prefixed binders only occur in machine-printed target terms
-        self.allow_fresh = combinators
+        self.sig = sig
+        self.target = target
+        self.lab = TGT if target else SRC
+        self.scope: frozenset[str] = frozenset()
+        self.combinators = 0  # combinator nodes built so far
+        self.error: Optional[PurifyError] = None
 
     def peek(self) -> Tok:
         return self.toks[self.i]
@@ -249,7 +196,8 @@ class _Parser:
         t = self.peek()
         if t.kind != kind:
             raise ParseError(t.line, t.col, f"{kind!r} (found {t.text or 'end of input'!r})")
-        if kind == "ident" and not self.allow_fresh and t.text.startswith(FRESH_PREFIX):
+        # fresh-prefixed binders only occur in machine-printed target terms
+        if kind == "ident" and not self.target and t.text.startswith(FRESH_PREFIX):
             raise ParseError(t.line, t.col,
                              f"identifier (prefix {FRESH_PREFIX!r} is reserved)")
         return self.next()
@@ -263,6 +211,15 @@ class _Parser:
     def at_kw(self, word: str) -> bool:
         t = self.peek()
         return t.kind == "kw" and t.text == word
+
+    def fail(self, err: PurifyError) -> None:
+        if self.error is None:
+            self.error = err
+
+    def finish(self) -> None:
+        self.expect("eof")
+        if self.error is not None:
+            raise self.error
 
     # -- types ----------------------------------------------------------
 
@@ -298,106 +255,148 @@ class _Parser:
 
     # -- expressions ------------------------------------------------------
 
-    def parse_expr(self) -> SExpr:
+    def parse_expr(self) -> Term:
         t = self.peek()
         if self.at_kw("fun"):
             self.next()
-            name = self.expect("ident")
+            param = self.expect("ident").text
             self.expect("->")
+            # a lambda body is common, except a target lambda body that
+            # holds a combinator, which is labelled Tgt
+            lab, scope, combinators = self.lab, self.scope, self.combinators
+            self.lab, self.scope = TGT if lab is TGT else COM, scope | {param}
             body = self.parse_expr()
-            return SLam(name.text, body, pos=(t.line, t.col))
+            if self.lab is TGT and self.combinators == combinators:
+                body = relabel(body, COM)
+            self.lab, self.scope = lab, scope
+            return Lam(param, body, label=lab)
         if self.at_kw("let"):
+            if self.target:
+                raise ParseError(t.line, t.col, "no let in target terms")
             self.next()
-            name = self.expect("ident")
+            name = self.expect("ident").text
             self.expect("=")
             bound = self.parse_expr()
+            if not is_effect_free(bound):
+                self.fail(LetTooEffectful(
+                    f"{t.line}:{t.col}: bound expression of let has effect marks; "
+                    "rewrite with nested marks, e.g. f(g(x)!)!"
+                ))
             self.expect_kw("in")
+            scope, self.scope = self.scope, self.scope | {name}
             body = self.parse_expr()
-            return SLet(name.text, bound, body, pos=(t.line, t.col))
+            self.scope = scope
+            return self._let(t, name, bound, body)
         return self.parse_infix()
 
-    def parse_infix(self) -> SExpr:
+    def _let(self, t: Tok, name: str, bound: Term, body: Term) -> Term:
+        """Desugar ``let name = bound in body`` to immediate application.
+
+        The bound expression must be effect free.  The continuation either
+        has no mark (plain application of a lambda) or is a single mark at
+        the root, which commutes out of the fabricated lambda.  Anything
+        else is rejected with a hint to use nested marks instead.
+        """
+        if self.error is not None:
+            return body  # the term is discarded; relabel may not apply
+        if is_effect_free(body):
+            return App(Lam(name, relabel(body, COM), label=self.lab), bound, label=self.lab)
+        if type(body) is Each and is_effect_free(body.eff):
+            inner = App(Lam(name, relabel(body.eff, COM), label=SRC),
+                        relabel(bound, SRC), label=SRC)
+            return Each(inner, label=SRC)
+        self.fail(LetTooEffectful(
+            f"{t.line}:{t.col}: let continuation uses more than one effect "
+            "mark; rewrite with nested marks (f(g(x)!)! style)"
+        ))
+        return body
+
+    def _name(self, name: str, t: Tok) -> Term:
+        if name in self.scope:
+            return Var(name, label=self.lab)
+        if name not in self.sig:
+            self.fail(UnboundName(f"{t.line}:{t.col}: unbound name {name!r}"))
+        return Const(name, label=self.lab)
+
+    def parse_infix(self) -> Term:
         left = self.parse_app()
         while self.peek().kind == "++":
-            op = self.next()
+            concat = self._name("concat", self.next())
             right = self.parse_app()
-            concat = SVar("concat", pos=(op.line, op.col))
-            left = SApp(SApp(concat, left, pos=(op.line, op.col)), right,
-                        pos=(op.line, op.col))
+            left = App(App(concat, left, label=self.lab), right, label=self.lab)
         return left
 
-    def parse_app(self) -> SExpr:
-        if self.combinators and self.peek().kind == "kw" and self.peek().text in COMBINATORS:
-            t = self.next()
-            arity = COMBINATORS[t.text][1]
+    def parse_app(self) -> Term:
+        t = self.peek()
+        if self.target and t.kind == "kw" and t.text in COMBINATORS:
+            self.next()
+            if self.lab is not TGT:
+                self.fail(ParseError(t.line, t.col,
+                                     "a pure expression (combinator in common position)"))
+            node, arity = COMBINATORS[t.text]
+            lab, self.lab = self.lab, COM if node is Pure else TGT
             args = [self.parse_post() for _ in range(arity)]
-            return SComb(t.text, args, pos=(t.line, t.col))
+            self.lab = lab
+            self.combinators += 1
+            return node(*args, label=TGT)
         f = self.parse_post()
-        while self._at_argument():
-            arg = self.parse_post()
-            f = SApp(f, arg, pos=arg.pos)
+        # a glued "(" is a call, which parse_post has already consumed
+        while (t := self.peek()).kind in ("ident", "string") or t.kind == "(" and not t.glued:
+            f = App(f, self.parse_post(), label=self.lab)
         return f
 
-    def _at_argument(self) -> bool:
-        t = self.peek()
-        if t.kind in ("ident", "string"):
-            return True
-        # A glued "(" was already consumed as a call by parse_post.
-        return t.kind == "(" and not t.glued
-
-    def parse_post(self) -> SExpr:
+    def parse_post(self) -> Term:
         e = self.parse_atom()
         while True:
             t = self.peek()
             if t.kind == "!":
+                if self.target:
+                    raise ParseError(t.line, t.col, "no effect mark in target terms")
+                if self.lab is COM:
+                    self.fail(MarkUnderLambda(
+                        f"{t.line}:{t.col}: effect mark '!' under a lambda; "
+                        "lambda bodies are pure"
+                    ))
                 self.next()
-                e = SMark(e, pos=(t.line, t.col))
-            elif t.kind == ".1":
+                e = Each(e, label=SRC)
+            elif t.kind == ".1" or t.kind == ".2":
                 self.next()
-                e = SProj(e, 1, pos=(t.line, t.col))
-            elif t.kind == ".2":
-                self.next()
-                e = SProj(e, 2, pos=(t.line, t.col))
+                e = (Fst if t.kind == ".1" else Snd)(e, label=self.lab)
             elif t.kind == "(" and t.glued:
                 self.next()
                 arg = self.parse_expr()
                 self.expect(")")
-                e = SApp(e, arg, pos=(t.line, t.col))
+                e = App(e, arg, label=self.lab)
             else:
                 return e
 
-    def parse_atom(self) -> SExpr:
+    def parse_atom(self) -> Term:
         t = self.peek()
         if t.kind == "ident":
-            if not self.allow_fresh and t.text.startswith(FRESH_PREFIX):
-                raise ParseError(t.line, t.col,
-                                 f"identifier (prefix {FRESH_PREFIX!r} is reserved)")
-            self.next()
-            return SVar(t.text, pos=(t.line, t.col))
+            return self._name(self.expect("ident").text, t)
         if t.kind == "string":
             self.next()
-            return SLit(t.text, pos=(t.line, t.col))
+            return Lit(t.text, label=self.lab)
         if t.kind == "(":
             self.next()
             if self.peek().kind == ")":
                 self.next()
-                return SUnit(pos=(t.line, t.col))
+                return Unt(label=self.lab)
             e = self.parse_expr()
             nxt = self.peek()
             if nxt.kind == ",":
                 self.next()
                 snd = self.parse_expr()
                 self.expect(")")
-                return SPair(e, snd, pos=(t.line, t.col))
+                return Prd(e, snd, label=self.lab)
             if nxt.kind == ":":
                 self.next()
                 ty = self.parse_type()
                 self.expect(")")
-                if isinstance(e, SLam):
+                if type(e) is Lam:
                     if not isinstance(ty, Arrow):
                         raise ParseError(nxt.line, nxt.col, "an arrow type annotation")
-                    e.annot = ty
-                    return e
+                    e.param_ty = ty.dom
                 return e  # non-lambda annotations carry no information we keep
             self.expect(")")
             return e
@@ -408,144 +407,45 @@ class _Parser:
     # -- programs ---------------------------------------------------------
 
     def parse_program(self) -> SurfaceProgram:
-        decls: list[ConstDecl] = []
-        seen: set[str] = set()
+        decls: dict[str, ConstDecl] = {}
         while self.at_kw("effect") or self.at_kw("prim"):
             kw = self.next()
-            name = self.expect("ident")
-            if name.text in seen:
-                raise DuplicateDecl(f"constant {name.text!r} declared twice")
-            seen.add(name.text)
+            name = self.expect("ident").text
+            if name in decls:
+                raise DuplicateDecl(f"constant {name!r} declared twice")
             self.expect(":")
-            ty = self.parse_type()
             kind = ConstKind.EFFECTFUL if kw.text == "effect" else ConstKind.PURE
-            decls.append(ConstDecl(name.text, ty, kind))
+            decls[name] = ConstDecl(name, self.parse_type(), kind)
+        try:
+            self.sig = Signature(list(decls.values()))
+        except PurifyError as err:
+            self.fail(err)
         self.expect_kw("purify")
         self.expect("{")
         body = self.parse_expr()
         self.expect("}")
-        self.expect("eof")
-        return SurfaceProgram(decls, body)
+        self.finish()
+        return SurfaceProgram(self.sig, body)
 
 
 def parse(text: str) -> SurfaceProgram:
-    """Parse a program: declarations plus one purify block."""
-    return _Parser(tokenize(text), combinators=False).parse_program()
+    """Parse declarations plus one purify block to a signature and Src body."""
+    return _Parser(tokenize(text), Signature(), target=False).parse_program()
 
-
-def _parse_expr_text(text: str, combinators: bool) -> SExpr:
-    p = _Parser(tokenize(text), combinators=combinators)
-    e = p.parse_expr()
-    p.expect("eof")
-    return e
-
-
-# ---------------------------------------------------------------------------
-# Elaboration: surface -> core term
-# ---------------------------------------------------------------------------
 
 def elaborate(p: SurfaceProgram) -> tuple[Signature, Term]:
-    """Produce the signature and the Src-labelled core term of a program."""
-    sig = Signature()
-    for d in p.decls:
-        sig.add(d)
-    body = _elab(p.body, sig, set(), SRC, target=False)
-    return sig, body
+    """The signature and the Src-labelled core term of a parsed program."""
+    return p.sig, p.body
 
 
 def parse_target_expr(text: str, sig: Signature) -> Term:
     """Parse a pretty-printed target term back into a Tgt-labelled tree."""
-    surf = _parse_expr_text(text, combinators=True)
-    return _elab(surf, sig, set(), TGT, target=True)
-
-
-def _elab(e: SExpr, sig: Signature, scope: set[str], lab: Label,
-          target: bool) -> Term:
-    """Elaborate a source (marks, let) or target (combinators) expression.
-
-    A lambda body is common, except a target lambda body that holds a
-    combinator, which is labelled Tgt.
-    """
-    k = type(e)
-    if k is SVar:
-        if e.name in scope:
-            return Var(e.name, label=lab)
-        if e.name in sig:
-            return Const(e.name, label=lab)
-        raise UnboundName(f"{e.pos[0]}:{e.pos[1]}: unbound name {e.name!r}")
-    if k is SApp:
-        return App(_elab(e.fun, sig, scope, lab, target),
-                   _elab(e.arg, sig, scope, lab, target), label=lab)
-    if k is SLit:
-        return Lit(e.value, label=lab)
-    if k is SUnit:
-        return Unt(label=lab)
-    if k is SPair:
-        return Prd(_elab(e.fst, sig, scope, lab, target),
-                   _elab(e.snd, sig, scope, lab, target), label=lab)
-    if k is SProj:
-        core = _elab(e.expr, sig, scope, lab, target)
-        return (Fst if e.index == 1 else Snd)(core, label=lab)
-    if k is SLam:
-        body_lab = TGT if lab is TGT else COM
-        inner = _elab(e.body, sig, scope | {e.param}, body_lab, target)
-        if body_lab is TGT and not any(isinstance(n, (Pure, Map, Ap, Join))
-                                       for n in subterms(inner)):
-            inner = relabel(inner, COM)
-        param_ty = e.annot.dom if isinstance(e.annot, Arrow) else None
-        return Lam(e.param, inner, param_ty, label=lab)
-    if k is SComb:
-        if not target:
-            raise ParseError(e.pos[0], e.pos[1],
-                             "a surface expression (combinators are target-only)")
-        if lab is not TGT:
-            raise ParseError(e.pos[0], e.pos[1], "a pure expression (combinator in common position)")
-        node = COMBINATORS[e.kind][0]
-        arg_lab = COM if node is Pure else TGT
-        return node(*(_elab(a, sig, scope, arg_lab, target) for a in e.args), label=TGT)
-    if k is SMark:
-        if target:
-            raise ParseError(e.pos[0], e.pos[1], "no effect mark in target terms")
-        if lab is COM:
-            raise MarkUnderLambda(
-                f"{e.pos[0]}:{e.pos[1]}: effect mark '!' under a lambda; "
-                "lambda bodies are pure"
-            )
-        return Each(_elab(e.expr, sig, scope, SRC, target), label=SRC)
-    if k is SLet:
-        if target:
-            raise ParseError(e.pos[0], e.pos[1], "no let in target terms")
-        return _elab_let(e, sig, scope, lab)
-    raise PurifyError(f"unknown surface node {e!r}")
-
-
-def _elab_let(e: SLet, sig: Signature, scope: set[str], lab: Label) -> Term:
-    """Desugar ``let x = e in b`` to immediate application.
-
-    The bound expression must be effect free.  The continuation either has
-    no mark (plain application of a lambda) or is a single mark at the root,
-    which commutes out of the fabricated lambda.  Anything else is rejected
-    with a hint to use nested marks instead.
-    """
-    bound_core = _elab(e.bound, sig, scope, lab, target=False)
-    if not is_effect_free(bound_core):
-        raise LetTooEffectful(
-            f"{e.pos[0]}:{e.pos[1]}: bound expression of let has effect marks; "
-            "rewrite with nested marks, e.g. f(g(x)!)!"
-        )
-    body_core = _elab(e.body, sig, scope | {e.name}, lab, target=False)
-    if is_effect_free(body_core):
-        return App(Lam(e.name, relabel(body_core, COM), label=lab), bound_core, label=lab)
-    if isinstance(body_core, Each) and is_effect_free(body_core.eff):
-        inner = App(Lam(e.name, relabel(body_core.eff, COM), label=SRC),
-                    relabel(bound_core, SRC), label=SRC)
-        return Each(inner, label=SRC)
-    raise LetTooEffectful(
-        f"{e.pos[0]}:{e.pos[1]}: let continuation uses more than one effect "
-        "mark; rewrite with nested marks (f(g(x)!)! style)"
-    )
+    p = _Parser(tokenize(text), sig, target=True)
+    e = p.parse_expr()
+    p.finish()
+    return e
 
 
 def parse_and_elaborate(text: str) -> tuple[Signature, Term]:
-    """Convenience wrapper: parse a program and elaborate its body."""
+    """Convenience wrapper: the signature and Src body of a program."""
     return elaborate(parse(text))

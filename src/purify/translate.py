@@ -58,15 +58,15 @@ def smart_join(e: Term) -> Term:
     return Join(e, label=TGT)
 
 
-def opt_translate(e: Term, fresh: FreshNames | None = None) -> Term:
+def opt_translate(e: Term) -> Term:
     """The optimizing one-pass translation from source to target."""
-    fresh = fresh or FreshNames()
+    fresh = FreshNames()
     return _translate(e, lambda f, a: smart_ap(f, a, fresh), smart_join, fresh)
 
 
-def naive_translate(e: Term, fresh: FreshNames | None = None) -> Term:
+def naive_translate(e: Term) -> Term:
     """Same equations as opt_translate but with raw constructors."""
-    return _translate(e, Ap, Join, fresh or FreshNames())
+    return _translate(e, Ap, Join, FreshNames())
 
 
 def _translate(
@@ -105,7 +105,7 @@ def _translate(
 # Sequential (do-notation) baseline
 # ---------------------------------------------------------------------------
 
-def seq_translate(e: Term, fresh: FreshNames | None = None) -> Term:
+def seq_translate(e: Term) -> Term:
     """Fully sequential translation: one left-to-right chain of binds.
 
     The term is linearized into do-notation bindings, one per effect mark in
@@ -115,7 +115,7 @@ def seq_translate(e: Term, fresh: FreshNames | None = None) -> Term:
     this baseline from the common-fragment lambdas of the main translation.
     The output contains no Ap node.
     """
-    fresh = fresh or FreshNames()
+    fresh = FreshNames()
     bindings: list[tuple[str, Term]] = []
 
     def compile_(t: Term) -> Term:

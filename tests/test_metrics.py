@@ -62,16 +62,6 @@ def test_two_chain_program_metrics(two_chains):
     assert (span(seq, sig), work(seq, sig)) == (4, 4)
 
 
-def test_span_without_signature_counts_marks_only(two_fetches):
-    sig, body = two_fetches
-    assert span(body) == 1 and work(body) == 2
-    out = opt_translate(body)
-    typecheck(out, TGT, TypeEnv(sig))
-    # without the signature, embedded target calls are invisible
-    assert span(out) == 0 and work(out) == 0
-    assert span(out, sig) == 1
-
-
 def test_span_le_work_generated(sig):
     for label in (SRC, TGT):
         for i in range(300):

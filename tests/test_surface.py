@@ -245,3 +245,89 @@ def test_parse_target_rejects_marks_and_lets():
         parse_target_expr("x!", sig)
     with pytest.raises(ParseError):
         parse_target_expr('let x = "a" in x', sig)
+
+
+# ---------------------------------------------------------------------------
+# Diagnostics: one error per program, with its exact message
+# ---------------------------------------------------------------------------
+
+_F = "effect f : Str -> Eff Str\n"
+
+SOURCE_DIAGNOSTICS = [
+    ("purify { ghost }", UnboundName, "1:10: unbound name 'ghost'"),
+    ('purify { "a" ++ "b" }', UnboundName, "1:14: unbound name 'concat'"),
+    (_F + "purify { fun x -> f(x)! }", MarkUnderLambda,
+     "2:23: effect mark '!' under a lambda; lambda bodies are pure"),
+    (_F + 'purify { let x = f("a")! in x }', LetTooEffectful,
+     "2:10: bound expression of let has effect marks; "
+     "rewrite with nested marks, e.g. f(g(x)!)!"),
+    (_F + 'purify { let x = "a" in (f(x)!, f(x)!) }', LetTooEffectful,
+     "2:10: let continuation uses more than one effect mark; "
+     "rewrite with nested marks (f(g(x)!)! style)"),
+    ("purify { (fun x -> x : Str) }", ParseError, "1:22: expected an arrow type annotation"),
+    ("purify { $x }", ParseError, "1:10: expected identifier (prefix '$' is reserved)"),
+    ("prim $a : Str\npurify { () }", ParseError,
+     "1:6: expected identifier (prefix '$' is reserved)"),
+    ("purify { fun $x -> () }", ParseError,
+     "1:14: expected identifier (prefix '$' is reserved)"),
+]
+
+TARGET_DIAGNOSTICS = [
+    ("ghost", UnboundName, "1:1: unbound name 'ghost'"),
+    ("pure (pure ())", ParseError,
+     "1:7: expected a pure expression (combinator in common position)"),
+    ("pure (fun x -> map x x)", ParseError,
+     "1:16: expected a pure expression (combinator in common position)"),
+    ("map (fun x -> x : Str) (pure ())", ParseError, "1:17: expected an arrow type annotation"),
+    ("x!", ParseError, "1:2: expected no effect mark in target terms"),
+    ("fun x -> fetch(x)!", ParseError, "1:18: expected no effect mark in target terms"),
+    ('let x = "a" in x', ParseError, "1:1: expected no let in target terms"),
+]
+
+
+@pytest.mark.parametrize("text, error, message", SOURCE_DIAGNOSTICS)
+def test_source_diagnostic_messages(text, error, message):
+    with pytest.raises(error) as ei:
+        parse_and_elaborate(text)
+    assert str(ei.value) == message
+
+
+@pytest.mark.parametrize("text, error, message", TARGET_DIAGNOSTICS)
+def test_target_diagnostic_messages(text, error, message):
+    with pytest.raises(error) as ei:
+        parse_target_expr(text, default_signature())
+    assert str(ei.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("purify { (ghost }", "1:17: expected ')' (found '}')"),
+    ("purify { (fun x -> ghost!, }", "1:28: expected an expression (found '}')"),
+    (_F + 'purify { let x = f("a")! in (x }', "2:32: expected ')' (found '}')"),
+    ("effect e : Str\npurify { ( }", "2:12: expected an expression (found '}')"),
+])
+def test_syntax_error_wins_over_elaboration_errors(text, message):
+    with pytest.raises(ParseError) as ei:
+        parse_and_elaborate(text)
+    assert str(ei.value) == message
+
+
+def test_syntax_error_wins_in_target_terms():
+    with pytest.raises(ParseError) as ei:
+        parse_target_expr("map (pure (pure ghost)) (", default_signature())
+    assert str(ei.value) == "1:26: expected an expression (found 'end of input')"
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("purify { fun x -> y! }", UnboundName, "1:19: unbound name 'y'"),
+    ('purify { ghost ++ "b" }', UnboundName, "1:10: unbound name 'ghost'"),
+    (_F + 'purify { let x = g("a")! in x }', UnboundName, "2:18: unbound name 'g'"),
+    (_F + 'purify { let x = f("a")! in ghost }', LetTooEffectful,
+     "2:10: bound expression of let has effect marks; "
+     "rewrite with nested marks, e.g. f(g(x)!)!"),
+    (_F + "purify { (fun x -> f(x)!, ghost) }", MarkUnderLambda,
+     "2:24: effect mark '!' under a lambda; lambda bodies are pure"),
+])
+def test_first_elaboration_error_in_source_order_wins(text, error, message):
+    with pytest.raises(error) as ei:
+        parse_and_elaborate(text)
+    assert str(ei.value) == message

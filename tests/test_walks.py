@@ -47,9 +47,22 @@ def _ref_runs_effect(t: Term, nargs: int, sig) -> bool:
 
 
 def _ref_weight(t: Term, sig) -> int:
-    if sig is None or t.label is not TGT:
+    if t.label is not TGT:
         return 0
     return int(_ref_runs_effect(t, 0, sig))
+
+
+def _ref_prim_call(t: Term, sig) -> bool:
+    """``t`` (under Each), or the action it returns (under Join), calls a
+    ``prim`` constant, whose action runs no effect."""
+    if isinstance(t, (App, Ap, Map)):
+        return _ref_prim_call(t.fun, sig)
+    if isinstance(t, Pure):
+        return _ref_prim_call(t.inner, sig)
+    if isinstance(t, Lam) and t.body.label is COM:
+        return _ref_prim_call(t.body, sig)
+    decl = sig.lookup(t.name) if isinstance(t, Const) else None
+    return decl is not None and not decl.effectful
 
 
 def _ref_measure(e: Term, sig, combine) -> int:
@@ -68,7 +81,7 @@ def _ref_measure(e: Term, sig, combine) -> int:
             case Prd(a, b) | Ap(a, b) | Map(a, b):
                 return combine(go(a), go(b))
             case Each(x):
-                return 1 + go(x)
+                return (not _ref_prim_call(x, sig)) + go(x)
             case Join(x):
                 if (
                     isinstance(x, Map)
@@ -76,7 +89,7 @@ def _ref_measure(e: Term, sig, combine) -> int:
                     and x.fun.body.label is TGT
                 ):
                     return go(x.arg) + go(x.fun.body)
-                return 1 + go(x)
+                return (not _ref_prim_call(x, sig)) + go(x)
         raise PurifyError(f"unknown term former {type(t).__name__}")
 
     return go(e)
@@ -120,9 +133,8 @@ def test_span_work_equal_recursive_reference():
     sig = default_signature()
     seen = let_redexes = 0
     for t in _generated(sig):
-        for s in (sig, None):
-            assert span(t, s) == _ref_measure(t, s, max), t
-            assert work(t, s) == _ref_measure(t, s, lambda a, b: a + b), t
+        assert span(t, sig) == _ref_measure(t, sig, max), t
+        assert work(t, sig) == _ref_measure(t, sig, lambda a, b: a + b), t
         nodes = list(subterms(t))
         assert len(nodes) == size(t)
         assert all(a is b for a, b in zip(nodes, _ref_preorder(t)))
@@ -279,13 +291,21 @@ LET_BOUND_EFFECTS = [
     '(let f = fetch in f("a")!) ++ (let f = fetch in f("b")!)',
     'let g = (fun x -> fetch(x) : Str -> Eff Str) in g("u")!',
 ]
+# a mark on a pure constant's action runs no effect
+PRIM_MARKS = [
+    '(fetch("a")!, k!)',
+    'p("a")!',
+    'p(fetch("a")!)!',
+    'let y = "b" in p(y)!',
+]
 
 
-@pytest.mark.parametrize("program", LET_BOUND_EFFECTS)
+@pytest.mark.parametrize("program", LET_BOUND_EFFECTS + PRIM_MARKS)
 def test_let_bound_effects_cost_what_their_trace_runs(program):
     # a let-bound parameter applied to arguments stands for what it is bound to
     sig, body = parse_and_elaborate(
         "effect fetch : Str -> Eff Str\nprim concat : Str -> Str -> Str\n"
+        "prim k : Eff Str\nprim p : Str -> Eff Str\n"
         f"purify {{ {program} }}"
     )
     env = TypeEnv(sig)
@@ -300,3 +320,15 @@ def test_let_bound_effects_cost_what_their_trace_runs(program):
         d = evaluate(t, lab, m, consts)
         d = d if lab is SRC else d.action
         assert (span(t, sig), work(t, sig)) == (dyn_span(d), dyn_work(d)), pretty(t)
+
+
+@pytest.mark.parametrize("program", PRIM_MARKS)
+def test_marked_prim_actions_match_the_reference(program):
+    sig, body = parse_and_elaborate(
+        "effect fetch : Str -> Eff Str\nprim k : Eff Str\nprim p : Str -> Eff Str\n"
+        f"purify {{ {program} }}"
+    )
+    opt = opt_translate(body)
+    for t in (body, opt, naive_translate(body), seq_translate(body), normalize(opt)):
+        assert span(t, sig) == _ref_measure(t, sig, max), pretty(t)
+        assert work(t, sig) == _ref_measure(t, sig, lambda a, b: a + b), pretty(t)
