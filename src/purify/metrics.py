@@ -90,15 +90,33 @@ def _prim_call(action: Term, sig: Signature) -> bool:
     """True when ``action`` (under Each), or the action it returns (under
     Join), is a call of a constant the signature declares ``prim``, whose
     action runs no effect: ``p(x)``, ``(fun y -> p(y))(x)``, ``pure (p x)``,
-    ``ap (pure p) a`` or ``map (fun y -> p(y)) a``."""
+    ``ap (pure p) a`` or ``map (fun y -> p(y)) a``.  As in ``_saturated``, a
+    lambda's parameter stands for its argument (an ``ap``'s or ``map``'s when
+    that is a ``pure``), so ``let a = k in a!`` runs no effect either."""
+    todo: list = []  # arguments still to apply, next one last; None if unknown
+    scope = None  # [param, (arg, its scope) or None, outer, followed]
     while True:
         k = type(action)
-        if k is App or k is Ap or k is Map:
+        if k is App:
+            todo.append((action.arg, scope))
+            action = action.fun
+        elif k is Ap or k is Map:
+            a = action.arg
+            todo.append((a.inner, scope) if type(a) is Pure else None)
             action = action.fun
         elif k is Pure:
             action = action.inner
         elif k is Lam and action.body.label is COM:
+            scope = [action.param, todo.pop() if todo else None, scope, False]
             action = action.body
+        elif k is Var:
+            b = scope
+            while b is not None and b[0] != action.name:
+                b = b[2]
+            if b is None or b[1] is None or b[3]:
+                return False
+            b[3] = True
+            action, scope = b[1]
         else:
             break
     decl = sig.lookup(action.name) if k is Const else None

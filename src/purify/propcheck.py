@@ -23,8 +23,8 @@ from .semantics import (
 from .terms import (
     App, Ap, Arrow, COM, Const, ConstDecl, ConstKind, Each, Eff, Fst, Join,
     Label, Lam, Lit, Map, Prd, Prod, Pure, PurifyError, SRC, STR, Signature,
-    Snd, TGT, Term, Ty, UNIT, Unt, Var, is_effect_free, relabel, size,
-    subterms,
+    Snd, Str, TGT, Term, Ty, UNIT, Unit, Unt, Var, is_effect_free, relabel,
+    size, subterms,
 )
 from .translate import normalize, opt_translate, seq_translate, smart_ap, smart_join
 
@@ -114,32 +114,33 @@ class _Gen:
     # -- minimal terms ---------------------------------------------------
 
     def minimal(self, t: Ty, lab: Label, env: dict[str, Ty]) -> Term:
-        match t:
-            case _ if t == UNIT:
-                return Unt(label=lab)
-            case _ if t == STR:
-                return Lit("s", label=lab)
-            case Prod(a, b):
-                return Prd(self.minimal(a, lab, env), self.minimal(b, lab, env), label=lab)
-            case Arrow(d, c):
-                try:
-                    x = self.fresh_var()
-                    body = self.minimal(c, COM, {**env, x: d})
-                    return Lam(x, body, d, label=lab)
-                except Unsatisfiable:
-                    named = self._consts_of(t)
-                    if named:
-                        return Const(named[0], label=lab)
-                    raise
-            case Eff(inner):
-                if lab is TGT:
-                    return Pure(self.minimal(inner, COM, env), label=TGT)
-                if lab is SRC:
-                    return self.effect_call(inner, SRC, env, depth=1)
+        k = type(t)
+        if k is Unit:
+            return Unt(label=lab)
+        if k is Str:
+            return Lit("s", label=lab)
+        if k is Prod:
+            return Prd(self.minimal(t.left, lab, env), self.minimal(t.right, lab, env),
+                       label=lab)
+        if k is Arrow:
+            try:
+                x = self.fresh_var()
+                body = self.minimal(t.cod, COM, {**env, x: t.dom})
+                return Lam(x, body, t.dom, label=lab)
+            except Unsatisfiable:
                 named = self._consts_of(t)
                 if named:
-                    return Const(named[0], label=COM)
-                raise Unsatisfiable(f"no common term of type Eff {inner!r}")
+                    return Const(named[0], label=lab)
+                raise
+        if k is Eff:
+            if lab is TGT:
+                return Pure(self.minimal(t.inner, COM, env), label=TGT)
+            if lab is SRC:
+                return self.effect_call(t.inner, SRC, env, depth=1)
+            named = self._consts_of(t)
+            if named:
+                return Const(named[0], label=COM)
+            raise Unsatisfiable(f"no common term of type Eff {t.inner!r}")
         raise Unsatisfiable(f"no minimal term of type {t!r}")
 
     def effect_call(self, inner: Ty, lab: Label, env: dict[str, Ty], depth: int) -> Term:
@@ -172,8 +173,9 @@ class _Gen:
             return self.gen_eff(t, lab, env, depth, allow_effect_values)
         if depth <= 1:
             return self.gen_leaf(t, lab, env)
-        # leaf-heavy near the bottom, effect-heavy higher up (keeps the
-        # median source span in the 1..4 band at depth 5)
+        # leaf-heavy near the bottom, effect-heavy higher up.  Over 3,000
+        # source terms the median span is 1 at depth 5 (max 2, and about 930
+        # terms run no effect); the max is 3 at depth 6
         leaf_p = 0.4 if depth <= 2 else 0.15
         if self.rng.random() < leaf_p:
             return self.gen_leaf(t, lab, env)
@@ -181,7 +183,7 @@ class _Gen:
 
     def gen_leaf(self, t: Ty, lab: Label, env: dict[str, Ty]) -> Term:
         opts: list[Callable[[], Term]] = []
-        vars_ = [n for n, vt in env.items() if vt == t]
+        vars_ = [n for n, vt in env.items() if vt is t]
         if vars_:
             opts.append(lambda: Var(self.rng.choice(vars_), label=lab))
         # an unapplied effectful constant is an ordinary function/action value;
@@ -189,9 +191,9 @@ class _Gen:
         consts = self._consts_of(t)
         if consts:
             opts.append(lambda: Const(self.rng.choice(consts), label=lab))
-        if t == UNIT:
+        if t is UNIT:
             opts.append(lambda: Unt(label=lab))
-        if t == STR:
+        if t is STR:
             opts.append(lambda: Lit(self.rng.choice(_WORDS), label=lab))
         if not opts:
             return self.minimal(t, lab, env)
@@ -226,7 +228,7 @@ class _Gen:
             s = self.small_type()
             pair_ty = Prod(t, s) if self.rng.random() < 0.5 else Prod(s, t)
             p = self.gen(pair_ty, lab, env, depth - 1)
-            if pair_ty.left == t:
+            if pair_ty.left is t:
                 return Fst(p, label=lab)
             return Snd(p, label=lab)
 
@@ -244,7 +246,8 @@ class _Gen:
             opts.append((1.2, pure_call))
 
         if lab is SRC and self._effect_decls_for(t):
-            # weighted so that depth-5 source terms land at median span 1..4
+            # the heaviest option: about two in three depth-5 source terms
+            # run an effect
             opts.append((5.0, lambda: Each(
                 self.effect_call(t, SRC, env, depth - 1), label=SRC)))
 
@@ -320,7 +323,7 @@ class _Gen:
     def _weighted(self, opts: list[tuple[float, Callable[[], Term]]]) -> Term:
         """Pick by weight; fall back to remaining options when one cannot be
         satisfied within the depth budget."""
-        remaining = list(opts)
+        remaining = opts
         while remaining:
             total = sum(w for w, _ in remaining)
             r = self.rng.random() * total
@@ -330,11 +333,10 @@ class _Gen:
                 if r <= 0:
                     idx = i
                     break
-            _, chosen = remaining.pop(idx)
             try:
-                return chosen()
+                return remaining[idx][1]()
             except Unsatisfiable:
-                continue
+                remaining = remaining[:idx] + remaining[idx + 1:]
         raise Unsatisfiable("no constructor applies at this goal within depth")
 
 
@@ -498,8 +500,15 @@ def _gen_action(sub: GenConfig, i: int) -> Term:
 # Checks also run on shrink candidates, so a check returns None for a shape
 # it does not test.
 
+def _term_ty(c: _Ctx, term: Term, label: Label) -> Ty:
+    """A suite term's type at ``label``.  The generators and ``shrink``
+    typecheck every term at its suite's label first, so this reads the
+    stamp; a term built by hand and never checked is checked here."""
+    return term.ty if term.ty is not None else typecheck(term, label, c.env_t)
+
+
 def _check_types(c: _Ctx, term: Term) -> Optional[str]:
-    src_ty = typecheck(term, SRC, c.env_t)
+    src_ty = _term_ty(c, term, SRC)
     out = opt_translate(term)
     out_ty = typecheck(out, TGT, c.env_t)
     if out_ty != Eff(src_ty):
@@ -508,7 +517,7 @@ def _check_types(c: _Ctx, term: Term) -> Optional[str]:
 
 
 def _check_semantics(c: _Ctx, term: Term) -> Optional[str]:
-    src_ty = typecheck(term, SRC, c.env_t)
+    src_ty = _term_ty(c, term, SRC)
     out = opt_translate(term)
     typecheck(out, TGT, c.env_t)
     a_src = evaluate(term, SRC, REIFIED, c.consts)
@@ -520,7 +529,7 @@ def _check_semantics(c: _Ctx, term: Term) -> Optional[str]:
 
 
 def _check_span_work(c: _Ctx, term: Term) -> Optional[str]:
-    typecheck(term, SRC, c.env_t)
+    _term_ty(c, term, SRC)
     out = opt_translate(term)
     s0, w0 = span(term, c.sig), work(term, c.sig)
     s1, w1 = span(out, c.sig), work(out, c.sig)
@@ -537,8 +546,8 @@ def _check_smart_ctors(c: _Ctx, term: Term) -> Optional[str]:
         opt, kind = smart_join(term.nested), "JOIN"
     else:
         return None
+    ty = _term_ty(c, term, TGT)
     typecheck(opt, TGT, c.env_t)
-    ty = typecheck(term, TGT, c.env_t)
     if span(opt, c.sig) > span(term, c.sig) or work(opt, c.sig) > work(term, c.sig):
         return f"smart {kind} increased span/work"
     a = _as_action(evaluate(opt, TGT, REIFIED, c.consts))
@@ -550,7 +559,7 @@ def _check_smart_ctors(c: _Ctx, term: Term) -> Optional[str]:
 
 
 def _check_relabel(c: _Ctx, term: Term) -> Optional[str]:
-    ty = typecheck(term, COM, c.env_t)
+    ty = _term_ty(c, term, COM)
     if span(term, c.sig) != 0 or work(term, c.sig) != 0:
         return "common term has nonzero span/work"
     out = relabel(term, TGT)
@@ -566,7 +575,7 @@ def _check_relabel(c: _Ctx, term: Term) -> Optional[str]:
 
 
 def _check_effect_free(c: _Ctx, term: Term) -> Optional[str]:
-    typecheck(term, COM, c.env_t)
+    _term_ty(c, term, COM)
     if not is_effect_free(term):
         return "common term contains Each/Join"
     if span(term, c.sig) != 0 or work(term, c.sig) != 0:
@@ -577,7 +586,7 @@ def _check_effect_free(c: _Ctx, term: Term) -> Optional[str]:
 def _check_normalize(c: _Ctx, term: Term) -> Optional[str]:
     """The normal form keeps type and meaning, its static span/work do not
     grow, and they equal the span/work of its trace."""
-    ty = typecheck(term, TGT, c.env_t)
+    ty = _term_ty(c, term, TGT)
     out = normalize(term)
     typecheck(out, TGT, c.env_t)
     s_out, w_out = span(out, c.sig), work(out, c.sig)
@@ -599,7 +608,7 @@ def _check_normalize(c: _Ctx, term: Term) -> Optional[str]:
 
 
 def _check_baseline(c: _Ctx, term: Term) -> Optional[str]:
-    src_ty = typecheck(term, SRC, c.env_t)
+    src_ty = _term_ty(c, term, SRC)
     out = seq_translate(term)
     typecheck(out, TGT, c.env_t)
     a_src = evaluate(term, SRC, REIFIED, c.consts)

@@ -4,6 +4,9 @@ Every AST node carries a fragment label (source / target / common) and an
 optional type stamp that the checker fills in.  Terms are plain dataclasses;
 all operations in this module build fresh trees and never mutate their
 arguments (the ``ty`` stamp is a write-once annotation, not part of equality).
+Types are hash-consed (Filliatre & Conchon, ML 2006): each distinct type is
+one shared immutable object, so comparing or hashing two types is a pointer
+test.
 """
 
 from __future__ import annotations
@@ -28,39 +31,56 @@ class NotCommon(PurifyError):
 # ---------------------------------------------------------------------------
 
 class Ty:
-    """Guest type; one of Unit, Str, Prod, Arrow, Eff."""
+    """Guest type; one of Unit, Str, Prod, Arrow, Eff.  Hash-consed and
+    immutable: equal types are one object, so ``==`` and ``hash`` are the
+    identity defaults, and a copy or an unpickled type is that object."""
 
     __slots__ = ()
+    _interned: dict[tuple, Ty] = {}  # (class, *fields) -> the type
+
+    def __new__(cls, *fields: Ty) -> Ty:
+        key = (cls, *fields)
+        t = Ty._interned.get(key)
+        if t is None:
+            if len(fields) != len(cls.__slots__):
+                raise TypeError(f"{cls.__name__} takes {len(cls.__slots__)} fields")
+            t = object.__new__(cls)
+            for name, value in zip(cls.__slots__, fields):
+                object.__setattr__(t, name, value)
+            # one atomic insert, so threads that race here still share one object
+            t = Ty._interned.setdefault(key, t)
+        return t
+
+    def __setattr__(self, name: str, *_: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return type_name(self)
 
 
-@dataclass(frozen=True, repr=False)
 class Unit(Ty):
-    pass
+    __slots__ = __match_args__ = ()
 
 
-@dataclass(frozen=True, repr=False)
 class Str(Ty):
-    pass
+    __slots__ = __match_args__ = ()
 
 
-@dataclass(frozen=True, repr=False)
 class Prod(Ty):
-    left: Ty
-    right: Ty
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True, repr=False)
 class Arrow(Ty):
-    dom: Ty
-    cod: Ty
+    __slots__ = __match_args__ = ("dom", "cod")
 
 
-@dataclass(frozen=True, repr=False)
 class Eff(Ty):
-    inner: Ty
+    __slots__ = __match_args__ = ("inner",)
 
 
 UNIT = Unit()
@@ -69,23 +89,16 @@ STR = Str()
 
 def type_name(t: Ty) -> str:
     """Concrete-syntax rendering of a type (re-parseable)."""
-    match t:
-        case Unit():
-            return "Unit"
-        case Str():
-            return "Str"
-        case Prod(left, right):
-            return f"({type_name(left)}, {type_name(right)})"
-        case Arrow(dom, cod):
-            dom_s = type_name(dom)
-            if isinstance(dom, Arrow) or isinstance(dom, Eff):
-                dom_s = f"({dom_s})"
-            return f"{dom_s} -> {type_name(cod)}"
-        case Eff(inner):
-            inner_s = type_name(inner)
-            if isinstance(inner, (Arrow, Eff)):
-                inner_s = f"({inner_s})"
-            return f"Eff {inner_s}"
+    k = type(t)
+    if k is Unit or k is Str:
+        return k.__name__
+    if k is Prod:
+        return f"({type_name(t.left)}, {type_name(t.right)})"
+    if k is Arrow or k is Eff:
+        # a function or action type inside another one is parenthesized
+        part = t.dom if k is Arrow else t.inner
+        s = f"({type_name(part)})" if type(part) in (Arrow, Eff) else type_name(part)
+        return f"{s} -> {type_name(t.cod)}" if k is Arrow else f"Eff {s}"
     raise PurifyError(f"unknown type {t!r}")
 
 

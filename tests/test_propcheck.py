@@ -319,3 +319,15 @@ def test_each_check_evaluates_each_side_once(monkeypatch, suite):
     monkeypatch.setitem(propcheck._TERM_SUITES, suite, (label, generate, counted))
     rep = run_suite(suite, GenConfig(max_depth=5, seed=17), 40)
     assert rep.all_passed and per_check and set(per_check) == {2}
+
+
+def test_types_suite_typechecks_each_term_once(monkeypatch):
+    """The generator checks the source term; the suite's check reads its
+    stamp and typechecks only the translation."""
+    labels = []
+    typecheck = propcheck.typecheck
+    monkeypatch.setattr(propcheck, "typecheck",
+                        lambda t, lab, env: labels.append(lab) or typecheck(t, lab, env))
+    rep = run_suite("types", GenConfig(max_depth=6, seed=31), 50)
+    assert rep.all_passed and rep.passes == 50
+    assert labels == [SRC, TGT] * 50

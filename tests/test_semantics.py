@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from purify import propcheck
@@ -151,6 +153,17 @@ def test_signature_mismatch():
     env = make_const_env(Signature(), m)
     with pytest.raises(SignatureMismatch):
         evaluate(Const("ghost", label=COM), COM, m, env)
+
+
+def test_values_compare_by_content():
+    assert VStr("a") == VStr("a") and hash(VStr("a")) == hash(VStr("a"))
+    assert VStr("a") != VStr("b") and VStr("a") != VUNIT and VUnit() == VUNIT
+    pair = VPair(VStr("a"), VPair(VUNIT, VStr("b")))
+    assert pair == VPair(VStr("a"), VPair(VUnit(), VStr("b")))
+    assert hash(pair) == hash(VPair(VStr("a"), VPair(VUnit(), VStr("b"))))
+    assert pair != VPair(VPair(VUNIT, VStr("b")), VStr("a"))
+    assert len({VStr("a"), VStr("a"), VUNIT, VUnit(), pair}) == 3
+    assert not any(dataclasses.is_dataclass(k) for k in (VUnit, VStr, VPair))
 
 
 def test_base_value_eq():

@@ -1,11 +1,18 @@
+import copy
+import dataclasses
+import pickle
+import sys
+import threading
+
 from purify.check import TypeEnv, typecheck
 from purify.pretty import pretty
 from purify.propcheck import GenConfig, default_signature, gen_term
 from purify.semantics import evaluate, make_const_env, trace_monad
+from purify.surface import parse_and_elaborate
 from purify.terms import (
-    App, COM, Const, Each, Fst, Lam, Lit, NotCommon, Prd, Pure, PurifyError, SRC,
-    TGT, Term, Unt, Var, alpha_eq, erase_labels, is_effect_free, relabel,
-    replace_children, size, subterms,
+    App, Arrow, COM, Const, Each, Eff, Fst, Lam, Lit, NotCommon, Prd, Prod, Pure,
+    PurifyError, SRC, STR, Str, TGT, Term, Ty, UNIT, Unit, Unt, Var, alpha_eq,
+    erase_labels, is_effect_free, relabel, replace_children, size, subterms,
 )
 from purify.translate import naive_translate, opt_translate, seq_translate
 
@@ -171,3 +178,86 @@ def test_unknown_node_kind_is_a_diagnostic():
                 pytest.fail(f"{name} accepted an unknown node kind")
     with pytest.raises(PurifyError):
         replace_children(alien, ())
+
+
+# ---------------------------------------------------------------------------
+# Hash-consed types
+# ---------------------------------------------------------------------------
+
+TYPES = [UNIT, STR, Prod(STR, UNIT), Arrow(Prod(STR, STR), Eff(STR)),
+         Eff(Eff(Arrow(STR, UNIT)))]
+
+
+def test_equal_types_are_one_object():
+    assert Unit() is UNIT and Str() is STR
+    assert Prod(STR, STR) is Prod(STR, STR)
+    assert Arrow(STR, Eff(UNIT)) is Arrow(Str(), Eff(Unit()))
+    assert Prod(STR, UNIT) is not Prod(UNIT, STR) and Eff(STR) != Eff(UNIT)
+    assert len({Prod(STR, STR), Prod(STR, STR), Prod(STR, UNIT)}) == 2
+
+
+def test_parsed_types_are_the_built_ones():
+    sig, _ = parse_and_elaborate(
+        "effect f : (Str, Unit) -> Eff (Str -> Str)\nprim k : Eff Str\npurify { () }"
+    )
+    assert sig.lookup("f").ty is Arrow(Prod(STR, UNIT), Eff(Arrow(STR, STR)))
+    assert sig.lookup("k").ty is Eff(STR)
+    typed = parse_and_elaborate("purify { (fun x -> x : Str -> Str) }")[1]
+    assert typed.param_ty is STR
+    assert typecheck(typed, SRC, TypeEnv(sig)) is Arrow(STR, STR)
+
+
+@pytest.mark.parametrize("ty", TYPES, ids=repr)
+def test_copies_of_a_type_are_the_type(ty):
+    assert copy.copy(ty) is ty
+    assert copy.deepcopy(ty) is ty
+    assert copy.deepcopy({"t": [ty]})["t"][0] is ty
+    assert pickle.loads(pickle.dumps(ty)) is ty
+
+
+@pytest.mark.parametrize("ty", TYPES, ids=repr)
+def test_types_are_immutable(ty):
+    for name in ty.__slots__ + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(ty, name, STR)
+    for name in ty.__slots__:
+        with pytest.raises(AttributeError):
+            delattr(ty, name)
+        assert getattr(ty, name) is not None
+
+
+def test_types_match_by_field():
+    match Arrow(Prod(STR, UNIT), Eff(STR)):
+        case Arrow(Prod(a, b), Eff(c)):
+            assert (a, b, c) == (STR, UNIT, STR)
+        case _:
+            pytest.fail("class patterns do not bind the fields")
+    with pytest.raises(TypeError):
+        Prod(STR)
+
+
+def test_threads_interning_one_type_share_it():
+    def chain(out):
+        t = Prod(UNIT, Arrow(UNIT, UNIT))  # a base no other test builds
+        for _ in range(2000):
+            t = Eff(Arrow(STR, t))
+            out.append(t)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        outs = [[] for _ in range(4)]
+        threads = [threading.Thread(target=chain, args=(o,)) for o in outs]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(len(o) == 2000 for o in outs)
+    assert all(a is b for o in outs[1:] for a, b in zip(outs[0], o))
+
+
+def test_no_type_is_a_dataclass():
+    assert not any(dataclasses.is_dataclass(k) for k in (Ty, Unit, Str, Prod, Arrow, Eff))

@@ -298,9 +298,15 @@ PRIM_MARKS = [
     'p(fetch("a")!)!',
     'let y = "b" in p(y)!',
 ]
+# a let-bound parameter stands for the prim action or function it is bound to
+LET_BOUND_PRIM_MARKS = [
+    'let a = k in a!',
+    'let q = p in q("a")!',
+    '(let a = k in a!, fetch("b")!)',
+]
 
 
-@pytest.mark.parametrize("program", LET_BOUND_EFFECTS + PRIM_MARKS)
+@pytest.mark.parametrize("program", LET_BOUND_EFFECTS + PRIM_MARKS + LET_BOUND_PRIM_MARKS)
 def test_let_bound_effects_cost_what_their_trace_runs(program):
     # a let-bound parameter applied to arguments stands for what it is bound to
     sig, body = parse_and_elaborate(
