@@ -14,8 +14,6 @@ Any other lambda must carry a ``param_ty`` annotation (surface syntax
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .terms import (
     App, Ap, Arrow, COM, Const, Each, Eff, Fst, Join, Label, Lam, Lit, Map,
     Prd, Prod, Pure, PurifyError, SRC, Signature, Snd, STR, TGT, Term, Ty,
@@ -47,12 +45,13 @@ class AnnotationNeeded(TypeCheckError):
     pass
 
 
-@dataclass
 class TypeEnv:
     """Scope-ordered variable typing plus the constant signature."""
 
-    sig: Signature
-    vars: dict[str, Ty] = field(default_factory=dict)
+    __slots__ = ("sig", "vars")
+
+    def __init__(self, sig: Signature, vars: dict[str, Ty] | None = None):
+        self.sig, self.vars = sig, {} if vars is None else vars
 
     def bind(self, name: str, ty: Ty) -> "TypeEnv":
         new = dict(self.vars)

@@ -27,7 +27,6 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import deque
-from dataclasses import dataclass
 
 from .terms import (
     App, Ap, COM, Const, Each, Fst, Join, Lam, Lit, Map, Prd, Pure, PurifyError,
@@ -211,49 +210,47 @@ def work(e: Term, signature: Signature) -> int:
 # ---------------------------------------------------------------------------
 # Series-parallel traces
 # ---------------------------------------------------------------------------
-# Not frozen: one node is built per compose, and a frozen dataclass's
-# __init__ costs about three times as much.  Nothing mutates a trace.
+# Nothing mutates a trace, yet its nodes are not frozen: one is built per
+# compose, and an __init__ that goes round __setattr__ costs about 3x more.
 
-@dataclass(slots=True, eq=False)
 class Leaf:
     """One executed effect occurrence."""
 
-    effect: str
-    arg: str
-    span = 1
-    work = 1
+    __slots__ = ("effect", "arg")
+    span = work = 1
+
+    def __init__(self, effect: str, arg: str):
+        self.effect, self.arg = effect, arg
 
 
-@dataclass(slots=True, eq=False)
 class Seq:
     """``second`` waits for every effect of ``first``."""
 
-    first: Trace
-    second: Trace
-    span: int
-    work: int
+    __slots__ = ("first", "second", "span", "work")
+
+    def __init__(self, first: Trace, second: Trace, span: int, work: int):
+        self.first, self.second = first, second
+        self.span, self.work = span, work
 
 
-@dataclass(slots=True, eq=False)
 class Par:
     """``first`` and ``second`` run independently."""
 
-    first: Trace
-    second: Trace
-    span: int
-    work: int
+    __slots__ = ("first", "second", "span", "work")
+    __init__ = Seq.__init__
 
 
 Trace = Leaf | Seq | Par
 
 
-@dataclass(slots=True, eq=False)
 class TraceDag:
     """An action of the trace monad: the trace of its effects (``None`` when
     it has none) and its result.  Compare traces with ``dag_iso``."""
 
-    tree: Trace | None
-    result: object
+    __slots__ = ("tree", "result")
+
+    def __init__(self, tree: Trace | None, result: object):
+        self.tree, self.result = tree, result
 
     @property
     def nodes(self) -> tuple[Leaf, ...]:

@@ -10,7 +10,6 @@ payloads at target.  Failures are minimized by greedy subterm shrinking.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .check import TypeEnv, typecheck
@@ -33,13 +32,13 @@ class Unsatisfiable(PurifyError):
     """No term of the requested type exists within the depth budget."""
 
 
-@dataclass
 class GenConfig:
-    max_depth: int = 5
-    seed: int = 0
-    signature: Optional[Signature] = None
-    label: Label = SRC
-    goal_type: Optional[Ty] = None
+    __slots__ = ("max_depth", "seed", "signature", "label", "goal_type")
+
+    def __init__(self, max_depth: int = 5, seed: int = 0, signature: Optional[Signature] = None,
+                 label: Label = SRC, goal_type: Optional[Ty] = None):
+        self.max_depth, self.seed, self.signature = max_depth, seed, signature
+        self.label, self.goal_type = label, goal_type
 
     def sig(self) -> Signature:
         return self.signature if self.signature is not None else default_signature()
@@ -412,13 +411,13 @@ def shrink(term: Term, label: Label, sig: Signature,
 # Suites
 # ---------------------------------------------------------------------------
 
-@dataclass
 class SuiteReport:
-    suite: str
-    trials: int
-    passes: int
-    seed: int
-    failures: list[dict] = field(default_factory=list)
+    __slots__ = ("suite", "trials", "passes", "seed", "failures")
+
+    def __init__(self, suite: str, trials: int, passes: int, seed: int,
+                 failures: list[dict] | None = None):
+        self.suite, self.trials, self.passes, self.seed = suite, trials, passes, seed
+        self.failures = [] if failures is None else failures
 
     @property
     def all_passed(self) -> bool:
@@ -445,15 +444,15 @@ def _sub_seed(seed: int, i: int) -> int:
     return seed * 1_000_003 + i
 
 
-@dataclass
 class _Ctx:
     """What a suite check needs besides its term.  Terms are evaluated once,
     under ``REIFIED``, and run under each monad."""
 
-    sig: Signature
-    env_t: TypeEnv
-    monads: dict[str, MonadDict]
-    consts: ConstEnv
+    __slots__ = ("sig", "env_t", "monads", "consts")
+
+    def __init__(self, sig: Signature, env_t: TypeEnv, monads: dict[str, MonadDict],
+                 consts: ConstEnv):
+        self.sig, self.env_t, self.monads, self.consts = sig, env_t, monads, consts
 
     @classmethod
     def of(cls, sig: Signature) -> _Ctx:

@@ -15,7 +15,6 @@ evaluate a term once, under ``REIFIED``, and ``run`` it under each monad.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .metrics import (
@@ -49,8 +48,7 @@ class Value:
         return f"{type(self).__name__}({fields})"
 
 
-# Plain slotted classes, since a dataclass costs about 0.3 ms at import and
-# a frozen one's __init__ about three times a plain one's.
+# Not frozen: an __init__ that goes round __setattr__ costs about 3x more.
 
 class _Data(Value):
     """A first-order value: equal to the values of its class with equal fields."""
@@ -140,7 +138,6 @@ def base_value_eq(a: Value, b: Value) -> bool:
 ValueEq = Callable[[Value, Value], bool]
 
 
-@dataclass
 class MonadDict:
     """Runtime bundle of pure/map/ap/bind plus observational equality.
 
@@ -151,16 +148,16 @@ class MonadDict:
     ``kinds`` the behavior kinds a config may give its effects.
     """
 
-    name: str
-    pure: Callable
-    map: Callable
-    ap: Callable
-    bind: Callable
-    run_eq: Callable
-    sample_action: Callable[[random.Random], object]
-    effect: Callable
-    report: Callable[[object, dict[str, float]], dict]
-    kinds: frozenset[str]
+    __slots__ = ("name", "pure", "map", "ap", "bind", "run_eq", "sample_action",
+                 "effect", "report", "kinds")
+
+    def __init__(self, name: str, pure: Callable, map: Callable, ap: Callable, bind: Callable,
+                 run_eq: Callable, sample_action: Callable[[random.Random], object],
+                 effect: Callable, report: Callable[[object, dict[str, float]], dict],
+                 kinds: frozenset[str]):
+        self.name, self.pure, self.map, self.ap, self.bind = name, pure, map, ap, bind
+        self.run_eq, self.sample_action, self.effect = run_eq, sample_action, effect
+        self.report, self.kinds = report, kinds
 
 
 class _Absent:
@@ -364,9 +361,11 @@ def builtin_monads() -> list[MonadDict]:
 # Constant environments
 # ---------------------------------------------------------------------------
 
-@dataclass
 class ConstEnv:
-    values: dict[str, Value] = field(default_factory=dict)
+    __slots__ = ("values",)
+
+    def __init__(self, values: dict[str, Value] | None = None):
+        self.values = {} if values is None else values
 
     def value(self, name: str) -> Value:
         if name not in self.values:
@@ -722,13 +721,13 @@ def actions_agree(ty, m: MonadDict, a, b) -> bool:
 LAW_NAMES = ("idl", "idr", "asc", "apl", "apr", "aplr", "map_map")
 
 
-@dataclass
 class LawReport:
-    monad: str
-    trials: int
-    seed: int
-    passes: dict[str, int]
-    failures: dict[str, list[str]]
+    __slots__ = ("monad", "trials", "seed", "passes", "failures")
+
+    def __init__(self, monad: str, trials: int, seed: int, passes: dict[str, int],
+                 failures: dict[str, list[str]]):
+        self.monad, self.trials, self.seed = monad, trials, seed
+        self.passes, self.failures = passes, failures
 
     @property
     def all_passed(self) -> bool:

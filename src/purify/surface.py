@@ -14,13 +14,12 @@ resolves names, labels each node from its context and desugars ``let``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .terms import (
     App, Ap, Arrow, COM, Const, ConstDecl, ConstKind, Each, Eff, FRESH_PREFIX,
     Fst, Join, Lam, Lit, Map, Prd, Prod, Pure, PurifyError, SRC, Signature,
-    Snd, STR, TGT, Term, Ty, UNIT, Unt, Var, is_effect_free, relabel,
+    Snd, STR, TGT, Term, Ty, UNIT, Unt, Var, relabel,
 )
 
 KEYWORDS = {
@@ -59,13 +58,14 @@ class LetTooEffectful(PurifyError):
 # Lexer
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Tok:
-    kind: str  # "ident" | "kw" | "string" | punctuation text | "eof"
-    text: str
-    line: int
-    col: int
-    glued: bool  # True when no whitespace separates it from the previous token
+    """``kind`` is "ident", "kw", "string", the punctuation text or "eof";
+    ``glued`` is True when no whitespace separates it from the previous token."""
+
+    __slots__ = ("kind", "text", "line", "col", "glued")
+
+    def __init__(self, kind: str, text: str, line: int, col: int, glued: bool):
+        self.kind, self.text, self.line, self.col, self.glued = kind, text, line, col, glued
 
 
 _PUNCT2 = ("->", "++", ".1", ".2")
@@ -158,10 +158,11 @@ def tokenize(src: str) -> list[Tok]:
 # Parser: tokens -> labelled core terms
 # ---------------------------------------------------------------------------
 
-@dataclass
 class SurfaceProgram:
-    sig: Signature
-    body: Term
+    __slots__ = ("sig", "body")
+
+    def __init__(self, sig: Signature, body: Term):
+        self.sig, self.body = sig, body
 
 
 class _Parser:
@@ -182,6 +183,7 @@ class _Parser:
         self.lab = TGT if target else SRC
         self.scope: frozenset[str] = frozenset()
         self.combinators = 0  # combinator nodes built so far
+        self.marks = 0  # Each nodes built so far, so a let tests its parts in O(1)
         self.error: Optional[PurifyError] = None
 
     def peek(self) -> Tok:
@@ -276,32 +278,34 @@ class _Parser:
             self.next()
             name = self.expect("ident").text
             self.expect("=")
+            marks = self.marks
             bound = self.parse_expr()
-            if not is_effect_free(bound):
+            if self.marks != marks:
                 self.fail(LetTooEffectful(
                     f"{t.line}:{t.col}: bound expression of let has effect marks; "
                     "rewrite with nested marks, e.g. f(g(x)!)!"
                 ))
             self.expect_kw("in")
-            scope, self.scope = self.scope, self.scope | {name}
+            scope, self.scope, marks = self.scope, self.scope | {name}, self.marks
             body = self.parse_expr()
             self.scope = scope
-            return self._let(t, name, bound, body)
+            return self._let(t, name, bound, body, self.marks - marks)
         return self.parse_infix()
 
-    def _let(self, t: Tok, name: str, bound: Term, body: Term) -> Term:
+    def _let(self, t: Tok, name: str, bound: Term, body: Term, marks: int) -> Term:
         """Desugar ``let name = bound in body`` to immediate application.
 
         The bound expression must be effect free.  The continuation either
         has no mark (plain application of a lambda) or is a single mark at
         the root, which commutes out of the fabricated lambda.  Anything
-        else is rejected with a hint to use nested marks instead.
+        else is rejected with a hint to use nested marks instead.  ``marks``
+        counts the Each nodes of ``body`` (a mark rebuilt here replaces one).
         """
         if self.error is not None:
             return body  # the term is discarded; relabel may not apply
-        if is_effect_free(body):
+        if marks == 0:
             return App(Lam(name, relabel(body, COM), label=self.lab), bound, label=self.lab)
-        if type(body) is Each and is_effect_free(body.eff):
+        if type(body) is Each and marks == 1:
             inner = App(Lam(name, relabel(body.eff, COM), label=SRC),
                         relabel(bound, SRC), label=SRC)
             return Each(inner, label=SRC)
@@ -358,6 +362,7 @@ class _Parser:
                         "lambda bodies are pure"
                     ))
                 self.next()
+                self.marks += 1
                 e = Each(e, label=SRC)
             elif t.kind == ".1" or t.kind == ".2":
                 self.next()

@@ -1,18 +1,21 @@
 """Guest-language types, labels, terms and structural utilities.
 
 Every AST node carries a fragment label (source / target / common) and an
-optional type stamp that the checker fills in.  Terms are plain dataclasses;
-all operations in this module build fresh trees and never mutate their
-arguments (the ``ty`` stamp is a write-once annotation, not part of equality).
-Types are hash-consed (Filliatre & Conchon, ML 2006): each distinct type is
-one shared immutable object, so comparing or hashing two types is a pointer
-test.
+optional type stamp that the checker fills in.  All operations in this
+module build fresh trees and never mutate their arguments (the ``ty`` stamp
+is a write-once annotation, not part of equality).  Types are hash-consed
+(Filliatre & Conchon, ML 2006): each distinct type is one shared immutable
+object, so comparing or hashing two types is a pointer test.
+
+Terms, types and every other record in this package are plain classes with
+``__slots__``, not dataclasses: importing ``dataclasses`` (which loads
+``inspect``) and building each decorated class cost a fresh interpreter
+about a third of its start-up, which every one-shot ``purify`` command pays.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, TypeVar
 
 _T = TypeVar("_T")
@@ -30,7 +33,26 @@ class NotCommon(PurifyError):
 # Types
 # ---------------------------------------------------------------------------
 
-class Ty:
+class _Frozen:
+    """An immutable slotted record, set once on construction; a copy or an
+    unpickled one is rebuilt from its fields, in ``__slots__`` order."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, *_: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Ty(_Frozen):
     """Guest type; one of Unit, Str, Prod, Arrow, Eff.  Hash-consed and
     immutable: equal types are one object, so ``==`` and ``hash`` are the
     identity defaults, and a copy or an unpickled type is that object."""
@@ -50,14 +72,6 @@ class Ty:
             # one atomic insert, so threads that race here still share one object
             t = Ty._interned.setdefault(key, t)
         return t
-
-    def __setattr__(self, name: str, *_: object) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self) -> tuple:
-        return type(self), tuple(getattr(self, f) for f in self.__slots__)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return type_name(self)
@@ -126,61 +140,86 @@ COM = Label.COM
 # Terms
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Term:
     """Base AST node.
 
     ``label`` places the node in one of the three language fragments.
     ``ty`` is stamped by the checker (excluded from equality and repr).
+    A node kind lists its fields in ``__match_args__`` and the ones ``==``
+    compares in ``_compare``.  Terms are mutable, so they are unhashable.
     """
 
-    label: Label = field(kw_only=True, default=COM)
-    ty: Optional[Ty] = field(kw_only=True, default=None, compare=False, repr=False)
+    __slots__ = ("label", "ty")
+    __match_args__ = _compare = ()
+
+    def __init__(self, *, label: Label = COM, ty: Optional[Ty] = None):
+        self.label, self.ty = label, ty
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        fields = ("label", *self._compare)
+        return [getattr(self, f) for f in fields] == [getattr(other, f) for f in fields]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in ("label", *self.__match_args__))
+        return f"{type(self).__qualname__}({fields})"
 
 
-@dataclass
+# Each kind has its own constructor (or shares one with the same fields and
+# default label): a loop over the fields would slow down every node built.
+
 class Var(Term):
-    name: str
+    __slots__ = __match_args__ = _compare = ("name",)
+
+    def __init__(self, name: str, *, label: Label = COM, ty: Optional[Ty] = None):
+        self.name, self.label, self.ty = name, label, ty
 
 
-@dataclass
 class Const(Term):
-    name: str
+    __slots__ = __match_args__ = _compare = ("name",)
+    __init__ = Var.__init__
 
 
-@dataclass
 class Unt(Term):
-    pass
+    __slots__ = ()
 
 
-@dataclass
 class Lit(Term):
-    value: str
+    __slots__ = __match_args__ = _compare = ("value",)
+
+    def __init__(self, value: str, *, label: Label = COM, ty: Optional[Ty] = None):
+        self.value, self.label, self.ty = value, label, ty
 
 
-@dataclass
 class Prd(Term):
-    fst: Term
-    snd: Term
+    __slots__ = __match_args__ = _compare = ("fst", "snd")
+
+    def __init__(self, fst: Term, snd: Term, *, label: Label = COM, ty: Optional[Ty] = None):
+        self.fst, self.snd = fst, snd
+        self.label, self.ty = label, ty
 
 
-@dataclass
 class Fst(Term):
-    pair: Term
+    __slots__ = __match_args__ = _compare = ("pair",)
+
+    def __init__(self, pair: Term, *, label: Label = COM, ty: Optional[Ty] = None):
+        self.pair, self.label, self.ty = pair, label, ty
 
 
-@dataclass
 class Snd(Term):
-    pair: Term
+    __slots__ = __match_args__ = _compare = ("pair",)
+    __init__ = Fst.__init__
 
 
-@dataclass
 class App(Term):
-    fun: Term
-    arg: Term
+    __slots__ = __match_args__ = _compare = ("fun", "arg")
+
+    def __init__(self, fun: Term, arg: Term, *, label: Label = COM, ty: Optional[Ty] = None):
+        self.fun, self.arg = fun, arg
+        self.label, self.ty = label, ty
 
 
-@dataclass
 class Lam(Term):
     """Function literal.
 
@@ -188,46 +227,53 @@ class Lam(Term):
     translation fabricates lambdas whose body is a target term (explicit
     combinator chains); those are only well formed at the target label.
     ``param_ty`` is an optional annotation used by the checker when the
-    parameter type is not determined by the application site.
+    parameter type is not determined by the application site (ignored by
+    ``==``, like ``ty``).
     """
 
-    param: str
-    body: Term
-    param_ty: Optional[Ty] = field(default=None, compare=False)
+    __slots__ = __match_args__ = ("param", "body", "param_ty")
+    _compare = ("param", "body")
+
+    def __init__(self, param: str, body: Term, param_ty: Optional[Ty] = None, *,
+                 label: Label = COM, ty: Optional[Ty] = None):
+        self.param, self.body, self.param_ty = param, body, param_ty
+        self.label, self.ty = label, ty
 
 
-@dataclass
 class Each(Term):
     """Direct-style effect execution mark (source only)."""
 
-    eff: Term
-    label: Label = field(kw_only=True, default=SRC)
+    __slots__ = __match_args__ = _compare = ("eff",)
+
+    def __init__(self, eff: Term, *, label: Label = SRC, ty: Optional[Ty] = None):
+        self.eff, self.label, self.ty = eff, label, ty
 
 
-@dataclass
 class Pure(Term):
-    inner: Term
-    label: Label = field(kw_only=True, default=TGT)
+    __slots__ = __match_args__ = _compare = ("inner",)
+
+    def __init__(self, inner: Term, *, label: Label = TGT, ty: Optional[Ty] = None):
+        self.inner, self.label, self.ty = inner, label, ty
 
 
-@dataclass
 class Map(Term):
-    fun: Term
-    arg: Term
-    label: Label = field(kw_only=True, default=TGT)
+    __slots__ = __match_args__ = _compare = ("fun", "arg")
+
+    def __init__(self, fun: Term, arg: Term, *, label: Label = TGT, ty: Optional[Ty] = None):
+        self.fun, self.arg = fun, arg
+        self.label, self.ty = label, ty
 
 
-@dataclass
 class Ap(Term):
-    fun: Term
-    arg: Term
-    label: Label = field(kw_only=True, default=TGT)
+    __slots__ = __match_args__ = _compare = ("fun", "arg")
+    __init__ = Map.__init__
 
 
-@dataclass
 class Join(Term):
-    nested: Term
-    label: Label = field(kw_only=True, default=TGT)
+    __slots__ = __match_args__ = _compare = ("nested",)
+
+    def __init__(self, nested: Term, *, label: Label = TGT, ty: Optional[Ty] = None):
+        self.nested, self.label, self.ty = nested, label, ty
 
 
 def children(e: Term) -> tuple[Term, ...]:
@@ -297,11 +343,22 @@ class ConstKind(enum.Enum):
     EFFECTFUL = "effect"
 
 
-@dataclass(frozen=True)
-class ConstDecl:
-    name: str
-    ty: Ty
-    kind: ConstKind
+class ConstDecl(_Frozen):
+    """A declared constant; equal and hashed by its fields."""
+
+    __slots__ = ("name", "ty", "kind")
+
+    def __init__(self, name: str, ty: Ty, kind: ConstKind):
+        for f, value in zip(self.__slots__, (name, ty, kind)):
+            object.__setattr__(self, f, value)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.name, self.ty, self.kind) == (other.name, other.ty, other.kind)
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.ty, self.kind))
 
     @property
     def effectful(self) -> bool:
@@ -400,9 +457,12 @@ def relabel(e: Term, target: Label) -> Term:
 
     The common fragment is decided by node kind, not by the input's own
     labels: value formers (Var, Const, Unt, Lit, Prd, Fst, Snd, App) and
-    lambdas whose bodies are all common, at any label.  Lambda bodies stay
+    lambdas whose bodies are common, at any label.  Lambda bodies stay
     common at every label.  Raises NotCommon on Each/Pure/Map/Ap/Join and on
-    a lambda with a non-common body node.
+    a lambda whose body is not labelled common.  Only the body's root is
+    read: the checker and the parser keep every node below a common one
+    common, and reading the whole body would make nested lambdas (such as
+    desugared lets) quadratic.
     """
     k = type(e)
     if k is Lit:
@@ -414,7 +474,7 @@ def relabel(e: Term, target: Label) -> Term:
     if k is Prd:
         return Prd(relabel(e.fst, target), relabel(e.snd, target), label=target, ty=e.ty)
     if k is Lam:
-        if any(n.label is not COM for n in subterms(e.body)):
+        if e.body.label is not COM:
             raise NotCommon("relabel: lambda body contains non-common nodes")
         return Lam(e.param, e.body, e.param_ty, label=target, ty=e.ty)
     if k is Fst or k is Snd:

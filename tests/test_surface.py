@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -118,6 +120,29 @@ def test_let_multi_mark_continuation_rejected():
             'purify { let x = "a" in (f(x)!, f(x)!) }'
         )
     assert "nested marks" in str(ei.value)
+
+
+def test_nested_lets_around_one_mark_hoist_at_every_level():
+    sig, body = parse_and_elaborate(
+        'prim concat : Str -> Str -> Str\neffect f : Str -> Eff Str\n'
+        'purify { let x = "a" in let y = "b" in let z = x in f(z ++ y)! }'
+    )
+    assert pretty(body) == '(fun x -> (fun y -> (fun z -> f(z ++ y))(x))("b"))("a")!'
+    assert typecheck(body, SRC, TypeEnv(sig)) == STR
+
+
+def test_nested_lets_parse_in_linear_time():
+    def best(n):
+        text = "purify { " + 'let x = "a" in ' * n + "x }"
+        times = []
+        for _ in range(5):
+            t0 = time.perf_counter()
+            parse_and_elaborate(text)
+            times.append(time.perf_counter() - t0)
+        return min(times)
+
+    # linear within 2x: 8x the lets may take at most 16x the time
+    assert best(800) <= 16 * best(100)
 
 
 def test_glued_call_parens_bind_tighter_than_mark():
