@@ -1,20 +1,15 @@
 """Static and dynamic parallelism measures.
 
-``span`` is the length of the longest chain of unhandled effect operations
-in a term; ``work`` is their total count.  Both are one post-order fold:
-values and pure wrappers cost nothing, a map costs its argument (its
-function is applied to the argument's result, never run), pairs and
-applications combine children by max (span) or sum (work), and Each/Join
-add one.
-
-Three refinements keep the static numbers aligned with what actually
-runs.  First, a saturated application of an effectful constant in target
-position counts as one operation (the optimizing translation embeds such
-calls directly, without a Join), also when it is reached through applied
-common-bodied lambdas (let-style redexes, as ``let`` elaborates and
-normalization leaves behind).  Second, the bind pattern Join(Map(fun, arg))
-with a combinator-bodied continuation is costed sequentially: the effects
-of both sides add up.  Third, a mark on a ``prim`` constant's call adds none.
+``span`` is the longest chain of effects that running a term performs, and
+``work`` their count, by the work/depth cost semantics of Blelloch & Greiner
+(FPCA 1995): an action that is only returned, passed, paired or bound costs
+nothing until something runs it.  The fold reads a label only to tell a
+node's fragment.  Common nodes cost nothing; source parts combine by max
+(span) or sum (work), and a mark adds what its action runs; target ``ap``
+combines, ``map`` costs its argument (its function is applied to a result,
+never run), ``pure`` nothing, and ``join`` adds what its action's result
+runs.  Any other target node is a value whose action runs where it stands.
+``_runs`` alone decides what running an action performs.
 
 ``TraceDag`` is the runtime counterpart: a series-parallel tree of executed
 effects, ``Par`` where ``ap`` runs two actions side by side and ``Seq`` where
@@ -29,8 +24,8 @@ import operator
 from collections import deque
 
 from .terms import (
-    App, Ap, COM, Const, Each, Fst, Join, Lam, Lit, Map, Prd, Pure, PurifyError,
-    Signature, Snd, TGT, Term, Unt, Var,
+    App, Ap, Const, Each, Fst, Join, Lam, Lit, Map, Prd, Pure, PurifyError,
+    SRC, Signature, Snd, TGT, Term, Unt, Var, children,
 )
 
 
@@ -42,105 +37,92 @@ class UnknownEffect(PurifyError):
 # Static span and work
 # ---------------------------------------------------------------------------
 
-def _saturated(head: Term, apps: list[App], depth: int,
-               arity: dict[str, int]) -> bool:
-    """True when ``head`` applied to the arguments of the innermost
-    ``depth`` of ``apps`` (an application spine, outermost first) performs
-    one effect.
-
-    That is an effectful constant given exactly its effect arity, also when
-    it is the body result of an applied common-bodied lambda: the let-style
-    redex ``(fun x -> fetch(x ++ "config"))("base")`` runs one fetch.  A
-    parameter of a lambda entered on the way that is still applied to an
-    argument stands for the argument it was bound to, so
-    ``(fun f -> f("u"))(fetch)`` runs one fetch too.  Each binding is
-    followed once at most, so the walk stays linear in the term and ends
-    on any term, an ill-typed self-application included.
-    """
-    if type(head) is Const:
-        return arity.get(head.name) == depth
-    todo = [(a.arg, None) for a in apps[len(apps) - depth:]]  # next one last
-    scope = None  # bindings made on the way: [param, (arg, its scope), outer, followed]
-    while True:
-        k = type(head)
-        if k is App:
-            todo.append((head.arg, scope))
-            head = head.fun
-        elif k is Lam and todo and head.body.label is not TGT:
-            scope = [head.param, todo.pop(), scope, False]
-            head = head.body
-        elif k is Var and todo:
-            b = scope
-            while b is not None and b[0] != head.name:
-                b = b[2]
-            if b is None or b[3]:
-                return False
-            b[3] = True
-            head, scope = b[1]
-        else:
-            return k is Const and arity.get(head.name) == len(todo)
-
-
 def _effect_arities(sig: Signature) -> dict[str, int]:
     return {d.name: d.effect_arity() for d in sig if d.effectful}
 
 
-def _prim_call(action: Term, sig: Signature) -> bool:
-    """True when ``action`` (under Each), or the action it returns (under
-    Join), is a call of a constant the signature declares ``prim``, whose
-    action runs no effect: ``p(x)``, ``(fun y -> p(y))(x)``, ``pure (p x)``,
-    ``ap (pure p) a`` or ``map (fun y -> p(y)) a``.  As in ``_saturated``, a
-    lambda's parameter stands for its argument (an ``ap``'s or ``map``'s when
-    that is a ``pure``), so ``let a = k in a!`` runs no effect either."""
-    todo: list = []  # arguments still to apply, next one last; None if unknown
-    scope = None  # [param, (arg, its scope) or None, outer, followed]
+_RESULT = object()  # a pending elimination in ``_runs``: take the action's result
+
+
+def _runs(t: Term, scope: int, pending: list, arity: dict[str, int], env: list):
+    """What running the action ``t`` denotes under ``scope`` performs, once
+    the eliminations ``pending`` (next one last) apply to it: 1 for one
+    effect, 0 for none, or the ``(term, scope)`` that runs in its place.
+
+    An elimination is ``Fst``, ``Snd``, ``_RESULT`` or an argument ``(term,
+    scope, result)``, the value of ``term`` or, if ``result``, its action's
+    result.  ``env`` holds six slots per binding: param, argument (three
+    slots), outer scope, followed; a scope is its innermost binding's index,
+    or -1.  Flat slots keep the cyclic collector asleep: a record per binding
+    would outlive the walk and make it scan every live term.  A result not
+    seen into, such as an effect's, counts as one effect; a function, a pair,
+    a free variable and an unsaturated constant run nothing.  Each binding is
+    followed once at most over all walks, so the walks are linear and end.
+    """
     while True:
-        k = type(action)
+        k = type(t)
         if k is App:
-            todo.append((action.arg, scope))
-            action = action.fun
-        elif k is Ap or k is Map:
-            a = action.arg
-            todo.append((a.inner, scope) if type(a) is Pure else None)
-            action = action.fun
-        elif k is Pure:
-            action = action.inner
-        elif k is Lam and action.body.label is COM:
-            scope = [action.param, todo.pop() if todo else None, scope, False]
-            action = action.body
+            pending.append((t.arg, scope, False))
+            t = t.fun
+        elif k is Const:
+            n = arity.get(t.name)  # saturated, also when its result is taken
+            return int(n is not None and n <= len(pending))
+        elif k is Pure or k is Map or k is Ap:
+            if not pending or pending[-1] is not _RESULT:
+                return t, scope
+            if k is Pure:
+                pending.pop()
+                t = t.inner
+            else:  # map f a returns f(result of a); ap f a, (result of f)(result of a)
+                pending[-1] = (t.arg, scope, True)
+                if k is Ap:
+                    pending.append(_RESULT)
+                t = t.fun
+        elif k is Join:
+            return 1 if pending and pending[-1] is _RESULT else (t, scope)
+        elif k is Lam and pending and type(pending[-1]) is tuple:
+            env += (t.param, *pending.pop(), scope, False)
+            scope, t = len(env) - 6, t.body
         elif k is Var:
             b = scope
-            while b is not None and b[0] != action.name:
-                b = b[2]
-            if b is None or b[1] is None or b[3]:
-                return False
-            b[3] = True
-            action, scope = b[1]
+            while b >= 0 and env[b] != t.name:
+                b = env[b + 4]
+            if b < 0 or env[b + 5]:  # free, or followed before: a value not seen into
+                return int(_RESULT in pending)
+            env[b + 5] = True
+            t, scope = env[b + 1], env[b + 2]
+            if env[b + 3]:
+                pending.append(_RESULT)
+        elif k is Fst or k is Snd:
+            pending.append(k)
+            t = t.pair
+        elif k is Prd and pending and (pending[-1] is Fst or pending[-1] is Snd):
+            t = t.fst if pending.pop() is Fst else t.snd
+        elif k is Each:
+            return 1  # a mark's value is an action's result
+        elif k is Lam or k is Prd or k is Lit or k is Unt:
+            return 0
         else:
-            break
-    decl = sig.lookup(action.name) if k is Const else None
-    return decl is not None and not decl.effectful
+            raise PurifyError(f"unknown term former {k.__name__}")
 
 
-# Instructions on the fold's work stack, between the terms (never ints):
-# combine the top two values by max (span) or + (work), add them (a bind
-# runs one side after the other), add one to the top value (an effect).
-_COMBINE, _ADD, _ONE = range(3)
+# Work stack entries besides terms: an int, the scope of the terms above it,
+# or an instruction: combine the top two values by max (span) or + (work), add
+# them (a bind runs one side after the other), or add one to the top value.
+_COMBINE, _ADD, _ONE = "combine", "add", "one"
 
 
 def _measure(e: Term, sig: Signature, use_max: bool) -> int:
-    """The span (``use_max``) or work fold, with a work and a value stack.
-
-    Lambdas with combinator bodies (the sequencing continuations) are
-    transparent; other lambdas are values and cost nothing.
-    """
+    """The span (``use_max``) or work fold, with a work and a value stack."""
     arity = sig.table(_effect_arities)
+    env: list = []
     vals: list[int] = []
     todo: list = [e]
+    scope = -1
     while todo:
         t = todo.pop()
         k = type(t)
-        if k is int:
+        if k is str:
             if t == _ONE:
                 vals[-1] += 1
                 continue
@@ -149,61 +131,48 @@ def _measure(e: Term, sig: Signature, use_max: bool) -> int:
                 vals[-1] += b
             elif b > vals[-1]:
                 vals[-1] = b
-        elif k is Ap:
-            todo += (_COMBINE, t.arg, t.fun)
-        elif k is Map:
-            todo.append(t.arg)
-        elif k is App:
-            # the whole application spine at once, since whether a node is
-            # a saturated call depends on its depth in the spine
-            spine = []
-            while type(t) is App:
-                spine.append(t)
-                t = t.fun
-            depth = len(spine)
-            for s in spine:
-                if arity and s.label is TGT and _saturated(t, spine, depth, arity):
-                    todo.append(_ONE)
-                todo += (_COMBINE, s.arg)
-                depth -= 1
-            todo.append(t)
-        elif k is Var or k is Unt or k is Lit or k is Pure:
-            vals.append(0)
-        elif k is Const:
-            vals.append(1 if t.label is TGT and arity.get(t.name) == 0 else 0)
-        elif k is Lam:
-            if t.body.label is TGT:
-                todo.append(t.body)
-            else:
+            continue
+        if k is int:
+            scope = t
+            continue
+        lab = t.label
+        if k is Join or k is Each:
+            # the part, then what running its value runs (a join's: its result)
+            x = t.nested if k is Join else t.eff
+            r = _runs(x, scope, [_RESULT] if k is Join else [], arity, env)
+            todo += (_ADD, scope, *r, x) if type(r) is tuple else (_ONE, x) if r else (x,)
+        elif lab is TGT:
+            if k is Ap:
+                todo += (_COMBINE, t.arg, t.fun)
+            elif k is Map:
+                todo.append(t.arg)
+            elif k is Pure:
                 vals.append(0)
-        elif k is Join:
-            x = t.nested
-            if type(x) is Map and type(x.fun) is Lam and x.fun.body.label is TGT:
-                # bind pattern: first the argument's effects, then the chain
-                # built by the continuation
-                todo += (_ADD, x.fun.body, x.arg)
-            elif _prim_call(x, sig):
-                todo.append(x)
             else:
-                todo += (_ONE, x)
-        elif k is Each:
-            todo += (t.eff,) if _prim_call(t.eff, sig) else (_ONE, t.eff)
-        elif k is Prd:
+                r = _runs(t, scope, [], arity, env)
+                if type(r) is tuple:
+                    todo += (scope, *r)
+                else:
+                    vals.append(r)
+        elif lab is SRC and k is App:
+            todo += (_COMBINE, t.arg, t.fun)
+        elif lab is SRC and k is Prd:
             todo += (_COMBINE, t.snd, t.fst)
-        elif k is Fst or k is Snd:
+        elif lab is SRC and (k is Fst or k is Snd):
             todo.append(t.pair)
         else:
-            raise PurifyError(f"unknown term former {k.__name__}")
+            children(t)  # which rejects an unknown kind
+            vals.append(0)
     return vals[0]
 
 
 def span(e: Term, signature: Signature) -> int:
-    """Longest chain of unhandled effect operations."""
+    """Longest chain of effect operations that running ``e`` performs."""
     return _measure(e, signature, True)
 
 
 def work(e: Term, signature: Signature) -> int:
-    """Total count of unhandled effect operations."""
+    """Total count of effect operations that running ``e`` performs."""
     return _measure(e, signature, False)
 
 

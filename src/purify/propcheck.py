@@ -324,14 +324,7 @@ class _Gen:
         satisfied within the depth budget."""
         remaining = opts
         while remaining:
-            total = sum(w for w, _ in remaining)
-            r = self.rng.random() * total
-            idx = len(remaining) - 1
-            for i, (w, _) in enumerate(remaining):
-                r -= w
-                if r <= 0:
-                    idx = i
-                    break
+            idx = _pick(self.rng, remaining)
             try:
                 return remaining[idx][1]()
             except Unsatisfiable:
@@ -348,14 +341,18 @@ _GOALS: list[tuple[float, Ty]] = [
 ]
 
 
-def _pick_goal(rng: random.Random) -> Ty:
-    total = sum(w for w, _ in _GOALS)
-    r = rng.random() * total
-    for w, t in _GOALS:
+def _pick(rng: random.Random, opts: list[tuple[float, object]]) -> int:
+    """Index of a pick among ``opts`` by weight, with one ``rng.random()``."""
+    r = rng.random() * sum(w for w, _ in opts)
+    for i, (w, _) in enumerate(opts):
         r -= w
         if r <= 0:
-            return t
-    return STR
+            return i
+    return len(opts) - 1
+
+
+def _pick_goal(rng: random.Random) -> Ty:
+    return _GOALS[_pick(rng, _GOALS)][1]
 
 
 def gen_term(cfg: GenConfig) -> Term:

@@ -439,11 +439,11 @@ class FreshNames:
     generated binders can never capture user variables.
     """
 
-    def __init__(self, start: int = 1):
-        self._next = start
+    def __init__(self):
+        self._next = 1
 
-    def fresh(self, hint: str = "x") -> str:
-        name = f"{FRESH_PREFIX}{hint}{self._next}"
+    def fresh(self) -> str:
+        name = f"{FRESH_PREFIX}x{self._next}"
         self._next += 1
         return name
 

@@ -5,6 +5,7 @@ import sys
 import threading
 
 from purify.check import TypeEnv, typecheck
+from purify.metrics import span, work
 from purify.pretty import pretty
 from purify.propcheck import GenConfig, default_signature, gen_term
 from purify.semantics import evaluate, make_const_env, trace_monad
@@ -170,8 +171,11 @@ def test_unknown_node_kind_is_a_diagnostic():
         "seq_translate": seq_translate,
         "relabel": lambda t: relabel(t, TGT),
         "pretty": pretty,
+        "span": lambda t: span(t, sig),
+        "work": lambda t: work(t, sig),
     }
-    for t in (alien, nested):
+    # at every label: a fold that dispatches on labels must still see the kind
+    for t in (alien, nested, _Alien(label=COM), _Alien(label=TGT)):
         for name, call in calls.items():
             with pytest.raises(PurifyError):
                 call(t)

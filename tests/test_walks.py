@@ -6,6 +6,7 @@ span/work fold is checked against a recursive reference kept here.
 """
 
 import json
+import operator
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ from purify.metrics import dyn_span, dyn_work, span, work
 from purify.pretty import pretty
 from purify.propcheck import GenConfig, Unsatisfiable, default_signature, gen_term
 from purify.semantics import evaluate, make_const_env, trace_monad
-from purify.surface import parse_and_elaborate
+from purify.surface import parse_and_elaborate, parse_target_expr
 from purify.terms import (
     App, Ap, Arrow, COM, Const, Each, Eff, Fst, Join, Lam, Lit, Map, Prd, Prod,
     Pure, PurifyError, SRC, STR, Snd, TGT, Term, Unt, Var, children, is_effect_free,
@@ -30,69 +31,87 @@ DEEP = 10_000
 
 
 # ---------------------------------------------------------------------------
-# Recursive reference: the structural recursion span/work were defined by
+# Recursive reference: the cost rule span/work are defined by
 # ---------------------------------------------------------------------------
 
-def _ref_runs_effect(t: Term, nargs: int, sig) -> bool:
-    """``t`` applied to ``nargs`` more arguments performs one effect."""
-    if isinstance(t, App):
-        return _ref_runs_effect(t.fun, nargs + 1, sig)
-    if isinstance(t, Lam) and nargs > 0 and t.body.label is not TGT:
-        # let-style redex: the body result of an applied common-bodied lambda
-        return _ref_runs_effect(t.body, nargs - 1, sig)
-    if isinstance(t, Const):
-        decl = sig.lookup(t.name)
-        return decl is not None and decl.effectful and decl.effect_arity() == nargs
-    return False
+_RESULT = "result"  # an elimination: take the action's result
 
 
-def _ref_weight(t: Term, sig) -> int:
-    if t.label is not TGT:
-        return 0
-    return int(_ref_runs_effect(t, 0, sig))
-
-
-def _ref_prim_call(t: Term, sig) -> bool:
-    """``t`` (under Each), or the action it returns (under Join), calls a
-    ``prim`` constant, whose action runs no effect."""
-    if isinstance(t, (App, Ap, Map)):
-        return _ref_prim_call(t.fun, sig)
-    if isinstance(t, Pure):
-        return _ref_prim_call(t.inner, sig)
-    if isinstance(t, Lam) and t.body.label is COM:
-        return _ref_prim_call(t.body, sig)
-    decl = sig.lookup(t.name) if isinstance(t, Const) else None
-    return decl is not None and not decl.effectful
+def _ref_runs(t: Term, env: dict, elims: list, arity: dict):
+    """What running ``t``'s action performs once ``elims`` (next one first)
+    apply to it: 1 for one effect, 0 for none, or the action former and the
+    scope that run in its place.  An elimination is an argument ``(term,
+    scope, its result?)``, ``Fst``, ``Snd`` or ``_RESULT``; ``env`` maps a
+    parameter to ``[argument, followed]``, and a binding is followed once."""
+    top = elims[0] if elims else None
+    match t:
+        case App(f, a):
+            return _ref_runs(f, env, [(a, env, False)] + elims, arity)
+        case Var(x):
+            b = env.get(x)
+            if b is None or b[1]:  # free, or followed before
+                return int(_RESULT in elims)
+            b[1] = True
+            a, scope, result = b[0]
+            return _ref_runs(a, scope, [_RESULT] * result + elims, arity)
+        case Lam(x, body, _) if type(top) is tuple:
+            return _ref_runs(body, {**env, x: [top, False]}, elims[1:], arity)
+        case Fst(p) | Snd(p):
+            return _ref_runs(p, env, [type(t)] + elims, arity)
+        case Prd(a, b) if top is Fst or top is Snd:
+            return _ref_runs(a if top is Fst else b, env, elims[1:], arity)
+        case Const(c) if c in arity:
+            return int(len(elims) >= arity[c])  # saturated, also when its result is taken
+        case Pure() | Map() | Ap() | Join() if top is not _RESULT:
+            return t, env
+        case Pure(v):
+            return _ref_runs(v, env, elims[1:], arity)
+        case Map(f, a):
+            return _ref_runs(f, env, [(a, env, True)] + elims[1:], arity)
+        case Ap(f, a):
+            return _ref_runs(f, env, [_RESULT, (a, env, True)] + elims[1:], arity)
+        case Join() | Each():
+            return 1  # an action's result, not seen into
+        case Lam() | Prd() | Const() | Lit() | Unt():
+            return 0
+    raise PurifyError(f"unknown term former {type(t).__name__}")
 
 
 def _ref_measure(e: Term, sig, combine) -> int:
-    def go(t: Term) -> int:
-        match t:
-            case Var() | Unt() | Lit() | Pure():
-                return 0
-            case Const():
-                return _ref_weight(t, sig)
-            case Lam():
-                return go(t.body) if t.body.label is TGT else 0
-            case Fst(p) | Snd(p):
-                return go(p)
-            case App(a, b):
-                return _ref_weight(t, sig) + combine(go(a), go(b))
-            case Prd(a, b) | Ap(a, b) | Map(a, b):
-                return combine(go(a), go(b))
-            case Each(x):
-                return (not _ref_prim_call(x, sig)) + go(x)
-            case Join(x):
-                if (
-                    isinstance(x, Map)
-                    and isinstance(x.fun, Lam)
-                    and x.fun.body.label is TGT
-                ):
-                    return go(x.arg) + go(x.fun.body)
-                return (not _ref_prim_call(x, sig)) + go(x)
-        raise PurifyError(f"unknown term former {type(t).__name__}")
+    """Common nodes cost 0; source applications, pairs and projections
+    combine their parts; a mark adds what its action runs; target ap, map
+    and pure keep their rules; a join adds what its action's result runs;
+    every other target node runs its own action."""
+    arity = {d.name: d.effect_arity() for d in sig if d.effectful}
 
-    return go(e)
+    def then(r) -> int:
+        return cost(*r) if type(r) is tuple else r
+
+    def cost(t: Term, env: dict) -> int:
+        if t.label is TGT:
+            match t:
+                case Ap(f, a):
+                    return combine(cost(f, env), cost(a, env))
+                case Map(_, a):
+                    return cost(a, env)
+                case Pure():
+                    return 0
+                case Join(n):
+                    r = _ref_runs(n, env, [_RESULT], arity)
+                    return cost(n, env) + then(r)
+            return then(_ref_runs(t, env, [], arity))
+        if t.label is SRC:
+            match t:
+                case App(a, b) | Prd(a, b):
+                    return combine(cost(a, env), cost(b, env))
+                case Fst(p) | Snd(p):
+                    return cost(p, env)
+                case Each(x):
+                    r = _ref_runs(x, env, [], arity)
+                    return cost(x, env) + then(r)
+        return 0
+
+    return cost(e, {})
 
 
 def _ref_preorder(e: Term) -> list[Term]:
@@ -133,16 +152,14 @@ def test_span_work_equal_recursive_reference():
     sig = default_signature()
     seen = let_redexes = 0
     for t in _generated(sig):
-        assert span(t, sig) == _ref_measure(t, sig, max), t
-        assert work(t, sig) == _ref_measure(t, sig, lambda a, b: a + b), t
         nodes = list(subterms(t))
         assert len(nodes) == size(t)
         assert all(a is b for a, b in zip(nodes, _ref_preorder(t)))
-        let_redexes += any(
-            isinstance(n, App) and isinstance(n.fun, Lam) and n.label is TGT
-            and _ref_runs_effect(n, 0, sig)
-            for n in nodes
-        )
+        for n in nodes:
+            s = span(n, sig)
+            assert s == _ref_measure(n, sig, max), n
+            assert work(n, sig) == _ref_measure(n, sig, operator.add), n
+            let_redexes += s and type(n) is App and type(n.fun) is Lam and n.label is TGT
         seen += 1
     assert seen > 6000
     assert let_redexes > 0
@@ -239,6 +256,7 @@ def _lam(x, body, label=TGT) -> Term:
 def _let_redexes():
     fetch, probe = Const("fetch", label=COM), Const("probe", label=COM)
     x, y, u = Var("x", label=COM), Var("y", label=COM), Lit("u", label=TGT)
+    xt = Var("x", label=TGT)
     fetch_x = _c(fetch, x, label=COM)
     return [
         # (term, span = work)
@@ -253,6 +271,8 @@ def _let_redexes():
         (_c(_lam("x", _c(Const("fetch", label=TGT), Var("x", label=TGT))), u), 1),
         # an ill-typed self-application: following parameters still ends
         (_c(_lam("x", _c(x, x, label=COM)), _lam("x", _c(x, x, label=COM))), 0),
+        # also when each entered body is a join costed under new bindings
+        (_c(_lam("x", Join(_c(xt, xt), label=TGT)), _lam("x", Join(_c(xt, xt), label=TGT))), 1),
     ]
 
 
@@ -261,7 +281,30 @@ def test_let_redex_costs(case):
     sig = default_signature()
     t, cost = _let_redexes()[case]
     assert span(t, sig) == work(t, sig) == cost
-    assert _ref_measure(t, sig, max) == _ref_measure(t, sig, lambda a, b: a + b) == cost
+    assert _ref_measure(t, sig, max) == _ref_measure(t, sig, operator.add) == cost
+
+
+@pytest.mark.parametrize("text, cost", [
+    # ``y`` runs its argument's action, costed where that argument was bound;
+    # ``x`` must then be looked up under the lambdas' bindings again
+    ("(fun y -> (fun x -> ap y x : (Eff Str) -> Eff Str)"
+     " : (Eff (Str -> Str)) -> (Eff Str) -> Eff Str)"
+     '(ap (pure concat) fetch("a"))(fetch("b"))', (1, 2)),
+    # the join's result is costed under the inner ``y``; the outer ``y``,
+    # bound to a fetch, must be found again after it
+    ('(fun y -> ap (join (map (fun y -> pure concat("x") : Str -> Eff (Str -> Str))'
+     ' (pure "s"))) y : (Eff Str) -> Eff Str)(fetch("b"))', (1, 1)),
+])
+def test_a_term_costed_under_other_bindings_gives_them_back(text, cost):
+    sig, _ = parse_and_elaborate(
+        'effect fetch : Str -> Eff Str\nprim concat : Str -> Str -> Str\npurify { "a" }'
+    )
+    t = parse_target_expr(text, sig)
+    typecheck(t, TGT, TypeEnv(sig))
+    m = trace_monad()
+    d = evaluate(t, TGT, m, make_const_env(sig, m)).action
+    assert (span(t, sig), work(t, sig)) == (dyn_span(d), dyn_work(d)) == cost
+    assert (_ref_measure(t, sig, max), _ref_measure(t, sig, operator.add)) == cost
 
 
 def test_let_sugar_analysis_counts_the_bound_call(capsys):
@@ -306,26 +349,40 @@ LET_BOUND_PRIM_MARKS = [
 ]
 
 
-@pytest.mark.parametrize("program", LET_BOUND_EFFECTS + PRIM_MARKS + LET_BOUND_PRIM_MARKS)
+# an action that is bound, passed, kept in a pair or returned costs nothing
+# until something runs it
+ACTIONS_RUN_ELSEWHERE = [
+    'let a = fetch("u") in fetch("v")!',
+    '(fetch("a"), fetch("b")).1!',
+    '(fetch("a"), k).2!',
+    '(fun u -> (fetch(u), fetch("b")).1 : Str -> Eff Str)("a")!',
+    '(fun a -> probe)(fetch("u"))!',
+    '((fun a -> (fun b -> b : (Eff Str) -> Eff Str))(fetch("u")))(fetch("v"))!',
+]
+
+
+@pytest.mark.parametrize(
+    "program", LET_BOUND_EFFECTS + PRIM_MARKS + LET_BOUND_PRIM_MARKS + ACTIONS_RUN_ELSEWHERE)
 def test_let_bound_effects_cost_what_their_trace_runs(program):
     # a let-bound parameter applied to arguments stands for what it is bound to
     sig, body = parse_and_elaborate(
-        "effect fetch : Str -> Eff Str\nprim concat : Str -> Str -> Str\n"
-        "prim k : Eff Str\nprim p : Str -> Eff Str\n"
+        "effect fetch : Str -> Eff Str\neffect probe : Eff Str\n"
+        "prim concat : Str -> Str -> Str\nprim k : Eff Str\nprim p : Str -> Eff Str\n"
         f"purify {{ {program} }}"
     )
     env = TypeEnv(sig)
     typecheck(body, SRC, env)
     m = trace_monad()
     consts = make_const_env(sig, m)
-    sides = [(body, SRC)] + [
-        (translate(body), TGT) for translate in (opt_translate, naive_translate, seq_translate)
-    ]
+    opt = opt_translate(body)
+    sides = [(body, SRC), (opt, TGT), (naive_translate(body), TGT),
+             (seq_translate(body), TGT), (normalize(opt), TGT)]
     for t, lab in sides:
         typecheck(t, lab, env)
         d = evaluate(t, lab, m, consts)
         d = d if lab is SRC else d.action
         assert (span(t, sig), work(t, sig)) == (dyn_span(d), dyn_work(d)), pretty(t)
+    assert span(opt, sig) <= span(body, sig)
 
 
 @pytest.mark.parametrize("program", PRIM_MARKS)
@@ -337,4 +394,4 @@ def test_marked_prim_actions_match_the_reference(program):
     opt = opt_translate(body)
     for t in (body, opt, naive_translate(body), seq_translate(body), normalize(opt)):
         assert span(t, sig) == _ref_measure(t, sig, max), pretty(t)
-        assert work(t, sig) == _ref_measure(t, sig, lambda a, b: a + b), pretty(t)
+        assert work(t, sig) == _ref_measure(t, sig, operator.add), pretty(t)
