@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import sys
 from typing import Optional
@@ -240,8 +241,11 @@ def _parser() -> _ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    collecting = gc.isenabled()
     try:
         args = _parser().parse_args(argv)
+        if args.cmd in ("check", "translate", "analyze", "run"):
+            gc.disable()  # terms are acyclic: the collector would only rescan live ones
         return args.fn(args)
     except (PurifyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -249,3 +253,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except Exception as exc:  # a fault of purify itself, not of its input
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if collecting:
+            gc.enable()

@@ -5,15 +5,21 @@ A program is a list of constant declarations followed by exactly one
 glued to the preceding token is a call argument, so ``f("a")!`` marks the
 whole call while ``f ("a")!`` applies ``f`` to a marked string.
 
-The parser elaborates as it goes, with no intermediate syntax tree: it
+The lexer is one compiled pattern, matched once per token, that fills
+parallel lists of token kinds, texts and glue flags; a line and column are
+worked out from an offset only when a diagnostic is made.  The parser
+indexes those lists and elaborates as it goes, with no syntax tree: it
 resolves names, labels each node from its context and desugars ``let``.
-
-``parse_target_expr`` additionally understands the combinator keywords
-``pure``/``map``/``ap``/``join`` so pretty-printed target terms re-parse.
+``parse_target_expr`` also reads the combinator keywords
+``pure``/``map``/``ap``/``join``, so pretty-printed target terms re-parse.
 """
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_right
+from collections import namedtuple
+from operator import not_
 from typing import Optional
 
 from .terms import (
@@ -55,102 +61,98 @@ class LetTooEffectful(PurifyError):
 
 
 # ---------------------------------------------------------------------------
-# Lexer
+# Lexer: one pattern fills parallel token lists
 # ---------------------------------------------------------------------------
 
-class Tok:
-    """``kind`` is "ident", "kw", "string", the punctuation text or "eof";
-    ``glued`` is True when no whitespace separates it from the previous token."""
+# a token as ``Tokens[i]`` shows it: ``kind`` is "ident", "kw", "string", the
+# punctuation text or "eof"; ``glued`` is True when it touches the token before
+Tok = namedtuple("Tok", "kind text line col glued")
 
-    __slots__ = ("kind", "text", "line", "col", "glued")
+_BLANKS = r"(?:[ \t\r\n]|--[^\n]*)*"
+_STRING = r'"(?:[^"\\\n]|\\[nt"\\])*'  # a string up to its closing quote
 
-    def __init__(self, kind: str, text: str, line: int, col: int, glued: bool):
-        self.kind, self.text, self.line, self.col, self.glued = kind, text, line, col, glued
+# One match per token, which takes the blanks and comments after it along,
+# so a token is glued when the match before it took none.
+_LEADING = re.compile(_BLANKS)
+_TOKEN = re.compile(rf"""
+    (?: ( {_STRING}"                    # a string, quotes included
+        | ->|\+\+|\.[12]|[(){{}},:!=]   # punctuation
+        | (?:\$|[^\W\d])[\w']*          # a word
+        | \Z )                          # the end of the text
+      | ([\s\S]) )                      # any other character: an error
+    ({_BLANKS})
+""", re.VERBOSE)
+
+# the kinds named by their text; any other word is an "ident"
+_KINDS = {"": "eof", **{t: t for t in ("->", "++", ".1", ".2", *"(){},:!=", *KEYWORDS)}}
+_ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 
 
-_PUNCT2 = ("->", "++", ".1", ".2")
-_PUNCT1 = "(){},:!="
+def _unquote(raw: str) -> str:
+    body = raw[1:-1]
+    return re.sub(r"\\(.)", lambda m: _ESCAPES[m[1]], body) if "\\" in body else body
 
 
-def tokenize(src: str) -> list[Tok]:
-    toks: list[Tok] = []
-    i, line, col = 0, 1, 1
-    glued = False
-    n = len(src)
-    while i < n:
-        ch = src[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            glued = False
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            glued = False
-            continue
-        if src.startswith("--", i):
-            end = src.find("\n", i)
-            end = n if end < 0 else end
-            col += end - i
-            i = end
-            continue
-        start_line, start_col = line, col
-        if ch == '"':
-            i += 1
-            col += 1
-            buf = []
-            while True:
-                if i >= n or src[i] == "\n":
-                    raise ParseError(start_line, start_col, "closing quote")
-                c = src[i]
-                if c == "\\":
-                    if i + 1 >= n:
-                        raise ParseError(line, col, "escape character")
-                    esc = src[i + 1]
-                    buf.append({"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(esc))
-                    if buf[-1] is None:
-                        raise ParseError(line, col, "valid escape (\\n \\t \\\" \\\\)")
-                    i += 2
-                    col += 2
-                    continue
-                if c == '"':
-                    i += 1
-                    col += 1
-                    break
-                buf.append(c)
-                i += 1
-                col += 1
-            toks.append(Tok("string", "".join(buf), start_line, start_col, glued))
-            glued = True
-            continue
-        two = src[i:i + 2]
-        if two in _PUNCT2:
-            toks.append(Tok(two, two, line, col, glued))
-            i += 2
-            col += 2
-            glued = True
-            continue
-        if ch in _PUNCT1:
-            toks.append(Tok(ch, ch, line, col, glued))
-            i += 1
-            col += 1
-            glued = True
-            continue
-        if ch.isalpha() or ch == "_" or ch == FRESH_PREFIX:
-            j = i + 1 if ch == FRESH_PREFIX else i
-            while j < n and (src[j].isalnum() or src[j] in "_'"):
-                j += 1
-            word = src[i:j]
-            kind = "kw" if word in KEYWORDS else "ident"
-            toks.append(Tok(kind, word, line, col, glued))
-            col += j - i
-            i = j
-            glued = True
-            continue
-        raise ParseError(line, col, f"token (found {ch!r})")
-    toks.append(Tok("eof", "", line, col, False))
+class Tokens:
+    """The tokens of one text as parallel sequences that end in ``eof``:
+    ``kinds[i]`` is "ident", "string", "eof", or the text of a keyword or
+    punctuation; ``texts[i]`` is the source text, quotes included; and
+    ``glued[i]`` is as in ``Tok``."""
+
+    __slots__ = ("src", "kinds", "texts", "glued", "_offsets", "_lines")
+
+    def __init__(self, src: str, kinds: list[str], texts: tuple[str, ...], glued: list[bool]):
+        self.src, self.kinds, self.texts, self.glued = src, kinds, texts, glued
+        self._offsets = self._lines = None
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __getitem__(self, i: int) -> Tok:
+        kind, text = self.kinds[i], self.texts[i]
+        return Tok("kw" if kind in KEYWORDS else kind,
+                   _unquote(text) if kind == "string" else text, *self.where(i), self.glued[i])
+
+    def offset(self, i: int) -> int:
+        if self._offsets is None:  # the starts of the token matches, found again
+            start = _LEADING.match(self.src).end()
+            self._offsets = [m.start() for m in _TOKEN.finditer(self.src, start)]
+        return self._offsets[i]
+
+    def position(self, offset: int) -> tuple[int, int]:
+        if self._lines is None:
+            self._lines = [0, *(m.end() for m in re.finditer("\n", self.src))]
+        line = bisect_right(self._lines, offset)
+        return line, offset - self._lines[line - 1] + 1
+
+    def where(self, i: int) -> tuple[int, int]:
+        return self.position(self.offset(i))
+
+    def error(self, i: int) -> ParseError:
+        """The diagnostic for match ``i`` of the pattern, which is no token."""
+        src, offset = self.src, self.offset(i)
+        if src[offset] != '"':
+            return ParseError(*self.position(offset), f"token (found {src[offset]!r})")
+        end = re.compile(_STRING).match(src, offset).end()  # the first character not in it
+        if src.startswith("\\", end):
+            return ParseError(*self.position(end), "escape character" if end + 1 == len(src)
+                              else "valid escape (\\n \\t \\\" \\\\)")
+        return ParseError(*self.position(offset), "closing quote")
+
+
+def tokenize(src: str) -> Tokens:
+    raws, bad, blanks = zip(*_TOKEN.findall(src, _LEADING.match(src).end()))
+    get = _KINDS.get
+    kinds = [get(r) or ("string" if r[0] == '"' else "ident") for r in raws]
+    glued = [False, *map(not_, blanks[:-1])]
+    glued[-1] = False
+    toks = Tokens(src, kinds, raws, glued)
+    # the pattern lets a word start with a numeral such as '²', which
+    # str.isalpha refuses; ASCII text has none
+    if any(bad) or not src.isascii():
+        for i, r in enumerate(raws):
+            if bad[i] or kinds[i] == "ident" and not (r[0].isalpha() or r[0] in "_$"):
+                raise toks.error(i)
     return toks
 
 
@@ -168,55 +170,53 @@ class SurfaceProgram:
 class _Parser:
     """Recursive descent that builds labelled core terms as it parses.
 
-    ``lab`` is the label of the node being parsed: Src at the top of a
-    program, Com under a lambda; in target mode Tgt, or Com inside
-    ``pure``.  Names resolve against ``scope`` (the enclosing binders),
-    then the signature.  Elaboration errors are recorded so that a syntax
-    error is reported first; ``finish`` raises the first one met.
+    The parser reads the token lists by index: ``self.kinds[self.i]`` is
+    the kind of the token at the cursor.  ``lab`` is the label of the node
+    being parsed: Src at the top of a program, Com under a lambda; in
+    target mode Tgt, or Com inside ``pure``.  Names resolve against
+    ``scope`` (the enclosing binders), then the signature.  Elaboration
+    errors are recorded so that a syntax error is reported first;
+    ``finish`` raises the first one met.
     """
 
-    def __init__(self, toks: list[Tok], sig: Signature, target: bool):
-        self.toks = toks
-        self.i = 0
-        self.sig = sig
-        self.target = target
-        self.lab = TGT if target else SRC
+    __slots__ = ("toks", "kinds", "texts", "glued", "i", "sig", "target", "lab", "scope",
+                 "combinators", "marks", "error")
+
+    def __init__(self, toks: Tokens, sig: Signature, target: bool):
+        self.toks, self.kinds, self.texts, self.glued = toks, toks.kinds, toks.texts, toks.glued
+        self.i, self.sig, self.target, self.lab = 0, sig, target, TGT if target else SRC
         self.scope: frozenset[str] = frozenset()
         self.combinators = 0  # combinator nodes built so far
         self.marks = 0  # Each nodes built so far, so a let tests its parts in O(1)
         self.error: Optional[PurifyError] = None
 
-    def peek(self) -> Tok:
-        return self.toks[self.i]
+    def syntax_error(self, expected: str, i: Optional[int] = None) -> ParseError:
+        return ParseError(*self.toks.where(self.i if i is None else i), expected)
 
-    def next(self) -> Tok:
+    def unexpected(self, expected: str) -> ParseError:
         t = self.toks[self.i]
-        self.i += 1
-        return t
+        found = "end of input" if t.kind == "eof" else t.text
+        return ParseError(t.line, t.col, f"{expected} (found {found!r})")
 
-    def expect(self, kind: str) -> Tok:
-        t = self.peek()
-        if t.kind != kind:
-            raise ParseError(t.line, t.col, f"{kind!r} (found {t.text or 'end of input'!r})")
+    def expect(self, kind: str) -> str:
+        i = self.i
+        if self.kinds[i] != kind:
+            raise self.unexpected(repr(kind))
+        self.i = i + 1
+        return self.texts[i]
+
+    def ident(self) -> str:
+        name = self.expect("ident")
         # fresh-prefixed binders only occur in machine-printed target terms
-        if kind == "ident" and not self.target and t.text.startswith(FRESH_PREFIX):
-            raise ParseError(t.line, t.col,
-                             f"identifier (prefix {FRESH_PREFIX!r} is reserved)")
-        return self.next()
+        if name[0] == FRESH_PREFIX and not self.target:
+            raise self.syntax_error(
+                f"identifier (prefix {FRESH_PREFIX!r} is reserved)", self.i - 1)
+        return name
 
-    def expect_kw(self, word: str) -> Tok:
-        t = self.peek()
-        if t.kind != "kw" or t.text != word:
-            raise ParseError(t.line, t.col, f"{word!r} (found {t.text or 'end of input'!r})")
-        return self.next()
-
-    def at_kw(self, word: str) -> bool:
-        t = self.peek()
-        return t.kind == "kw" and t.text == word
-
-    def fail(self, err: PurifyError) -> None:
+    def fail(self, error: type[PurifyError], i: int, message: str) -> None:
+        """Record an elaboration error at token ``i`` unless one came before."""
         if self.error is None:
-            self.error = err
+            self.error = error("%d:%d: %s" % (*self.toks.where(i), message))
 
     def finish(self) -> None:
         self.expect("eof")
@@ -226,42 +226,37 @@ class _Parser:
     # -- types ----------------------------------------------------------
 
     def parse_type(self) -> Ty:
-        if self.at_kw("Eff"):
-            self.next()
+        if self.kinds[self.i] == "Eff":
+            self.i += 1
             return Eff(self.parse_atype())
         left = self.parse_atype()
-        if self.peek().kind == "->":
-            self.next()
+        if self.kinds[self.i] == "->":
+            self.i += 1
             return Arrow(left, self.parse_type())
         return left
 
     def parse_atype(self) -> Ty:
-        t = self.peek()
-        if t.kind == "kw" and t.text == "Unit":
-            self.next()
-            return UNIT
-        if t.kind == "kw" and t.text == "Str":
-            self.next()
-            return STR
-        if t.kind == "(":
-            self.next()
+        k = self.kinds[self.i]
+        if k == "Str" or k == "Unit":
+            self.i += 1
+            return STR if k == "Str" else UNIT
+        if k == "(":
+            self.i += 1
             first = self.parse_type()
-            if self.peek().kind == ",":
-                self.next()
-                second = self.parse_type()
-                self.expect(")")
-                return Prod(first, second)
+            if self.kinds[self.i] == ",":
+                self.i += 1
+                first = Prod(first, self.parse_type())
             self.expect(")")
             return first
-        raise ParseError(t.line, t.col, "a type")
+        raise self.syntax_error("a type")
 
     # -- expressions ------------------------------------------------------
 
     def parse_expr(self) -> Term:
-        t = self.peek()
-        if self.at_kw("fun"):
-            self.next()
-            param = self.expect("ident").text
+        k = self.kinds[self.i]
+        if k == "fun":
+            self.i += 1
+            param = self.ident()
             self.expect("->")
             # a lambda body is common, except a target lambda body that
             # holds a combinator, which is labelled Tgt
@@ -272,27 +267,32 @@ class _Parser:
                 body = relabel(body, COM)
             self.lab, self.scope = lab, scope
             return Lam(param, body, label=lab)
-        if self.at_kw("let"):
+        if k == "let":
             if self.target:
-                raise ParseError(t.line, t.col, "no let in target terms")
-            self.next()
-            name = self.expect("ident").text
+                raise self.syntax_error("no let in target terms")
+            start = self.i
+            self.i += 1
+            name = self.ident()
             self.expect("=")
             marks = self.marks
             bound = self.parse_expr()
             if self.marks != marks:
-                self.fail(LetTooEffectful(
-                    f"{t.line}:{t.col}: bound expression of let has effect marks; "
-                    "rewrite with nested marks, e.g. f(g(x)!)!"
-                ))
-            self.expect_kw("in")
+                self.fail(LetTooEffectful, start, "bound expression of let has effect marks; "
+                          "rewrite with nested marks, e.g. f(g(x)!)!")
+            self.expect("in")
             scope, self.scope, marks = self.scope, self.scope | {name}, self.marks
             body = self.parse_expr()
             self.scope = scope
-            return self._let(t, name, bound, body, self.marks - marks)
-        return self.parse_infix()
+            return self._let(start, name, bound, body, self.marks - marks)
+        left = self.parse_app()
+        while self.kinds[self.i] == "++":
+            concat = self._name("concat", self.i)
+            self.i += 1
+            right = self.parse_app()
+            left = App(App(concat, left, label=self.lab), right, label=self.lab)
+        return left
 
-    def _let(self, t: Tok, name: str, bound: Term, body: Term, marks: int) -> Term:
+    def _let(self, start: int, name: str, bound: Term, body: Term, marks: int) -> Term:
         """Desugar ``let name = bound in body`` to immediate application.
 
         The bound expression must be effect free.  The continuation either
@@ -309,123 +309,116 @@ class _Parser:
             inner = App(Lam(name, relabel(body.eff, COM), label=SRC),
                         relabel(bound, SRC), label=SRC)
             return Each(inner, label=SRC)
-        self.fail(LetTooEffectful(
-            f"{t.line}:{t.col}: let continuation uses more than one effect "
-            "mark; rewrite with nested marks (f(g(x)!)! style)"
-        ))
+        self.fail(LetTooEffectful, start, "let continuation uses more than one effect "
+                  "mark; rewrite with nested marks (f(g(x)!)! style)")
         return body
 
-    def _name(self, name: str, t: Tok) -> Term:
+    def _name(self, name: str, i: int) -> Term:
+        """The term for ``name``, written at token ``i``."""
         if name in self.scope:
             return Var(name, label=self.lab)
         if name not in self.sig:
-            self.fail(UnboundName(f"{t.line}:{t.col}: unbound name {name!r}"))
+            self.fail(UnboundName, i, f"unbound name {name!r}")
         return Const(name, label=self.lab)
 
-    def parse_infix(self) -> Term:
-        left = self.parse_app()
-        while self.peek().kind == "++":
-            concat = self._name("concat", self.next())
-            right = self.parse_app()
-            left = App(App(concat, left, label=self.lab), right, label=self.lab)
-        return left
-
     def parse_app(self) -> Term:
-        t = self.peek()
-        if self.target and t.kind == "kw" and t.text in COMBINATORS:
-            self.next()
+        k = self.kinds[self.i]
+        if self.target and k in COMBINATORS:
             if self.lab is not TGT:
-                self.fail(ParseError(t.line, t.col,
-                                     "a pure expression (combinator in common position)"))
-            node, arity = COMBINATORS[t.text]
+                self.error = self.error or self.syntax_error(
+                    "a pure expression (combinator in common position)")
+            self.i += 1
+            node, arity = COMBINATORS[k]
             lab, self.lab = self.lab, COM if node is Pure else TGT
             args = [self.parse_post() for _ in range(arity)]
             self.lab = lab
             self.combinators += 1
             return node(*args, label=TGT)
         f = self.parse_post()
+        kinds, glued = self.kinds, self.glued
         # a glued "(" is a call, which parse_post has already consumed
-        while (t := self.peek()).kind in ("ident", "string") or t.kind == "(" and not t.glued:
+        while (k := kinds[self.i]) in ("ident", "string") or k == "(" and not glued[self.i]:
             f = App(f, self.parse_post(), label=self.lab)
         return f
 
     def parse_post(self) -> Term:
-        e = self.parse_atom()
+        """An atom followed by marks, projections and glued calls."""
+        i = self.i
+        k = self.kinds[i]
+        if k == "ident":
+            e = self._name(self.ident(), i)
+        elif k == "string":
+            self.i = i + 1
+            e = Lit(_unquote(self.texts[i]), label=self.lab)
+        elif k == "(":
+            e = self.parse_parens()
+        elif k == "fun" or k == "let":
+            e = self.parse_expr()
+        else:
+            raise self.unexpected("an expression")
         while True:
-            t = self.peek()
-            if t.kind == "!":
+            k = self.kinds[self.i]
+            if k == "!":
                 if self.target:
-                    raise ParseError(t.line, t.col, "no effect mark in target terms")
+                    raise self.syntax_error("no effect mark in target terms")
                 if self.lab is COM:
-                    self.fail(MarkUnderLambda(
-                        f"{t.line}:{t.col}: effect mark '!' under a lambda; "
-                        "lambda bodies are pure"
-                    ))
-                self.next()
+                    self.fail(MarkUnderLambda, self.i,
+                              "effect mark '!' under a lambda; lambda bodies are pure")
+                self.i += 1
                 self.marks += 1
                 e = Each(e, label=SRC)
-            elif t.kind == ".1" or t.kind == ".2":
-                self.next()
-                e = (Fst if t.kind == ".1" else Snd)(e, label=self.lab)
-            elif t.kind == "(" and t.glued:
-                self.next()
+            elif k == ".1" or k == ".2":
+                self.i += 1
+                e = (Fst if k == ".1" else Snd)(e, label=self.lab)
+            elif k == "(" and self.glued[self.i]:
+                self.i += 1
                 arg = self.parse_expr()
                 self.expect(")")
                 e = App(e, arg, label=self.lab)
             else:
                 return e
 
-    def parse_atom(self) -> Term:
-        t = self.peek()
-        if t.kind == "ident":
-            return self._name(self.expect("ident").text, t)
-        if t.kind == "string":
-            self.next()
-            return Lit(t.text, label=self.lab)
-        if t.kind == "(":
-            self.next()
-            if self.peek().kind == ")":
-                self.next()
-                return Unt(label=self.lab)
-            e = self.parse_expr()
-            nxt = self.peek()
-            if nxt.kind == ",":
-                self.next()
-                snd = self.parse_expr()
-                self.expect(")")
-                return Prd(e, snd, label=self.lab)
-            if nxt.kind == ":":
-                self.next()
-                ty = self.parse_type()
-                self.expect(")")
-                if type(e) is Lam:
-                    if not isinstance(ty, Arrow):
-                        raise ParseError(nxt.line, nxt.col, "an arrow type annotation")
-                    e.param_ty = ty.dom
-                return e  # non-lambda annotations carry no information we keep
+    def parse_parens(self) -> Term:
+        """Unit, a parenthesized expression, a pair or an annotation."""
+        self.i += 1
+        if self.kinds[self.i] == ")":
+            self.i += 1
+            return Unt(label=self.lab)
+        e = self.parse_expr()
+        colon = self.i
+        k = self.kinds[colon]
+        if k == ",":
+            self.i += 1
+            e = Prd(e, self.parse_expr(), label=self.lab)
+        elif k == ":":
+            self.i += 1
+            ty = self.parse_type()
             self.expect(")")
-            return e
-        if t.kind == "kw" and t.text in ("fun", "let"):
-            return self.parse_expr()
-        raise ParseError(t.line, t.col, f"an expression (found {t.text or 'end of input'!r})")
+            if type(e) is Lam:
+                if not isinstance(ty, Arrow):
+                    raise self.syntax_error("an arrow type annotation", colon)
+                e.param_ty = ty.dom
+            return e  # non-lambda annotations carry no information we keep
+        self.expect(")")
+        return e
 
     # -- programs ---------------------------------------------------------
 
     def parse_program(self) -> SurfaceProgram:
         decls: dict[str, ConstDecl] = {}
-        while self.at_kw("effect") or self.at_kw("prim"):
-            kw = self.next()
-            name = self.expect("ident").text
+        while (k := self.kinds[self.i]) == "effect" or k == "prim":
+            self.i += 1
+            name = self.ident()
             if name in decls:
                 raise DuplicateDecl(f"constant {name!r} declared twice")
             self.expect(":")
-            kind = ConstKind.EFFECTFUL if kw.text == "effect" else ConstKind.PURE
+            kind = ConstKind.EFFECTFUL if k == "effect" else ConstKind.PURE
             decls[name] = ConstDecl(name, self.parse_type(), kind)
         try:
             self.sig = Signature(list(decls.values()))
         except PurifyError as err:
-            self.fail(err)
-        self.expect_kw("purify")
+            self.error = self.error or err
+        self.expect("purify")
         self.expect("{")
         body = self.parse_expr()
         self.expect("}")

@@ -253,11 +253,11 @@ PIPELINE = (["check"], ["translate"], ["analyze"], ["run", "--monad", "trace"])
 
 
 def test_internal_fault_exits_3(tmp_path, capsys):
-    """300 nested marks exceed Python's recursion limit in the parser: a
+    """1,000 nested marks exceed Python's recursion limit in the parser: a
     fault of purify, not of the program, reported in one line."""
     p = tmp_path / "deep.pfy"
     p.write_text("effect fetch : Str -> Eff Str\npurify { "
-                 + "fetch(" * 300 + '"u"' + ")!" * 300 + " }")
+                 + "fetch(" * 1000 + '"u"' + ")!" * 1000 + " }")
     for cmd in PIPELINE:
         assert main([cmd[0], str(p), *cmd[1:]]) == 3
         err = capsys.readouterr().err
@@ -458,3 +458,46 @@ def test_parser_is_built_once(two_fetches_file, monkeypatch, capsys):
         assert main(["check", two_fetches_file]) == 0
     capsys.readouterr()
     assert built.count("purify") == 1
+
+
+def test_compiling_commands_pause_the_collector(two_fetches_file, monkeypatch, capsys):
+    """check, translate, analyze and run work with the cyclic collector
+    paused (terms are acyclic) and hand the caller's setting back, also
+    after a diagnostic; suite and laws leave it as the caller set it."""
+    import gc
+
+    import purify.cli as cli
+
+    seen = []
+
+    def spy(fn):
+        def call(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return fn(*args, **kwargs)
+        return call
+
+    for name in ("typecheck", "run_suite", "check_laws"):
+        monkeypatch.setattr(cli, name, spy(getattr(cli, name)))
+    bad = two_fetches_file + ".bad.pfy"
+    with open(bad, "w", encoding="utf-8") as fh:
+        fh.write('prim concat : Str -> Str -> Str\npurify { ("a" ++ "b")! }\n')
+    compiling = [(cmd + [f], code) for f, code in ((two_fetches_file, 0), (bad, 1))
+                 for cmd in (["check"], ["translate"], ["analyze"], ["run", "--monad", "trace"])]
+    try:
+        for before in (True, False):
+            for argv, code in compiling:
+                (gc.enable if before else gc.disable)()
+                seen.clear()
+                assert main(argv) == code, argv
+                assert seen and not any(seen), argv
+                assert gc.isenabled() is before, argv
+            for argv in (["suite", "types", "--trials", "2"],
+                         ["laws", "--monad", "option", "--trials", "2"]):
+                (gc.enable if before else gc.disable)()
+                seen.clear()
+                assert main(argv) == 0
+                assert seen == [before]
+                assert gc.isenabled() is before
+    finally:
+        gc.enable()
+    capsys.readouterr()

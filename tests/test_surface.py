@@ -264,6 +264,134 @@ def test_tokenizer_rejects_unterminated_string():
         tokenize('"abc')
 
 
+# The token stream, or the exact lexer error, of inputs at the lexer's edges:
+# line ends and columns, comments, glue, word forms, string escapes and the
+# characters no token starts with.  Each entry is (kind, text, line, col, glued).
+LEXER_PINS = [
+    ('crlf_and_tabs', 'prim a : Str\r\npurify {\ta\r\n}', [
+        ('kw', 'prim', 1, 1, False), ('ident', 'a', 1, 6, False), (':', ':', 1, 8, False),
+        ('kw', 'Str', 1, 10, False), ('kw', 'purify', 2, 1, False), ('{', '{', 2, 8, False),
+        ('ident', 'a', 2, 10, False), ('}', '}', 3, 1, False), ('eof', '', 3, 2, False),
+    ]),
+    ('tab_columns', '\t\tx\ty', [
+        ('ident', 'x', 1, 3, False), ('ident', 'y', 1, 5, False), ('eof', '', 1, 6, False),
+    ]),
+    ('comment_at_eof', 'purify { a } -- done', [
+        ('kw', 'purify', 1, 1, False), ('{', '{', 1, 8, False),
+        ('ident', 'a', 1, 10, False), ('}', '}', 1, 12, False), ('eof', '', 1, 21, False),
+    ]),
+    ('comment_after_token', 'a-- c\n b', [
+        ('ident', 'a', 1, 1, False), ('ident', 'b', 2, 2, False), ('eof', '', 2, 3, False),
+    ]),
+    ('glued_comment_at_eof', 'a--c', [
+        ('ident', 'a', 1, 1, False), ('eof', '', 1, 5, False),
+    ]),
+    ('only_a_comment', '-- only a comment', [
+        ('eof', '', 1, 18, False),
+    ]),
+    ('empty', '', [
+        ('eof', '', 1, 1, False),
+    ]),
+    ('only_blanks', ' \n\t', [
+        ('eof', '', 2, 2, False),
+    ]),
+    ('spaced_paren', 'f ("a")', [
+        ('ident', 'f', 1, 1, False), ('(', '(', 1, 3, False), ('string', 'a', 1, 4, True),
+        (')', ')', 1, 7, True), ('eof', '', 1, 8, False),
+    ]),
+    ('glued_paren', 'f("a")', [
+        ('ident', 'f', 1, 1, False), ('(', '(', 1, 2, True), ('string', 'a', 1, 3, True),
+        (')', ')', 1, 6, True), ('eof', '', 1, 7, False),
+    ]),
+    ('word_forms', "$ $1 _x x' a_b'2", [
+        ('ident', '$', 1, 1, False), ('ident', '$1', 1, 3, False),
+        ('ident', '_x', 1, 6, False), ('ident', "x'", 1, 9, False),
+        ('ident', "a_b'2", 1, 12, False), ('eof', '', 1, 17, False),
+    ]),
+    ('projections', 'x.1.2 .1 .2', [
+        ('ident', 'x', 1, 1, False), ('.1', '.1', 1, 2, True), ('.2', '.2', 1, 4, True),
+        ('.1', '.1', 1, 7, False), ('.2', '.2', 1, 10, False), ('eof', '', 1, 12, False),
+    ]),
+    ('projection_3', 'x.3', "1:2: expected token (found '.')"),
+    ('comment_swallows_arrow', '-->->++', [
+        ('eof', '', 1, 8, False),
+    ]),
+    ('keywords', 'let effect prim purify fun in Unit Str Eff pure map ap join lets', [
+        ('kw', 'let', 1, 1, False), ('kw', 'effect', 1, 5, False),
+        ('kw', 'prim', 1, 12, False), ('kw', 'purify', 1, 17, False),
+        ('kw', 'fun', 1, 24, False), ('kw', 'in', 1, 28, False),
+        ('kw', 'Unit', 1, 31, False), ('kw', 'Str', 1, 36, False),
+        ('kw', 'Eff', 1, 40, False), ('kw', 'pure', 1, 44, False),
+        ('kw', 'map', 1, 49, False), ('kw', 'ap', 1, 53, False),
+        ('kw', 'join', 1, 56, False), ('ident', 'lets', 1, 61, False),
+        ('eof', '', 1, 65, False),
+    ]),
+    ('string_escapes', '"" "a\\n\\t\\"\\\\b" "--"', [
+        ('string', '', 1, 1, False), ('string', 'a\n\t"\\b', 1, 4, False),
+        ('string', '--', 1, 17, False), ('eof', '', 1, 21, False),
+    ]),
+    ('unterminated_at_eof', '"abc', '1:1: expected closing quote'),
+    ('unterminated_at_newline', '"ab\ncd"', '1:1: expected closing quote'),
+    ('invalid_escape', 'x "a\\q"', '1:5: expected valid escape (\\n \\t \\" \\\\)'),
+    ('backslash_at_eof', '"ab\\', '1:4: expected escape character'),
+    ('escaped_newline', '"ab\\\n"', '1:4: expected valid escape (\\n \\t \\" \\\\)'),
+    ('lone_minus', 'a - b', "1:3: expected token (found '-')"),
+    ('hash', 'a # b', "1:3: expected token (found '#')"),
+    ('form_feed', 'a\x0cb', "1:2: expected token (found '\\x0c')"),
+    ('no_break_space', 'a\xa0b', "1:2: expected token (found '\\xa0')"),
+    ('superscript_start', '²x', "1:1: expected token (found '²')"),
+    ('superscript_start_line_2', 'x\r\n\t²', "2:2: expected token (found '²')"),
+    ('superscript_inside', 'x²', [
+        ('ident', 'x²', 1, 1, False), ('eof', '', 1, 3, False),
+    ]),
+    ('superscript_before_hash', '²x #', "1:1: expected token (found '²')"),
+    ('hash_before_superscript', '# ²x', "1:1: expected token (found '#')"),
+    ('escape_before_hash', '"a\\q" #', '1:3: expected valid escape (\\n \\t \\" \\\\)'),
+    ('unterminated_after_word', 'x "abc', '1:3: expected closing quote'),
+    ('unicode_words', 'été λ', [
+        ('ident', 'été', 1, 1, False), ('ident', 'λ', 1, 5, False),
+        ('eof', '', 1, 6, False),
+    ]),
+    ('digit_start', '1x', "1:1: expected token (found '1')"),
+    ('quote_start', "'x", '1:1: expected token (found "\'")'),
+]
+
+
+@pytest.mark.parametrize("name, text, expected", LEXER_PINS, ids=[p[0] for p in LEXER_PINS])
+def test_lexer_pins(name, text, expected):
+    if isinstance(expected, str):
+        with pytest.raises(ParseError) as ei:
+            tokenize(text)
+        assert str(ei.value) == expected
+    else:
+        toks = tokenize(text)
+        assert len(toks) == len(expected)
+        assert [(t.kind, t.text, t.line, t.col, t.glued) for t in toks] == expected
+
+
+def test_lexing_and_diagnostics_take_linear_time():
+    """Long strings and comments on many lines, each with an unbound name
+    that records a diagnostic, and the position of every token: no
+    position is found by rescanning the text."""
+    line = 'ghost ++ "' + "s" * 200 + '" -- ' + "c" * 200 + "\n ++ "
+
+    def best(n):
+        text = "prim concat : Str -> Str -> Str\npurify {\n" + line * n + '"end" }'
+        times = []
+        for _ in range(5):
+            t0 = time.perf_counter()
+            with pytest.raises(UnboundName) as ei:
+                parse(text)
+            last = [(t.line, t.col) for t in tokenize(text)][-1]
+            times.append(time.perf_counter() - t0)
+        assert str(ei.value) == "3:1: unbound name 'ghost'"
+        assert last == (n + 3, 12)
+        return min(times)
+
+    # linear within 2x: 8x the text may take at most 16x the time
+    assert best(800) <= 16 * best(100)
+
+
 def test_parse_target_rejects_marks_and_lets():
     sig = Signature()
     with pytest.raises(ParseError):
@@ -334,6 +462,12 @@ def test_syntax_error_wins_over_elaboration_errors(text, message):
     with pytest.raises(ParseError) as ei:
         parse_and_elaborate(text)
     assert str(ei.value) == message
+
+
+def test_unexpected_empty_string_is_not_end_of_input():
+    with pytest.raises(ParseError) as ei:
+        parse('purify { let x "" in x }')
+    assert str(ei.value) == "1:16: expected '=' (found '')"
 
 
 def test_syntax_error_wins_in_target_terms():
