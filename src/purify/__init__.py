@@ -21,7 +21,7 @@ from .translate import (
     smart_ap, smart_join, FuelExhausted,
 )
 from .semantics import (
-    Value, VUnit, VStr, VPair, VFun, VEff, VUNIT, ABSENT,
+    VEff, VUNIT, ABSENT,
     MonadDict, builtin_monads, option_monad, state_monad, writer_monad,
     trace_monad, mixed_order_writer, make_const_env, ConstEnv,
     evaluate, check_laws, LawReport, value_eq_for, actions_agree, render_value,

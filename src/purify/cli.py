@@ -25,7 +25,7 @@ TRANSLATIONS = {"opt": opt_translate, "naive": naive_translate, "seq": seq_trans
 
 def _load_program(path: str):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # a leading BOM is no token
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise PurifyError(f"{path}: not UTF-8 text ({exc})") from None
@@ -39,7 +39,7 @@ def _load_config(path: Optional[str], sig) -> dict:
     """Read and validate an effect-behavior config; problems are diagnostics."""
     if not path:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             config = json.load(fh)
         except ValueError as exc:

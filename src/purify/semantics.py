@@ -10,10 +10,16 @@ the translation keeps Ap nodes instead of lowering them to binds.  Each
 monad's constructor is the one place that defines its behaviour, including
 what one effect call does and what ``purify run`` reports.  The suites
 evaluate a term once, under ``REIFIED``, and ``run`` it under each monad.
+
+Guest values are host data, as in a definitional interpreter: a Str is a
+``str``, unit ``()``, a pair a 2-tuple and a function a Python callable.
+Only an action is wrapped (``VEff``), and a constant environment is a plain
+``{name: value}`` dict.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from typing import Callable, Optional
 
@@ -39,58 +45,10 @@ class SignatureMismatch(PurifyError):
 # ---------------------------------------------------------------------------
 # Values
 # ---------------------------------------------------------------------------
+# A function is total on well-typed arguments.  An action is wrapped because
+# a monad's own actions are host data too (a state function, a writer pair).
 
-class Value:
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-
-# Not frozen: an __init__ that goes round __setattr__ costs about 3x more.
-
-class _Data(Value):
-    """A first-order value: equal to the values of its class with equal fields."""
-
-    __slots__ = ()
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is type(self) and all(
-            getattr(self, f) == getattr(other, f) for f in self.__slots__)
-
-    def __hash__(self) -> int:
-        return hash(tuple(getattr(self, f) for f in self.__slots__))
-
-
-class VUnit(_Data):
-    __slots__ = ()
-
-
-class VStr(_Data):
-    __slots__ = ("text",)
-
-    def __init__(self, text: str):
-        self.text = text
-
-
-class VPair(_Data):
-    __slots__ = ("fst", "snd")
-
-    def __init__(self, fst: Value, snd: Value):
-        self.fst, self.snd = fst, snd
-
-
-class VFun(Value):
-    """Host closure; total on well-typed arguments."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn: Callable[[Value], Value]):
-        self.fn = fn
-
-
-class VEff(Value):
+class VEff:
     """A monadic action as a first-class value (one monad per run)."""
 
     __slots__ = ("action",)
@@ -99,35 +57,32 @@ class VEff(Value):
         self.action = action
 
 
-VUNIT = VUnit()
+VUNIT = ()
 
 
-def render_value(v: Value) -> str:
+def render_value(v: object) -> str:
     k = type(v)
-    if k is VStr:
-        return v.text
-    if k is VUnit:
-        return "()"
-    if k is VPair:
-        return f"({render_value(v.fst)},{render_value(v.snd)})"
-    if k is VFun:
-        return "<fun>"
+    if k is str:
+        return v
+    if k is tuple:
+        return f"({render_value(v[0])},{render_value(v[1])})" if v else "()"
     if k is VEff:
         return "<eff>"
+    if callable(v):
+        return "<fun>"
     raise EvalError(f"unknown value {v!r}")
 
 
-def base_value_eq(a: Value, b: Value) -> bool:
-    """Structural equality on first-order values."""
+def base_value_eq(a: object, b: object) -> bool:
+    """``==`` on first-order values; a function or an action is compared only
+    at its type, by ``value_eq_for``."""
     k = type(a)
+    if k is str:
+        return a == b
+    if k is tuple:
+        return type(b) is tuple and len(a) == len(b) and all(map(base_value_eq, a, b))
     if k is not type(b):
         return False
-    if k is VStr:
-        return a.text == b.text
-    if k is VUnit:
-        return True
-    if k is VPair:
-        return base_value_eq(a.fst, b.fst) and base_value_eq(a.snd, b.snd)
     raise EvalError(f"{k.__name__} values need a type-directed comparator")
 
 
@@ -135,7 +90,7 @@ def base_value_eq(a: Value, b: Value) -> bool:
 # Monad dictionaries
 # ---------------------------------------------------------------------------
 
-ValueEq = Callable[[Value, Value], bool]
+ValueEq = Callable[[object, object], bool]
 
 
 class MonadDict:
@@ -178,7 +133,7 @@ def option_monad() -> MonadDict:
     def ap(af, ax):
         if af is ABSENT or ax is ABSENT:
             return ABSENT
-        return af.fn(ax)
+        return af(ax)
 
     def bind(k, a):
         return ABSENT if a is ABSENT else k(a)
@@ -220,7 +175,7 @@ def state_monad() -> MonadDict:
         def run(s):
             vf, s1 = af(s)
             vx, s2 = ax(s1)
-            return vf.fn(vx), s2
+            return vf(vx), s2
 
         return run
 
@@ -243,7 +198,7 @@ def state_monad() -> MonadDict:
         n = rng.randint(1, 2)
 
         def run(s):
-            return VStr(f"s{s}"), s + n
+            return f"s{s}", s + n
 
         return run
 
@@ -273,7 +228,7 @@ def _writer(monad_name: str, flipped: bool) -> MonadDict:
         vf, wf = af
         vx, wx = ax
         log = wx + wf if flipped else wf + wx
-        return vf.fn(vx), log
+        return vf(vx), log
 
     def bind(k, a):
         v, w = a
@@ -322,7 +277,7 @@ def trace_monad() -> MonadDict:
         return d.with_result(f(d.result))
 
     def ap(df: TraceDag, dx: TraceDag):
-        return parallel_compose(df, dx, df.result.fn(dx.result))
+        return parallel_compose(df, dx, df.result(dx.result))
 
     def bind(k, d: TraceDag):
         d2 = k(d.result)
@@ -361,30 +316,21 @@ def builtin_monads() -> list[MonadDict]:
 # Constant environments
 # ---------------------------------------------------------------------------
 
-class ConstEnv:
-    __slots__ = ("values",)
-
-    def __init__(self, values: dict[str, Value] | None = None):
-        self.values = {} if values is None else values
-
-    def value(self, name: str) -> Value:
-        if name not in self.values:
-            raise SignatureMismatch(f"no interpretation for constant {name!r}")
-        return self.values[name]
+ConstEnv = dict  # constant name -> its value under one monad
 
 
-def seed_value(ty, tag: str, m: MonadDict) -> Value:
+def seed_value(ty, tag: str, m: MonadDict) -> object:
     """Deterministic, type-correct default value derived from a tag."""
     k = type(ty)
     if k is Str:
-        return VStr(tag)
+        return tag
     if k is Unit:
         return VUNIT
     if k is Prod:
-        return VPair(seed_value(ty.left, tag + ".1", m), seed_value(ty.right, tag + ".2", m))
+        return seed_value(ty.left, tag + ".1", m), seed_value(ty.right, tag + ".2", m)
     if k is Arrow:
         cod = ty.cod
-        return VFun(lambda v: seed_value(cod, f"{tag}({render_value(v)})", m))
+        return lambda v: seed_value(cod, f"{tag}({render_value(v)})", m)
     if k is Eff:
         return VEff(m.pure(seed_value(ty.inner, tag + "^", m)))
     raise EvalError(f"unknown type {ty!r}")
@@ -395,26 +341,26 @@ def seed_value(ty, tag: str, m: MonadDict) -> Value:
 BEHAVIOR_KINDS = ("value", "absent", "state_incr", "log")
 
 
-def _effect_action(m: MonadDict, name: str, args: list[Value], result_ty,
+def _effect_action(m: MonadDict, name: str, args: list[object], result_ty,
                    behavior: dict):
     arg_str = render_value(args[0]) if len(args) == 1 else ",".join(map(render_value, args))
     tag = f"{name}({arg_str})" if args else name
     payload = behavior.get("payload")
     if payload is not None and result_ty == STR:
-        result = VStr(str(payload))
+        result = str(payload)
     else:
         result = seed_value(result_ty, tag, m)
     return m.effect(name, arg_str, tag, result, result_ty, behavior)
 
 
 def _curried_effect(m: MonadDict, name: str, ty, arity: int,
-                    behavior: dict) -> Value:
-    def build(args: list[Value], t) -> Value:
+                    behavior: dict) -> object:
+    def build(args: list[object], t) -> object:
         if len(args) == arity:
             assert isinstance(t, Eff)
             return VEff(_effect_action(m, name, args, t.inner, behavior))
         assert isinstance(t, Arrow)
-        return VFun(lambda v, _t=t, _args=args: build(_args + [v], _t.cod))
+        return lambda v, _t=t, _args=args: build(_args + [v], _t.cod)
 
     return build([], ty)
 
@@ -438,9 +384,9 @@ def _require_observed_payload(m: MonadDict, name: str, ty, arity: int,
         )
 
 
-def _pure_const(m: MonadDict, name: str, ty) -> Value:
+def _pure_const(m: MonadDict, name: str, ty) -> object:
     if name == "concat" and ty == Arrow(STR, Arrow(STR, STR)):
-        return VFun(lambda a: VFun(lambda b: VStr(a.text + b.text)))
+        return lambda a: lambda b: a + b
     return seed_value(ty, name, m)
 
 
@@ -454,7 +400,7 @@ def make_const_env(sig: Signature, m: MonadDict,
     an effect-behavior config.  A config payload the monad never observes,
     or a kind it does not read, raises ``PurifyError``.
     """
-    env = ConstEnv()
+    env = {}
     for decl in sig:
         if decl.effectful:
             behavior = (behaviors or {}).get(decl.name) or {}
@@ -464,9 +410,9 @@ def make_const_env(sig: Signature, m: MonadDict,
             if behavior.get("kind", "value") not in m.kinds:
                 raise PurifyError(f"behavior kind {behavior['kind']!r} for {decl.name!r} "
                                   f"is never observed under the {m.name} monad")
-            env.values[decl.name] = _curried_effect(m, decl.name, decl.ty, arity, behavior)
+            env[decl.name] = _curried_effect(m, decl.name, decl.ty, arity, behavior)
         else:
-            env.values[decl.name] = _pure_const(m, decl.name, decl.ty)
+            env[decl.name] = _pure_const(m, decl.name, decl.ty)
     return env
 
 
@@ -480,7 +426,7 @@ def make_const_env(sig: Signature, m: MonadDict,
 class APure:
     __slots__ = ("value",)
 
-    def __init__(self, value: Value):
+    def __init__(self, value: object):
         self.value = value
 
 
@@ -494,7 +440,7 @@ class AEffect:
 class AMap:
     __slots__ = ("fn", "arg")
 
-    def __init__(self, fn: Callable[[Value], Value], arg):
+    def __init__(self, fn: Callable[[object], object], arg):
         self.fn, self.arg = fn, arg
 
 
@@ -508,7 +454,7 @@ class AAp:
 class ABind:
     __slots__ = ("cont", "arg")
 
-    def __init__(self, cont: Callable[[Value], object], arg):
+    def __init__(self, cont: Callable[[object], object], arg):
         self.cont, self.arg = cont, arg
 
 
@@ -520,8 +466,8 @@ def _reified_monad() -> MonadDict:
         if type(af) is not APure:
             return AAp(af, ax)
         if type(ax) is APure:
-            return APure(af.value.fn(ax.value))
-        return AMap(af.value.fn, ax)
+            return APure(af.value(ax.value))
+        return AMap(af.value, ax)
 
     def bind(k, a):
         return k(a.value) if type(a) is APure else ABind(k, a)
@@ -560,8 +506,8 @@ def run(m: MonadDict, action):
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def _as_action(v: Value):
-    if not isinstance(v, VEff):
+def _as_action(v: object):
+    if type(v) is not VEff:
         raise EvalError(f"expected an effectful value, got {type(v).__name__}")
     return v.action
 
@@ -574,28 +520,28 @@ def evaluate(e: Term, label: Label, m: MonadDict, consts: ConstEnv):
 
 
 def _eval_direct(e: Term, m: MonadDict, consts: ConstEnv,
-                 scope: dict[str, Value]) -> Value:
+                 scope: dict[str, object]) -> object:
     # exact-type tests, most frequent kind first: cheaper than class patterns
     k = type(e)
     if k is Lit:
-        return VStr(e.value)
+        return e.value
     if k is App:
-        return _apply(_eval_direct(e.fun, m, consts, scope),
-                      _eval_direct(e.arg, m, consts, scope))
+        return _eval_direct(e.fun, m, consts, scope)(_eval_direct(e.arg, m, consts, scope))
     if k is Lam:
         param, body = e.param, e.body
 
-        def closure(v: Value) -> Value:
+        def closure(v: object) -> object:
             inner = dict(scope)
             inner[param] = v
             return _eval_direct(body, m, consts, inner)
 
-        return VFun(closure)
+        return closure
     if k is Const:
-        return consts.value(e.name)
+        if e.name not in consts:
+            raise SignatureMismatch(f"no interpretation for constant {e.name!r}")
+        return consts[e.name]
     if k is Prd:
-        return VPair(_eval_direct(e.fst, m, consts, scope),
-                     _eval_direct(e.snd, m, consts, scope))
+        return _eval_direct(e.fst, m, consts, scope), _eval_direct(e.snd, m, consts, scope)
     if k is Unt:
         return VUNIT
     if k is Pure:
@@ -607,9 +553,9 @@ def _eval_direct(e: Term, m: MonadDict, consts: ConstEnv,
     if k is Map:
         vf = _eval_direct(e.fun, m, consts, scope)
         va = _eval_direct(e.arg, m, consts, scope)
-        return VEff(m.map(vf.fn, _as_action(va)))
+        return VEff(m.map(vf, _as_action(va)))
     if k is Fst:
-        return _pair(_eval_direct(e.pair, m, consts, scope)).fst
+        return _eval_direct(e.pair, m, consts, scope)[0]
     if k is Ap:
         vf = _eval_direct(e.fun, m, consts, scope)
         va = _eval_direct(e.arg, m, consts, scope)
@@ -618,13 +564,13 @@ def _eval_direct(e: Term, m: MonadDict, consts: ConstEnv,
         vn = _eval_direct(e.nested, m, consts, scope)
         return VEff(m.bind(_as_action, _as_action(vn)))
     if k is Snd:
-        return _pair(_eval_direct(e.pair, m, consts, scope)).snd
+        return _eval_direct(e.pair, m, consts, scope)[1]
     if k is Each:
         raise EvalError("Each is a source construct; evaluate at src")
     raise EvalError(f"unknown term former {k.__name__}")
 
 
-def _eval_src(e: Term, m: MonadDict, consts: ConstEnv, scope: dict[str, Value]):
+def _eval_src(e: Term, m: MonadDict, consts: ConstEnv, scope: dict[str, object]):
     k = type(e)
     if k is App:
         return m.ap(_eval_src(e.fun, m, consts, scope), _eval_src(e.arg, m, consts, scope))
@@ -633,28 +579,13 @@ def _eval_src(e: Term, m: MonadDict, consts: ConstEnv, scope: dict[str, Value]):
     if k is Each:
         return m.bind(_as_action, _eval_src(e.eff, m, consts, scope))
     if k is Prd:
-        pairing = m.map(
-            lambda va: VFun(lambda vb: VPair(va, vb)),
-            _eval_src(e.fst, m, consts, scope),
-        )
+        pairing = m.map(lambda va: lambda vb: (va, vb), _eval_src(e.fst, m, consts, scope))
         return m.ap(pairing, _eval_src(e.snd, m, consts, scope))
     if k is Fst:
-        return m.map(lambda v: _pair(v).fst, _eval_src(e.pair, m, consts, scope))
+        return m.map(lambda v: v[0], _eval_src(e.pair, m, consts, scope))
     if k is Snd:
-        return m.map(lambda v: _pair(v).snd, _eval_src(e.pair, m, consts, scope))
+        return m.map(lambda v: v[1], _eval_src(e.pair, m, consts, scope))
     raise EvalError(f"{k.__name__} is not a source term former")
-
-
-def _pair(v: Value) -> VPair:
-    if not isinstance(v, VPair):
-        raise EvalError(f"expected a pair, got {type(v).__name__}")
-    return v
-
-
-def _apply(vf: Value, va: Value) -> Value:
-    if not isinstance(vf, VFun):
-        raise EvalError(f"expected a function, got {type(vf).__name__}")
-    return vf.fn(va)
 
 
 # ---------------------------------------------------------------------------
@@ -664,26 +595,22 @@ def _apply(vf: Value, va: Value) -> Value:
 EXTENSIONAL_SAMPLES = 5
 
 
-def sample_values(ty, m: MonadDict) -> list[Value]:
+def sample_values(ty, m: MonadDict) -> list[object]:
     """Deterministic sample inputs for extensional function comparison."""
-    match ty:
-        case Unit():
-            return [VUNIT]
-        case Str():
-            return [VStr(s) for s in ("", "a", "b", "ab", "q")]
-        case Prod(left, right):
-            ls, rs = sample_values(left, m), sample_values(right, m)
-            out = [VPair(l, r) for l in ls for r in rs]
-            return out[:EXTENSIONAL_SAMPLES]
-        case Arrow(_, cod):
-            cods = sample_values(cod, m)
-
-            def pick(i: int) -> Value:
-                return VFun(lambda v, _i=i: cods[(len(render_value(v)) + _i) % len(cods)])
-
-            return [pick(i) for i in range(min(3, len(cods)) or 1)]
-        case Eff(inner):
-            return [VEff(m.pure(s)) for s in sample_values(inner, m)[:3]]
+    k = type(ty)
+    if k is Unit:
+        return [VUNIT]
+    if k is Str:
+        return ["", "a", "b", "ab", "q"]
+    if k is Prod:
+        ls, rs = sample_values(ty.left, m), sample_values(ty.right, m)
+        return [(l, r) for l in ls for r in rs][:EXTENSIONAL_SAMPLES]
+    if k is Arrow:
+        cods = sample_values(ty.cod, m)
+        return [lambda v, _i=i: cods[(len(render_value(v)) + _i) % len(cods)]
+                for i in range(min(3, len(cods)) or 1)]
+    if k is Eff:
+        return [VEff(m.pure(s)) for s in sample_values(ty.inner, m)[:3]]
     raise EvalError(f"unknown type {ty!r}")
 
 
@@ -693,16 +620,16 @@ def value_eq_for(ty, m: MonadDict) -> ValueEq:
     effect types, run first when reified."""
     k = type(ty)
     if k is Str:
-        return lambda a, b: a.text == b.text
+        return operator.eq
     if k is Unit:
         return lambda a, b: True
     if k is Prod:
         le, re = value_eq_for(ty.left, m), value_eq_for(ty.right, m)
-        return lambda a, b: le(a.fst, b.fst) and re(a.snd, b.snd)
+        return lambda a, b: le(a[0], b[0]) and re(a[1], b[1])
     if k is Arrow:
         args = sample_values(ty.dom, m)[:EXTENSIONAL_SAMPLES]
         ce = value_eq_for(ty.cod, m)
-        return lambda a, b: all(ce(a.fn(x), b.fn(x)) for x in args)
+        return lambda a, b: all(ce(a(x), b(x)) for x in args)
     if k is Eff:
         ie = value_eq_for(ty.inner, m)
         return lambda a, b: m.run_eq(run(m, a.action), run(m, b.action), ie)
@@ -744,16 +671,16 @@ class LawReport:
         }
 
 
-def _gen_value(rng: random.Random, depth: int = 0) -> Value:
+def _gen_value(rng: random.Random, depth: int = 0) -> object:
     r = rng.random()
     if depth < 2 and r < 0.25:
-        return VPair(_gen_value(rng, depth + 1), _gen_value(rng, depth + 1))
+        return _gen_value(rng, depth + 1), _gen_value(rng, depth + 1)
     if r < 0.35:
         return VUNIT
-    return VStr(rng.choice(("", "a", "b", "ab", "xyz")))
+    return rng.choice(("", "a", "b", "ab", "xyz"))
 
 
-def _gen_fun(rng: random.Random) -> Callable[[Value], Value]:
+def _gen_fun(rng: random.Random) -> Callable[[object], object]:
     kind = rng.randrange(4)
     if kind == 0:
         return lambda v: v
@@ -761,8 +688,8 @@ def _gen_fun(rng: random.Random) -> Callable[[Value], Value]:
         c = _gen_value(rng)
         return lambda v: c
     if kind == 2:
-        return lambda v: VStr("f:" + render_value(v))
-    return lambda v: VPair(v, VStr("t"))
+        return lambda v: "f:" + render_value(v)
+    return lambda v: (v, "t")
 
 
 def _gen_action(rng: random.Random, m: MonadDict):
@@ -771,12 +698,12 @@ def _gen_action(rng: random.Random, m: MonadDict):
     return m.pure(_gen_value(rng))
 
 
-def _gen_kleisli(rng: random.Random, m: MonadDict) -> Callable[[Value], object]:
+def _gen_kleisli(rng: random.Random, m: MonadDict) -> Callable[[object], object]:
     f = _gen_fun(rng)
     if rng.random() < 0.5:
         return lambda v: m.pure(f(v))
     base = _gen_action(rng, m)
-    return lambda v: m.map(lambda w, _v=v: VPair(f(_v), w), base)
+    return lambda v: m.map(lambda w, _v=v: (f(_v), w), base)
 
 
 def check_laws(m: MonadDict, trials: int = 1000, seed: int = 0) -> LawReport:
@@ -792,7 +719,7 @@ def check_laws(m: MonadDict, trials: int = 1000, seed: int = 0) -> LawReport:
         a = _gen_action(rng, m)
         k1 = _gen_kleisli(rng, m)
         k2 = _gen_kleisli(rng, m)
-        fa = m.map(lambda w: VFun(lambda v, _w=w: VPair(_w, f(v))), _gen_action(rng, m))
+        fa = m.map(lambda w: lambda v, _w=w: (_w, f(v)), _gen_action(rng, m))
 
         checks = {
             "idl": lambda: m.run_eq(m.bind(k1, m.pure(x)), k1(x)),
@@ -801,9 +728,9 @@ def check_laws(m: MonadDict, trials: int = 1000, seed: int = 0) -> LawReport:
                 m.bind(k2, m.bind(k1, a)),
                 m.bind(lambda v: m.bind(k2, k1(v)), a),
             ),
-            "apl": lambda: m.run_eq(m.ap(m.pure(VFun(f)), a), m.map(f, a)),
+            "apl": lambda: m.run_eq(m.ap(m.pure(f), a), m.map(f, a)),
             "apr": lambda: m.run_eq(
-                m.ap(fa, m.pure(x)), m.map(lambda vf: vf.fn(x), fa)
+                m.ap(fa, m.pure(x)), m.map(lambda vf: vf(x), fa)
             ),
             "aplr": lambda: m.run_eq(m.map(f, m.pure(x)), m.pure(f(x))),
             "map_map": lambda: m.run_eq(

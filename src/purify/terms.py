@@ -522,21 +522,3 @@ def alpha_eq(a: Term, b: Term) -> bool:
 
     return go(a, b, {}, {}, 0)
 
-
-def erase_labels(e: Term) -> object:
-    """Label-free structural skeleton, handy for relabel identity checks."""
-    match e:
-        case Var(name):
-            return ("var", name)
-        case Const(name):
-            return ("const", name)
-        case Unt():
-            return ("unt",)
-        case Lit(value):
-            return ("lit", value)
-        case Lam(param, body, _):
-            return ("lam", param, erase_labels(body))
-        case _:
-            return (type(e).__name__.lower(),) + tuple(
-                erase_labels(c) for c in children(e)
-            )

@@ -160,6 +160,74 @@ def test_run_option_with_absent_behavior(two_fetches_file, tmp_path, capsys):
     assert data["absent"] is True
 
 
+# ``run --json`` for results of every value kind, recorded before guest values
+# became host data: (program, {monad: the fields after "v" and "monad"}).
+RUN_JSON = {
+    "pair": ('effect f : Str -> Eff (Str, Str)\npurify { f("a")! }\n', {
+        "option": '"absent": false, "value": "(f(a).1,f(a).2)"',
+        "state": '"value": "(f(a)@0.1,f(a)@0.2)", "final_state": 1',
+        "writer": '"value": "(f(a).1,f(a).2)", "log": ["f(a)"]',
+        "writer-rtl": '"value": "(f(a).1,f(a).2)", "log": ["f(a)"]',
+        "trace": '"value": "(f(a).1,f(a).2)", "dyn_span": 1, "dyn_work": 1, "latency_ms": 100.0',
+    }),
+    "nested-pair": ('effect f : Str -> Eff (Str, Unit)\neffect h : Eff (Unit, (Str, Str))\n'
+                    'purify { (f("x")!, h!) }\n', {
+        "option": '"absent": false, "value": "((f(x).1,()),((),(h.2.1,h.2.2)))"',
+        "state": '"value": "((f(x)@0.1,()),((),(h@1.2.1,h@1.2.2)))", "final_state": 2',
+        "writer": '"value": "((f(x).1,()),((),(h.2.1,h.2.2)))", "log": ["f(x)", "h"]',
+        "writer-rtl": '"value": "((f(x).1,()),((),(h.2.1,h.2.2)))", "log": ["h", "f(x)"]',
+        "trace": '"value": "((f(x).1,()),((),(h.2.1,h.2.2)))", "dyn_span": 1, "dyn_work": 2, '
+                 '"latency_ms": 100.0',
+    }),
+    "function": ("prim p : Str -> Str\npurify { p }\n", {
+        "option": '"absent": false, "value": "<fun>"',
+        "state": '"value": "<fun>", "final_state": 0',
+        "writer": '"value": "<fun>", "log": []',
+        "writer-rtl": '"value": "<fun>", "log": []',
+        "trace": '"value": "<fun>", "dyn_span": 0, "dyn_work": 0, "latency_ms": 0.0',
+    }),
+    "action": ("effect e : Eff Str\npurify { e }\n", {
+        "option": '"absent": false, "value": "<eff>"',
+        "state": '"value": "<eff>", "final_state": 0',
+        "writer": '"value": "<eff>", "log": []',
+        "writer-rtl": '"value": "<eff>", "log": []',
+        "trace": '"value": "<eff>", "dyn_span": 0, "dyn_work": 0, "latency_ms": 0.0',
+    }),
+    "mixed-pair": ("prim p : Str -> Str\neffect e : Eff Str\npurify { (p, (e, ())) }\n", {
+        "option": '"absent": false, "value": "(<fun>,(<eff>,()))"',
+        "state": '"value": "(<fun>,(<eff>,()))", "final_state": 0',
+        "writer": '"value": "(<fun>,(<eff>,()))", "log": []',
+        "writer-rtl": '"value": "(<fun>,(<eff>,()))", "log": []',
+        "trace": '"value": "(<fun>,(<eff>,()))", "dyn_span": 0, "dyn_work": 0, "latency_ms": 0.0',
+    }),
+}
+
+
+@pytest.mark.parametrize("monad", list(MONADS))
+@pytest.mark.parametrize("kind", list(RUN_JSON))
+def test_run_json_pins_every_value_kind(tmp_path, capsys, kind, monad):
+    text, fields = RUN_JSON[kind]
+    p = tmp_path / "prog.pfy"
+    p.write_text(text)
+    assert main(["run", str(p), "--monad", monad, "--json"]) == 0
+    assert capsys.readouterr().out == f'{{"v": 1, "monad": "{monad}", {fields[monad]}}}\n'
+
+
+def test_program_with_byte_order_mark(tmp_path, capsys):
+    p = tmp_path / "bom.pfy"
+    p.write_bytes(b"\xef\xbb\xbf" + TWO_FETCHES.encode("utf-8"))
+    assert main(["check", str(p)]) == 0
+    assert capsys.readouterr().out.strip() == "(Str, Str)"
+
+
+def test_config_with_byte_order_mark(two_chains_file, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b"\xef\xbb\xbf" + json.dumps({"latency_ms": {"fetch": 50}}).encode("utf-8"))
+    assert main(["run", two_chains_file, "--monad", "trace", "--json",
+                 "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["latency_ms"] == 100.0
+
+
 def test_laws_exit_codes(capsys):
     assert main(["laws", "--monad", "option", "--trials", "100"]) == 0
     out = capsys.readouterr().out

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from purify import propcheck
@@ -7,13 +5,13 @@ from purify.check import TypeEnv, typecheck
 from purify.metrics import Leaf, dyn_span, dyn_work, to_dot
 from purify.propcheck import GenConfig, default_signature, gen_term
 from purify.semantics import (
-    ABSENT, MONADS, REIFIED, EvalError, SignatureMismatch, VFun, VPair, VStr, VUNIT,
-    VUnit, actions_agree, base_value_eq, builtin_monads, check_laws, evaluate,
+    ABSENT, MONADS, REIFIED, EvalError, SignatureMismatch, VEff, VUNIT,
+    actions_agree, base_value_eq, builtin_monads, check_laws, evaluate,
     make_const_env, mixed_order_writer, option_monad, render_value, run, state_monad,
     trace_monad, value_eq_for, writer_monad,
 )
 from purify.terms import (
-    Arrow, COM, Const, ConstDecl, ConstKind, Each, Eff, Fst, Prd, SRC, STR,
+    Arrow, COM, Const, ConstDecl, ConstKind, Each, Eff, Fst, Lit, Prd, SRC, STR,
     Signature, TGT, UNIT, Unt, alpha_eq,
 )
 from purify.translate import naive_translate, normalize, opt_translate, seq_translate
@@ -42,23 +40,22 @@ def test_option_each_absent():
 
 def test_option_ap_absent_propagates():
     m = option_monad()
-    f = m.pure(__import__("purify.semantics", fromlist=["VFun"]).VFun(lambda v: v))
+    f = m.pure(lambda v: v)
     assert m.ap(f, ABSENT) is ABSENT
     assert m.ap(ABSENT, m.pure(VUNIT)) is ABSENT
 
 
 def test_writer_bind_sequences_logs():
     m = writer_monad()
-    a = (VStr("x"), ("a",))
+    a = ("x", ("a",))
     out = m.bind(lambda v: (v, ("b",)), a)
     assert out[1] == ("a", "b")
 
 
 def test_state_threads_left_to_right():
     m = state_monad()
-    inc = lambda s: (VStr(f"v{s}"), s + 1)
-    from purify.semantics import VFun
-    paired = m.ap(m.map(lambda a: VFun(lambda b: VPair(a, b)), inc), inc)
+    inc = lambda s: (f"v{s}", s + 1)
+    paired = m.ap(m.map(lambda a: lambda b: (a, b), inc), inc)
     v, s = paired(0)
     assert render_value(v) == "(v0,v1)" and s == 2
 
@@ -66,9 +63,8 @@ def test_state_threads_left_to_right():
 def test_trace_ap_parallel_bind_sequential():
     m = trace_monad()
     from purify.metrics import single_effect
-    from purify.semantics import VFun
-    d1 = single_effect("f", "1", VFun(lambda v: VPair(VStr("r"), v)))
-    d2 = single_effect("g", "2", VStr("x"))
+    d1 = single_effect("f", "1", lambda v: ("r", v))
+    d2 = single_effect("g", "2", "x")
     par = m.ap(d1, d2)
     assert (dyn_span(par), dyn_work(par)) == (1, 2)
     seq = m.bind(lambda v: single_effect("h", render_value(v), v), d2)
@@ -156,32 +152,40 @@ def test_signature_mismatch():
 
 
 def test_values_compare_by_content():
-    assert VStr("a") == VStr("a") and hash(VStr("a")) == hash(VStr("a"))
-    assert VStr("a") != VStr("b") and VStr("a") != VUNIT and VUnit() == VUNIT
-    pair = VPair(VStr("a"), VPair(VUNIT, VStr("b")))
-    assert pair == VPair(VStr("a"), VPair(VUnit(), VStr("b")))
-    assert hash(pair) == hash(VPair(VStr("a"), VPair(VUnit(), VStr("b"))))
-    assert pair != VPair(VPair(VUNIT, VStr("b")), VStr("a"))
-    assert len({VStr("a"), VStr("a"), VUNIT, VUnit(), pair}) == 3
-    assert not any(dataclasses.is_dataclass(k) for k in (VUnit, VStr, VPair))
+    """Guest values are host data: a Str is a str, unit (), a pair a tuple."""
+    m = option_monad()
+    env = make_const_env(default_signature(), m)
+    pair = evaluate(Prd(Lit("a"), Prd(Unt(), Lit("b"))), COM, m, env)
+    assert pair == ("a", ((), "b")) == ("a", (VUNIT, "b"))
+    assert hash(pair) == hash(("a", ((), "b"))) and pair != (((), "b"), "a")
+    assert evaluate(Lit("a"), COM, m, env) == "a" != evaluate(Unt(), COM, m, env)
+    assert len({"a", "a", VUNIT, (), pair}) == 3
 
 
 def test_base_value_eq():
-    assert base_value_eq(VPair(VUNIT, VStr("a")), VPair(VUNIT, VStr("a")))
-    assert not base_value_eq(VStr("a"), VStr("b"))
-    assert not base_value_eq(VStr("a"), VUNIT)
-    f = VFun(lambda v: v)
-    assert not base_value_eq(f, VStr("a"))
-    with pytest.raises(EvalError, match="VFun values need a type-directed comparator"):
+    assert base_value_eq(((), "a"), ((), "a"))
+    assert not base_value_eq("a", "b")
+    assert not base_value_eq("a", VUNIT) and not base_value_eq(VUNIT, ("a", "b"))
+    assert not base_value_eq(("a", "b"), ("a", "c"))
+    f = lambda v: v
+    assert not base_value_eq(f, "a")
+    with pytest.raises(EvalError, match="function values need a type-directed comparator"):
         base_value_eq(f, f)
+    with pytest.raises(EvalError, match="function values need a type-directed comparator"):
+        base_value_eq(("a", f), ("a", f))
+    action = VEff(VUNIT)
+    with pytest.raises(EvalError, match="VEff values need a type-directed comparator"):
+        base_value_eq(action, action)
+    for m in builtin_monads():  # run_eq compares results with base_value_eq by default
+        with pytest.raises(EvalError, match="type-directed comparator"):
+            m.run_eq(m.pure(f), m.pure(f))
 
 
 def test_extensional_function_comparison(sig):
     m = option_monad()
     eq = value_eq_for(Arrow(STR, STR), m)
-    from purify.semantics import VFun
-    assert eq(VFun(lambda v: VStr(v.text + "")), VFun(lambda v: VStr(v.text)))
-    assert not eq(VFun(lambda v: VStr(v.text)), VFun(lambda v: VStr(v.text + "!")))
+    assert eq(lambda v: v + "", lambda v: v)
+    assert not eq(lambda v: v, lambda v: v + "!")
 
 
 def test_effect_behavior_config_value_and_log():
@@ -191,7 +195,7 @@ def test_effect_behavior_config_value_and_log():
     m = writer_monad()
     env = make_const_env(sig, m, {"tick": {"kind": "value", "payload": "fixed"}})
     v, log = evaluate(t, SRC, m, env)
-    assert v == VStr("fixed") and log == ()
+    assert v == "fixed" and log == ()
     env2 = make_const_env(sig, m, {"tick": {"kind": "log", "payload": "ding"}})
     v2, log2 = evaluate(t, SRC, m, env2)
     assert log2 == ("ding",)
@@ -204,7 +208,7 @@ def test_state_behavior_value_keeps_state():
     m = state_monad()
     env = make_const_env(sig, m, {"tick": {"kind": "value", "payload": "k"}})
     v, s = evaluate(t, SRC, m, env)(7)
-    assert v == VStr("k") and s == 7
+    assert v == "k" and s == 7
 
 
 def test_run_eq_state_distinguishes_final_states():
@@ -216,10 +220,14 @@ def test_run_eq_state_distinguishes_final_states():
 
 
 def test_render_value():
-    assert render_value(VUNIT) == "()"
-    assert render_value(VPair(VStr("a"), VUNIT)) == "(a,())"
+    assert render_value(VUNIT) == "()" and render_value("a") == "a"
+    assert render_value(("a", VUNIT)) == "(a,())"
+    assert render_value((("", ()), ((), "b"))) == "((,()),((),b))"
+    assert render_value(lambda v: v) == "<fun>"
+    assert render_value(VEff(option_monad().pure("a"))) == "<eff>"
+    assert render_value((lambda v: v, (VEff(()), ()))) == "(<fun>,(<eff>,()))"
     with pytest.raises(EvalError, match="unknown value"):
-        render_value("a")
+        render_value(1)
 
 
 def _tree(t):
