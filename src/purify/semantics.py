@@ -14,7 +14,10 @@ evaluate a term once, under ``REIFIED``, and ``run`` it under each monad.
 Guest values are host data, as in a definitional interpreter: a Str is a
 ``str``, unit ``()``, a pair a 2-tuple and a function a Python callable.
 Only an action is wrapped (``VEff``), and a constant environment is a plain
-``{name: value}`` dict.
+``{name: value}`` dict.  Effect-free source code runs as host code and
+enters the monad only at a mark, by laws ``check_laws`` checks: ``map`` where
+one operand is pure (``apl``, ``apr``), a marked pure action runs as itself
+(``idl``), and ``ap`` stays where both operands run effects.
 """
 
 from __future__ import annotations
@@ -96,11 +99,11 @@ ValueEq = Callable[[object, object], bool]
 class MonadDict:
     """Runtime bundle of pure/map/ap/bind plus observational equality.
 
-    ``effect(name, args, tag, result, result_ty, behavior)`` is the action of
-    one effect call (``args`` rendered, ``tag`` the call as text, ``result``
-    its default value, ``behavior`` its config entry or {}), and
-    ``report(action, latencies)`` the JSON fields ``purify run`` prints, and
-    ``kinds`` the behavior kinds a config may give its effects.
+    ``effect(name, result_ty, behavior)`` reads one effect constant's config
+    entry (or {}) and returns its ``call(args, tag, result)``: the action of
+    one call (``args`` rendered, ``tag`` the call as text, ``result`` its
+    default value).  ``report(action, latencies)`` gives the JSON fields
+    ``purify run`` prints; ``kinds`` the behavior kinds a config may give.
     """
 
     __slots__ = ("name", "pure", "map", "ap", "bind", "run_eq", "sample_action",
@@ -148,8 +151,10 @@ def option_monad() -> MonadDict:
             return ABSENT
         return pure(_gen_value(rng))
 
-    def effect(name, args, tag, result, result_ty, behavior):
-        return ABSENT if behavior.get("kind") == "absent" else result
+    def effect(name, result_ty, behavior):
+        if behavior.get("kind") == "absent":
+            return lambda args, tag, result: ABSENT
+        return lambda args, tag, result: result
 
     def report(a, latencies):
         if a is ABSENT:
@@ -202,10 +207,12 @@ def state_monad() -> MonadDict:
 
         return run
 
-    def effect(name, args, tag, result, result_ty, behavior):
+    def effect(name, result_ty, behavior):
         if behavior.get("kind") == "value":
-            return pure(result)
-        return lambda s: (seed_value(result_ty, f"{tag}@{s}", m), s + 1)
+            return lambda args, tag, result: pure(result)
+        if result_ty is STR:
+            return lambda args, tag, result: lambda s: (f"{tag}@{s}", s + 1)
+        return lambda args, tag, result: lambda s: (seed_value(result_ty, f"{tag}@{s}", m), s + 1)
 
     def report(a, latencies):
         value, final_state = a(0)
@@ -242,11 +249,13 @@ def _writer(monad_name: str, flipped: bool) -> MonadDict:
         tag = f"w{rng.randint(0, 5)}"
         return _gen_value(rng), (tag,)
 
-    def effect(name, args, tag, result, result_ty, behavior):
+    def effect(name, result_ty, behavior):
         kind, payload = behavior.get("kind"), behavior.get("payload")
         if kind == "value":
-            return pure(result)
-        return result, (str(payload) if kind == "log" and payload is not None else tag,)
+            return lambda args, tag, result: pure(result)
+        if kind == "log" and payload is not None:
+            return lambda args, tag, result, _entry=(str(payload),): (result, _entry)
+        return lambda args, tag, result: (result, (tag,))
 
     def report(a, latencies):
         return {"value": render_value(a[0]), "log": list(a[1])}
@@ -289,8 +298,8 @@ def trace_monad() -> MonadDict:
     def sample(rng: random.Random):
         return single_effect(f"e{rng.randint(0, 3)}", "", _gen_value(rng))
 
-    def effect(name, args, tag, result, result_ty, behavior):
-        return single_effect(name, args, result)
+    def effect(name, result_ty, behavior):
+        return lambda args, tag, result: single_effect(name, args, result)
 
     def report(d: TraceDag, latencies):
         return {"value": render_value(d.result), "dyn_span": dyn_span(d),
@@ -341,28 +350,30 @@ def seed_value(ty, tag: str, m: MonadDict) -> object:
 BEHAVIOR_KINDS = ("value", "absent", "state_incr", "log")
 
 
-def _effect_action(m: MonadDict, name: str, args: list[object], result_ty,
-                   behavior: dict):
-    arg_str = render_value(args[0]) if len(args) == 1 else ",".join(map(render_value, args))
-    tag = f"{name}({arg_str})" if args else name
-    payload = behavior.get("payload")
+def _effect_const(m: MonadDict, name: str, ty, arity: int, behavior: dict) -> object:
+    """Effect ``name`` under ``m``: a curried function of ``arity`` arguments
+    ending in the call's action.  Behavior and payload are read once, here."""
+    for _ in range(arity):
+        ty = ty.cod
+    result_ty, payload = ty.inner, behavior.get("payload")
+    act = m.effect(name, result_ty, behavior)
     if payload is not None and result_ty == STR:
-        result = str(payload)
+        result = lambda tag, _fixed=str(payload): _fixed
+    elif result_ty is STR:
+        result = str  # a Str result is its tag, which str() returns unchanged
     else:
-        result = seed_value(result_ty, tag, m)
-    return m.effect(name, arg_str, tag, result, result_ty, behavior)
+        result = lambda tag: seed_value(result_ty, tag, m)
 
+    def call(args: str) -> VEff:  # args: every argument, rendered
+        tag = f"{name}({args})"
+        return VEff(act(args, tag, result(tag)))
 
-def _curried_effect(m: MonadDict, name: str, ty, arity: int,
-                    behavior: dict) -> object:
-    def build(args: list[object], t) -> object:
-        if len(args) == arity:
-            assert isinstance(t, Eff)
-            return VEff(_effect_action(m, name, args, t.inner, behavior))
-        assert isinstance(t, Arrow)
-        return lambda v, _t=t, _args=args: build(_args + [v], _t.cod)
+    def curry(rendered: str, left: int) -> Callable[[object], object]:
+        if left == 1:
+            return lambda v: call(rendered + render_value(v))
+        return lambda v: curry(f"{rendered}{render_value(v)},", left - 1)
 
-    return build([], ty)
+    return curry("", arity) if arity else VEff(act("", name, result(name)))
 
 
 def _require_observed_payload(m: MonadDict, name: str, ty, arity: int,
@@ -370,14 +381,12 @@ def _require_observed_payload(m: MonadDict, name: str, ty, arity: int,
     """A payload the monad never observes is a config error.  The monad
     decides: the effect's action with the payload and with another one must
     differ under its ``run_eq``."""
-    args = []
-    for _ in range(arity):
-        args.append(seed_value(ty.dom, "arg", m))
-        ty = ty.cod
     other = {**behavior, "payload": f"{behavior['payload']}'"}
-    if m.run_eq(_effect_action(m, name, args, ty.inner, behavior),
-                _effect_action(m, name, args, ty.inner, other),
-                value_eq_for(ty.inner, m)):
+    a, b = _effect_const(m, name, ty, arity, behavior), _effect_const(m, name, ty, arity, other)
+    for _ in range(arity):
+        arg = seed_value(ty.dom, "arg", m)
+        a, b, ty = a(arg), b(arg), ty.cod
+    if m.run_eq(a.action, b.action, value_eq_for(ty.inner, m)):
         raise PurifyError(
             f"behavior payload for {name!r} is never observed under the {m.name} "
             f"monad (kind {behavior.get('kind', 'default')}, result {type_name(ty.inner)})"
@@ -410,7 +419,7 @@ def make_const_env(sig: Signature, m: MonadDict,
             if behavior.get("kind", "value") not in m.kinds:
                 raise PurifyError(f"behavior kind {behavior['kind']!r} for {decl.name!r} "
                                   f"is never observed under the {m.name} monad")
-            env[decl.name] = _curried_effect(m, decl.name, decl.ty, arity, behavior)
+            env[decl.name] = _effect_const(m, decl.name, decl.ty, arity, behavior)
         else:
             env[decl.name] = _pure_const(m, decl.name, decl.ty)
     return env
@@ -431,10 +440,10 @@ class APure:
 
 
 class AEffect:
-    __slots__ = ("call",)
+    __slots__ = ("const", "call")
 
-    def __init__(self, call: tuple):  # the arguments of ``MonadDict.effect``
-        self.call = call
+    def __init__(self, const: tuple, call: tuple):  # the arguments of ``MonadDict.effect``
+        self.const, self.call = const, call         # and of the call it returns
 
 
 class AMap:
@@ -472,8 +481,8 @@ def _reified_monad() -> MonadDict:
     def bind(k, a):
         return k(a.value) if type(a) is APure else ABind(k, a)
 
-    def effect(*call):
-        return AEffect(call)
+    def effect(*const):
+        return lambda *call: AEffect(const, call)
 
     def unobservable(*_):
         raise EvalError("a reified action is observed only through run(m, action)")
@@ -490,7 +499,7 @@ def run(m: MonadDict, action):
     ``m``'s is returned unchanged."""
     k = type(action)
     if k is AEffect:
-        return m.effect(*action.call)
+        return m.effect(*action.const)(*action.call)
     if k is AAp:
         return m.ap(run(m, action.fun), run(m, action.arg))
     if k is AMap:
@@ -512,10 +521,17 @@ def _as_action(v: object):
     return v.action
 
 
+class _Lifted(VEff):
+    """A source result that has met a mark: ``m``'s action, not a value."""
+
+    __slots__ = ()
+
+
 def evaluate(e: Term, label: Label, m: MonadDict, consts: ConstEnv):
     """Evaluate a checked term: an action at src, a direct value otherwise."""
     if label is SRC:
-        return _eval_src(e, m, consts, {})
+        r = _eval_src(e, m, consts, {})
+        return r.action if type(r) is _Lifted else m.pure(r)
     return _eval_direct(e, m, consts, {})
 
 
@@ -571,21 +587,34 @@ def _eval_direct(e: Term, m: MonadDict, consts: ConstEnv,
 
 
 def _eval_src(e: Term, m: MonadDict, consts: ConstEnv, scope: dict[str, object]):
+    """The host value of an effect-free source term, or the ``_Lifted`` action
+    of one that runs a mark; each shortcut names the law that allows it."""
     k = type(e)
     if k is App:
-        return m.ap(_eval_src(e.fun, m, consts, scope), _eval_src(e.arg, m, consts, scope))
+        return _apply(m, _eval_src(e.fun, m, consts, scope), _eval_src(e.arg, m, consts, scope))
     if k is Const or k is Lit or k is Lam or k is Unt or k is Var:
-        return m.pure(_eval_direct(e, m, consts, scope))
+        return _eval_direct(e, m, consts, scope)
     if k is Each:
-        return m.bind(_as_action, _eval_src(e.eff, m, consts, scope))
+        a = _eval_src(e.eff, m, consts, scope)
+        return _Lifted(m.bind(_as_action, a.action) if type(a) is _Lifted else _as_action(a))  # idl
     if k is Prd:
-        pairing = m.map(lambda va: lambda vb: (va, vb), _eval_src(e.fst, m, consts, scope))
-        return m.ap(pairing, _eval_src(e.snd, m, consts, scope))
-    if k is Fst:
-        return m.map(lambda v: v[0], _eval_src(e.pair, m, consts, scope))
-    if k is Snd:
-        return m.map(lambda v: v[1], _eval_src(e.pair, m, consts, scope))
+        pairing = _apply(m, lambda va: lambda vb: (va, vb), _eval_src(e.fst, m, consts, scope))
+        return _apply(m, pairing, _eval_src(e.snd, m, consts, scope))
+    if k is Fst or k is Snd:
+        project = operator.itemgetter(0 if k is Fst else 1)
+        return _apply(m, project, _eval_src(e.pair, m, consts, scope))
     raise EvalError(f"{k.__name__} is not a source term former")
+
+
+def _apply(m: MonadDict, f, x):
+    """``f`` applied to ``x``, each a host value or ``_Lifted``."""
+    if type(f) is _Lifted:
+        if type(x) is _Lifted:
+            return _Lifted(m.ap(f.action, x.action))
+        return _Lifted(m.map(lambda vf: vf(x), f.action))  # apr
+    if type(x) is _Lifted:
+        return _Lifted(m.map(f, x.action))  # apl
+    return f(x)  # apl, aplr
 
 
 # ---------------------------------------------------------------------------
