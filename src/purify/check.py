@@ -166,5 +166,7 @@ def _synth(e: Term, lab: Label, env: TypeEnv, dom: Ty | None = None) -> Ty:
         ty = tn.inner
     else:
         raise TypeCheckError(f"unknown term former {k.__name__}")
+    if e.ty is not None and e.ty is not ty:  # the parser stamps an annotation
+        raise TypeMismatch(f"annotation {type_name(e.ty)} does not match type {type_name(ty)}")
     e.ty = ty
     return ty

@@ -94,6 +94,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_translate(args) -> int:
+    if args.reassoc and not args.normalize:
+        raise PurifyError("--reassoc is a rule of the normalizer; it needs --normalize")
     sig, body, _ = _load_program(args.file)
     out = TRANSLATIONS[args.mode](body)
     if args.normalize:

@@ -347,6 +347,7 @@ def to_dot(d: TraceDag) -> str:
     def leaf(t: Leaf):
         i = len(lines) - 2
         label = f"{t.effect}({t.arg})" if t.arg else t.effect
+        label = label.replace("\\", "\\\\").replace('"', '\\"')  # DOT's string escapes
         lines.append(f'  n{i} [label="{label}"];')
         return [i], [i]  # sources, sinks
 

@@ -1,8 +1,8 @@
 """Evaluation of guest terms under pluggable lawful monads.
 
-Source terms evaluate to monadic actions; common and target terms evaluate
-directly to values, with the target combinators mapped onto the active
-monad's operations.  Four builtin monads are provided (option, state,
+One evaluator walks every term, with the target combinators mapped onto the
+active monad's operations; a source term evaluates to an action, a common or
+target term to a value.  Four builtin monads are provided (option, state,
 writer, trace), plus a deliberately order-flipped writer whose ``ap`` runs
 its argument before its function: it satisfies every law, yet distinguishes
 the applicative from the left-to-right bind chaining -- which is exactly why
@@ -14,10 +14,12 @@ evaluate a term once, under ``REIFIED``, and ``run`` it under each monad.
 Guest values are host data, as in a definitional interpreter: a Str is a
 ``str``, unit ``()``, a pair a 2-tuple and a function a Python callable.
 Only an action is wrapped (``VEff``), and a constant environment is a plain
-``{name: value}`` dict.  Effect-free source code runs as host code and
-enters the monad only at a mark, by laws ``check_laws`` checks: ``map`` where
-one operand is pure (``apl``, ``apr``), a marked pure action runs as itself
-(``idl``), and ``ap`` stays where both operands run effects.
+``{name: value}`` dict.  A node's label decides lift-late: an application,
+pair or projection labelled src composes its operands through ``_apply``, so
+effect-free source code runs as host code and enters the monad only at a
+mark, by laws ``check_laws`` checks: ``map`` where one operand is pure
+(``apl``, ``apr``), a marked pure action runs as itself (``idl``), and ``ap``
+stays where both operands run effects.
 """
 
 from __future__ import annotations
@@ -529,81 +531,72 @@ class _Lifted(VEff):
 
 def evaluate(e: Term, label: Label, m: MonadDict, consts: ConstEnv):
     """Evaluate a checked term: an action at src, a direct value otherwise."""
-    if label is SRC:
-        r = _eval_src(e, m, consts, {})
-        return r.action if type(r) is _Lifted else m.pure(r)
-    return _eval_direct(e, m, consts, {})
+    r = _eval(e, m, consts, {})
+    if label is not SRC:
+        return r
+    return r.action if type(r) is _Lifted else m.pure(r)
 
 
-def _eval_direct(e: Term, m: MonadDict, consts: ConstEnv,
-                 scope: dict[str, object]) -> object:
+def _eval(e: Term, m: MonadDict, consts: ConstEnv, scope: dict[str, object]) -> object:
+    """The value of ``e``, or the ``_Lifted`` action of a source node that has
+    run a mark.  Only a node labelled src composes its operands through
+    ``_apply``; each shortcut there names the law that allows it."""
     # exact-type tests, most frequent kind first: cheaper than class patterns
     k = type(e)
     if k is Lit:
         return e.value
     if k is App:
-        return _eval_direct(e.fun, m, consts, scope)(_eval_direct(e.arg, m, consts, scope))
+        f, x = _eval(e.fun, m, consts, scope), _eval(e.arg, m, consts, scope)
+        return _apply(m, f, x) if e.label is SRC else f(x)
     if k is Lam:
-        param, body = e.param, e.body
-
-        def closure(v: object) -> object:
-            inner = dict(scope)
-            inner[param] = v
-            return _eval_direct(body, m, consts, inner)
-
-        return closure
+        return _closure(e.param, e.body, m, consts, scope)
     if k is Const:
         if e.name not in consts:
             raise SignatureMismatch(f"no interpretation for constant {e.name!r}")
         return consts[e.name]
+    if k is Each:
+        a = _eval(e.eff, m, consts, scope)
+        return _Lifted(m.bind(_as_action, a.action) if type(a) is _Lifted else _as_action(a))  # idl
     if k is Prd:
-        return _eval_direct(e.fst, m, consts, scope), _eval_direct(e.snd, m, consts, scope)
+        a = _eval(e.fst, m, consts, scope)
+        if e.label is SRC:
+            return _apply(m, _apply(m, _PAIR, a), _eval(e.snd, m, consts, scope))
+        return a, _eval(e.snd, m, consts, scope)
     if k is Unt:
         return VUNIT
     if k is Pure:
-        return VEff(m.pure(_eval_direct(e.inner, m, consts, scope)))
+        return VEff(m.pure(_eval(e.inner, m, consts, scope)))
     if k is Var:
-        if e.name not in scope:
-            raise EvalError(f"unbound variable {e.name!r} at runtime")
         return scope[e.name]
     if k is Map:
-        vf = _eval_direct(e.fun, m, consts, scope)
-        va = _eval_direct(e.arg, m, consts, scope)
-        return VEff(m.map(vf, _as_action(va)))
+        vf = _eval(e.fun, m, consts, scope)
+        return VEff(m.map(vf, _as_action(_eval(e.arg, m, consts, scope))))
     if k is Fst:
-        return _eval_direct(e.pair, m, consts, scope)[0]
+        v = _eval(e.pair, m, consts, scope)
+        return _apply(m, _FST, v) if e.label is SRC else v[0]
     if k is Ap:
-        vf = _eval_direct(e.fun, m, consts, scope)
-        va = _eval_direct(e.arg, m, consts, scope)
-        return VEff(m.ap(_as_action(vf), _as_action(va)))
+        vf = _eval(e.fun, m, consts, scope)
+        return VEff(m.ap(_as_action(vf), _as_action(_eval(e.arg, m, consts, scope))))
     if k is Join:
-        vn = _eval_direct(e.nested, m, consts, scope)
-        return VEff(m.bind(_as_action, _as_action(vn)))
+        return VEff(m.bind(_as_action, _as_action(_eval(e.nested, m, consts, scope))))
     if k is Snd:
-        return _eval_direct(e.pair, m, consts, scope)[1]
-    if k is Each:
-        raise EvalError("Each is a source construct; evaluate at src")
+        v = _eval(e.pair, m, consts, scope)
+        return _apply(m, _SND, v) if e.label is SRC else v[1]
     raise EvalError(f"unknown term former {k.__name__}")
 
 
-def _eval_src(e: Term, m: MonadDict, consts: ConstEnv, scope: dict[str, object]):
-    """The host value of an effect-free source term, or the ``_Lifted`` action
-    of one that runs a mark; each shortcut names the law that allows it."""
-    k = type(e)
-    if k is App:
-        return _apply(m, _eval_src(e.fun, m, consts, scope), _eval_src(e.arg, m, consts, scope))
-    if k is Const or k is Lit or k is Lam or k is Unt or k is Var:
-        return _eval_direct(e, m, consts, scope)
-    if k is Each:
-        a = _eval_src(e.eff, m, consts, scope)
-        return _Lifted(m.bind(_as_action, a.action) if type(a) is _Lifted else _as_action(a))  # idl
-    if k is Prd:
-        pairing = _apply(m, lambda va: lambda vb: (va, vb), _eval_src(e.fst, m, consts, scope))
-        return _apply(m, pairing, _eval_src(e.snd, m, consts, scope))
-    if k is Fst or k is Snd:
-        project = operator.itemgetter(0 if k is Fst else 1)
-        return _apply(m, project, _eval_src(e.pair, m, consts, scope))
-    raise EvalError(f"{k.__name__} is not a source term former")
+def _closure(param: str, body: Term, m: MonadDict, consts: ConstEnv, scope: dict) -> Callable:
+    # not nested in ``_eval``, whose every call would then make a cell per captured name
+    def closure(v: object) -> object:
+        inner = dict(scope)
+        inner[param] = v
+        return _eval(body, m, consts, inner)
+
+    return closure
+
+
+# the source's pair former and projections, as the functions ``_apply`` applies
+_PAIR, _FST, _SND = (lambda a: lambda b: (a, b)), operator.itemgetter(0), operator.itemgetter(1)
 
 
 def _apply(m: MonadDict, f, x):
@@ -611,7 +604,7 @@ def _apply(m: MonadDict, f, x):
     if type(f) is _Lifted:
         if type(x) is _Lifted:
             return _Lifted(m.ap(f.action, x.action))
-        return _Lifted(m.map(lambda vf: vf(x), f.action))  # apr
+        return _Lifted(m.map(lambda vf, x=x: vf(x), f.action))  # apr; x a default, not a cell
     if type(x) is _Lifted:
         return _Lifted(m.map(f, x.action))  # apl
     return f(x)  # apl, aplr

@@ -308,7 +308,7 @@ class _Parser:
         if type(body) is Each and marks == 1:
             inner = App(Lam(name, relabel(body.eff, COM), label=SRC),
                         relabel(bound, SRC), label=SRC)
-            return Each(inner, label=SRC)
+            return Each(inner, label=SRC, ty=body.ty)
         self.fail(LetTooEffectful, start, "let continuation uses more than one effect "
                   "mark; rewrite with nested marks (f(g(x)!)! style)")
         return body
@@ -398,7 +398,8 @@ class _Parser:
                 if not isinstance(ty, Arrow):
                     raise self.syntax_error("an arrow type annotation", colon)
                 e.param_ty = ty.dom
-            return e  # non-lambda annotations carry no information we keep
+            e.ty = ty  # the checker compares it with the type it synthesizes
+            return e
         self.expect(")")
         return e
 

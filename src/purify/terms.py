@@ -144,7 +144,7 @@ class Term:
     """Base AST node.
 
     ``label`` places the node in one of the three language fragments.
-    ``ty`` is stamped by the checker (excluded from equality and repr).
+    ``ty`` is a parsed annotation, then the checker's stamp (not in ==, repr).
     A node kind lists its fields in ``__match_args__`` and the ones ``==``
     compares in ``_compare``.  Terms are mutable, so they are unhashable.
     """

@@ -5,6 +5,7 @@ from purify.check import (
     UnknownConst, typecheck,
 )
 from purify.propcheck import GenConfig, default_signature, gen_term
+from purify.surface import parse_and_elaborate, parse_target_expr
 from purify.terms import (
     App, Ap, Arrow, COM, Const, Each, Eff, Fst, Join, Lam, Lit, Map, Prd,
     Prod, Pure, SRC, STR, Signature, ConstDecl, ConstKind, Snd, TGT, UNIT,
@@ -150,3 +151,51 @@ def test_lifted_lambda_under_ap_must_be_common(env):
         else:
             with pytest.raises(LabelMismatch):
                 typecheck(t, TGT, env)
+
+
+# ---------------------------------------------------------------------------
+# Annotations: the parser stamps one on its node, the checker compares it
+# ---------------------------------------------------------------------------
+
+_F = "effect f : Str -> Eff Str\n"
+
+ANNOTATION_MISMATCHES = [
+    ('purify { ("a" : Unit) }', "annotation Unit does not match type Str"),
+    ("purify { (fun x -> x : Str -> Unit) }",
+     "annotation Str -> Unit does not match type Str -> Str"),
+    ('purify { let y = ("a" : Unit) in y }', "annotation Unit does not match type Str"),
+    ('purify { let y = "a" in (y : Unit) }', "annotation Unit does not match type Str"),
+    (_F + 'purify { let y = "a" in (f(y)! : Unit) }', "annotation Unit does not match type Str"),
+    (_F + 'purify { (f("a") : Eff Unit) }', "annotation Eff Unit does not match type Eff Str"),
+]
+
+ANNOTATIONS_THAT_HOLD = [
+    ('purify { ("a" : Str) }', STR),
+    ("purify { (fun x -> x : Str -> Str) }", Arrow(STR, STR)),
+    ('purify { let y = ("a" : Str) in (y : Str) }', STR),
+    (_F + 'purify { let y = "a" in (f(y)! : Str) }', STR),
+    (_F + 'purify { ((f("a") : Eff Str)! : Str) }', STR),
+]
+
+
+@pytest.mark.parametrize("text, message", ANNOTATION_MISMATCHES)
+def test_source_annotation_mismatch(text, message):
+    sig, body = parse_and_elaborate(text)
+    with pytest.raises(TypeMismatch) as ei:
+        typecheck(body, SRC, TypeEnv(sig))
+    assert str(ei.value) == message
+
+
+@pytest.mark.parametrize("text, ty", ANNOTATIONS_THAT_HOLD)
+def test_source_annotation_that_holds(text, ty):
+    sig, body = parse_and_elaborate(text)
+    assert typecheck(body, SRC, TypeEnv(sig)) == ty
+
+
+def test_target_annotation_mismatch(env, sig):
+    t = parse_target_expr('map (fun x -> x : Str -> Unit) (pure "a")', sig)
+    with pytest.raises(TypeMismatch) as ei:
+        typecheck(t, TGT, env)
+    assert str(ei.value) == "annotation Str -> Unit does not match type Str -> Str"
+    t = parse_target_expr('map (fun x -> x : Str -> Str) (pure "a")', sig)
+    assert typecheck(t, TGT, env) == Eff(STR)

@@ -119,6 +119,25 @@ def test_translate_normalize_flag(two_chains_file, capsys):
     assert "join" in out
 
 
+def test_reassoc_without_normalize_is_diagnostic(two_chains_file, capsys):
+    assert main(["translate", two_chains_file, "--reassoc"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --reassoc is a rule of the normalizer; it needs --normalize\n"
+    assert main(["translate", two_chains_file, "--normalize", "--reassoc"]) == 0
+
+
+def test_run_dot_escapes_quotes_and_backslashes(tmp_path, capsys):
+    p = tmp_path / "quotes.pfy"
+    p.write_text('effect fetch : Str -> Eff Str\npurify { (fetch("a\\"b")!, fetch("c\\\\")!) }\n')
+    dot_path = tmp_path / "trace.dot"
+    assert main(["run", str(p), "--monad", "trace", "--dot", str(dot_path)]) == 0
+    assert dot_path.read_text().splitlines() == [
+        "digraph trace {", "  graph [v=1];",
+        '  n0 [label="fetch(a\\"b)"];', '  n1 [label="fetch(c\\\\)"];', "}",
+    ]
+
+
 def test_run_trace_json(two_chains_file, tmp_path, capsys):
     dot_path = str(tmp_path / "trace.dot")
     assert main(["run", two_chains_file, "--monad", "trace", "--json",

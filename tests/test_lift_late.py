@@ -22,29 +22,30 @@ from purify.check import TypeEnv, typecheck
 from purify.metrics import to_dot
 from purify.propcheck import GenConfig, Unsatisfiable, default_signature, gen_term
 from purify.semantics import (
-    MONADS, REIFIED, EvalError, MonadDict, _as_action, _eval_direct, evaluate, make_const_env,
-    run, value_eq_for,
+    MONADS, REIFIED, EvalError, MonadDict, _as_action, evaluate, make_const_env, run,
+    value_eq_for,
 )
-from purify.terms import App, Const, Each, Fst, Lam, Lit, Prd, SRC, Snd, Unt, Var
+from purify.terms import App, COM, Const, Each, Fst, Lam, Lit, Prd, SRC, Snd, Unt, Var
 
 
-def reference_src(e, m, consts, scope):
+def reference_src(e, m, consts):
     """The source semantics with every leaf lifted: ``pure`` at each leaf,
-    ``ap`` at each application and pair, ``bind`` at each mark."""
+    ``ap`` at each application and pair, ``bind`` at each mark.  A source
+    node sits under no binder, so ``evaluate`` gives a leaf's value."""
     k = type(e)
     if k is App:
-        return m.ap(reference_src(e.fun, m, consts, scope), reference_src(e.arg, m, consts, scope))
+        return m.ap(reference_src(e.fun, m, consts), reference_src(e.arg, m, consts))
     if k is Const or k is Lit or k is Lam or k is Unt or k is Var:
-        return m.pure(_eval_direct(e, m, consts, scope))
+        return m.pure(evaluate(e, COM, m, consts))
     if k is Each:
-        return m.bind(_as_action, reference_src(e.eff, m, consts, scope))
+        return m.bind(_as_action, reference_src(e.eff, m, consts))
     if k is Prd:
-        pairing = m.map(lambda va: lambda vb: (va, vb), reference_src(e.fst, m, consts, scope))
-        return m.ap(pairing, reference_src(e.snd, m, consts, scope))
+        pairing = m.map(lambda va: lambda vb: (va, vb), reference_src(e.fst, m, consts))
+        return m.ap(pairing, reference_src(e.snd, m, consts))
     if k is Fst:
-        return m.map(lambda v: v[0], reference_src(e.pair, m, consts, scope))
+        return m.map(lambda v: v[0], reference_src(e.pair, m, consts))
     if k is Snd:
-        return m.map(lambda v: v[1], reference_src(e.pair, m, consts, scope))
+        return m.map(lambda v: v[1], reference_src(e.pair, m, consts))
     raise EvalError(f"{k.__name__} is not a source term former")
 
 
@@ -115,7 +116,7 @@ def _assert_same(sig, term, ty, latencies):
     for make in MONADS.values():
         m = make()
         consts = make_const_env(sig, m)
-        want = reference_src(term, m, consts, {})
+        want = reference_src(term, m, consts)
         for got in (evaluate(term, SRC, m, consts),
                     run(m, evaluate(term, SRC, REIFIED, env_r))):
             assert m.run_eq(got, want, value_eq_for(ty, m)), m.name
