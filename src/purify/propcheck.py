@@ -5,18 +5,23 @@ premises are recursively satisfiable within the remaining depth.  Every
 generated term typechecks at its label.  Effectful constants only appear
 in saturated calls: under an Each at source, as embedded calls or Pure
 payloads at target.  Failures are minimized by greedy subterm shrinking.
+
+Checks are built from four steps: ``_cost``, ``_disagrees`` (the first
+monad under which two values differ), ``_translation`` and ``_rewrite``.
+A check that raises an ``Exception`` fails: its term is shrunk and reported
+with the exception's class and message.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .check import TypeEnv, typecheck
 from .metrics import dyn_span, dyn_work, span, work
 from .pretty import pretty
 from .semantics import (
-    REIFIED, ConstEnv, MonadDict, actions_agree, builtin_monads, check_laws,
+    REIFIED, ConstEnv, MonadDict, VEff, actions_agree, builtin_monads, check_laws,
     evaluate, make_const_env, run, value_eq_for, _as_action,
 )
 from .terms import (
@@ -355,17 +360,23 @@ def _pick_goal(rng: random.Random) -> Ty:
     return _GOALS[_pick(rng, _GOALS)][1]
 
 
-def gen_term(cfg: GenConfig) -> Term:
-    """Generate a term that typechecks at cfg.label with the goal type."""
-    rng = random.Random(cfg.seed)
+def _generate(cfg: GenConfig, build: Callable[[_Gen], Term]) -> Term:
+    """``build``'s term from a generator seeded by ``cfg``, checked at its label."""
     sig = cfg.sig()
-    g = _Gen(rng, sig)
-    goal = cfg.goal_type if cfg.goal_type is not None else _pick_goal(rng)
-    if isinstance(goal, Eff) and cfg.label is COM:
-        raise Unsatisfiable("common terms cannot be generated at effect types")
-    term = g.gen(goal, cfg.label, {}, max(cfg.max_depth, 1))
+    term = build(_Gen(random.Random(cfg.seed), sig))
     typecheck(term, cfg.label, TypeEnv(sig))
     return term
+
+
+def gen_term(cfg: GenConfig) -> Term:
+    """Generate a term that typechecks at cfg.label with the goal type."""
+    def build(g: _Gen) -> Term:
+        goal = cfg.goal_type if cfg.goal_type is not None else _pick_goal(g.rng)
+        if isinstance(goal, Eff) and cfg.label is COM:
+            raise Unsatisfiable("common terms cannot be generated at effect types")
+        return g.gen(goal, cfg.label, {}, max(cfg.max_depth, 1))
+
+    return _generate(cfg, build)
 
 
 # ---------------------------------------------------------------------------
@@ -465,36 +476,31 @@ def _gen_plain(sub: GenConfig, i: int) -> Term:
 
 def _gen_smart(sub: GenConfig, i: int) -> Term:
     """An Ap of two generated actions (even trials) or a Join (odd trials)."""
-    rng = random.Random(sub.seed)
-    g = _Gen(rng, sub.signature)
-    inner = _pick_goal(rng)
-    if i % 2 == 0:
-        st = g.small_type()
-        f = g.gen(Eff(Arrow(st, inner)), TGT, {}, sub.max_depth)
-        e = g.gen(Eff(st), TGT, {}, sub.max_depth)
-        term: Term = Ap(f, e, label=TGT)
-    else:
-        n = g.gen_nested_eff(inner, {}, sub.max_depth) \
-            if rng.random() < 0.5 \
-            else g.gen(Eff(Eff(inner)), TGT, {}, sub.max_depth)
-        term = Join(n, label=TGT)
-    typecheck(term, TGT, TypeEnv(sub.signature))
-    return term
+    def build(g: _Gen) -> Term:
+        inner, d = _pick_goal(g.rng), sub.max_depth
+        if i % 2 == 0:
+            st = g.small_type()
+            return Ap(g.gen(Eff(Arrow(st, inner)), TGT, {}, d), g.gen(Eff(st), TGT, {}, d),
+                      label=TGT)
+        n = g.gen_nested_eff(inner, {}, d) if g.rng.random() < 0.5 \
+            else g.gen(Eff(Eff(inner)), TGT, {}, d)
+        return Join(n, label=TGT)
+
+    return _generate(sub, build)
 
 
 def _gen_action(sub: GenConfig, i: int) -> Term:
     """A target action of a randomly picked result type."""
-    rng = random.Random(sub.seed)
-    g = _Gen(rng, sub.signature)
-    term = g.gen(Eff(_pick_goal(rng)), TGT, {}, sub.max_depth)
-    typecheck(term, TGT, TypeEnv(sub.signature))
-    return term
+    return _generate(sub, lambda g: g.gen(Eff(_pick_goal(g.rng)), TGT, {}, sub.max_depth))
 
 
 # -- checks: a failure detail, or None when the property holds -------------
 #
 # Checks also run on shrink candidates, so a check returns None for a shape
 # it does not test.
+
+_Check = Callable[[_Ctx, Term], Optional[str]]
+
 
 def _term_ty(c: _Ctx, term: Term, label: Label) -> Ty:
     """A suite term's type at ``label``.  The generators and ``shrink``
@@ -503,122 +509,101 @@ def _term_ty(c: _Ctx, term: Term, label: Label) -> Ty:
     return term.ty if term.ty is not None else typecheck(term, label, c.env_t)
 
 
+def _cost(c: _Ctx, t: Term) -> tuple[int, int]:
+    return span(t, c.sig), work(t, c.sig)
+
+
+_UNTRACED = ("option", "state", "writer")  # trace would see seq_translate's lost parallelism
+
+
+def _disagrees(c: _Ctx, ty: Ty, a: object, b: object, monads: Iterable[str]) -> Optional[str]:
+    """The first of ``monads`` (names) under which two ``REIFIED`` values of
+    type ``ty`` differ, as a failure detail; actions through ``actions_agree``."""
+    if type(ty) is Eff:
+        a, b = _as_action(a), _as_action(b)
+        name = next((n for n in monads if not actions_agree(ty.inner, c.monads[n], a, b)), None)
+    else:
+        name = next((n for n in monads if not value_eq_for(ty, c.monads[n])(a, b)), None)
+    return name and f"disagrees under {name}"
+
+
+def _translation(translate: Callable[[Term], Term], monads: Iterable[str]) -> _Check:
+    """A check that ``translate(term)`` typechecks and agrees with ``term`` under ``monads``."""
+    def check(c: _Ctx, term: Term) -> Optional[str]:
+        ty = Eff(_term_ty(c, term, SRC))
+        out = translate(term)
+        typecheck(out, TGT, c.env_t)
+        b = VEff(evaluate(term, SRC, REIFIED, c.consts))
+        return _disagrees(c, ty, evaluate(out, TGT, REIFIED, c.consts), b, monads)
+    return check
+
+
+def _rewrite(c: _Ctx, term: Term, label: Label, out: Term, cost: tuple[int, int],
+             traced: bool = False) -> Optional[str]:
+    """``out``, a target rewrite of ``term`` (labelled ``label``, static span/work
+    ``cost``), typechecks, costs no more and agrees with ``term`` under every
+    monad.  With ``traced``, an action ``out`` also runs its own static cost."""
+    ty = _term_ty(c, term, label)
+    typecheck(out, TGT, c.env_t)
+    s, w = _cost(c, out)
+    if s > cost[0] or w > cost[1]:
+        return f"span {cost[0]}->{s}, work {cost[1]}->{w}"
+    a, b = evaluate(out, TGT, REIFIED, c.consts), evaluate(term, label, REIFIED, c.consts)
+    if not traced or type(ty) is not Eff:
+        return _disagrees(c, ty, a, b, c.monads)
+    d = run(c.monads["trace"], _as_action(a))  # run once, for meaning and for cost
+    detail = _disagrees(c, ty, a, b, _UNTRACED) or _disagrees(c, ty, VEff(d), b, ("trace",))
+    if detail or (dyn_span(d), dyn_work(d)) == (s, w):
+        return detail
+    return f"static span/work {s}/{w} of the normal form, trace {dyn_span(d)}/{dyn_work(d)}"
+
+
 def _check_types(c: _Ctx, term: Term) -> Optional[str]:
     src_ty = _term_ty(c, term, SRC)
-    out = opt_translate(term)
-    out_ty = typecheck(out, TGT, c.env_t)
-    if out_ty != Eff(src_ty):
-        return f"expected Eff {src_ty!r}, got {out_ty!r}"
-    return None
+    out_ty = typecheck(opt_translate(term), TGT, c.env_t)
+    return None if out_ty == Eff(src_ty) else f"expected Eff {src_ty!r}, got {out_ty!r}"
 
 
-def _check_semantics(c: _Ctx, term: Term) -> Optional[str]:
-    src_ty = _term_ty(c, term, SRC)
-    out = opt_translate(term)
-    typecheck(out, TGT, c.env_t)
-    a_src = evaluate(term, SRC, REIFIED, c.consts)
-    a_tgt = _as_action(evaluate(out, TGT, REIFIED, c.consts))
-    for m in c.monads.values():
-        if not actions_agree(src_ty, m, a_tgt, a_src):
-            return f"disagrees under {m.name}"
-    return None
+# each translation is named when the check runs, so that rebinding it (a tracer, a fault) shows
+_check_semantics = _translation(lambda t: opt_translate(t), (*_UNTRACED, "trace"))
+_check_baseline = _translation(lambda t: seq_translate(t), _UNTRACED)
 
 
 def _check_span_work(c: _Ctx, term: Term) -> Optional[str]:
     _term_ty(c, term, SRC)
-    out = opt_translate(term)
-    s0, w0 = span(term, c.sig), work(term, c.sig)
-    s1, w1 = span(out, c.sig), work(out, c.sig)
-    if s1 > s0 or w1 > w0:
-        return f"span {s0}->{s1}, work {w0}->{w1}"
-    return None
+    (s0, w0), (s1, w1) = _cost(c, term), _cost(c, opt_translate(term))
+    return f"span {s0}->{s1}, work {w0}->{w1}" if s1 > s0 or w1 > w0 else None
 
 
 def _check_smart_ctors(c: _Ctx, term: Term) -> Optional[str]:
     """Compare the raw Ap/Join node with its smart constructor's output."""
-    if isinstance(term, Ap):
-        opt, kind = smart_ap(term.fun, term.arg), "AP"
-    elif isinstance(term, Join):
-        opt, kind = smart_join(term.nested), "JOIN"
-    else:
+    if type(term) is not Ap and type(term) is not Join:
         return None
-    ty = _term_ty(c, term, TGT)
-    typecheck(opt, TGT, c.env_t)
-    if span(opt, c.sig) > span(term, c.sig) or work(opt, c.sig) > work(term, c.sig):
-        return f"smart {kind} increased span/work"
-    a = _as_action(evaluate(opt, TGT, REIFIED, c.consts))
-    b = _as_action(evaluate(term, TGT, REIFIED, c.consts))
-    for m in c.monads.values():
-        if not actions_agree(ty.inner, m, a, b):
-            return f"{kind} disagrees under {m.name}"
-    return None
-
-
-def _check_relabel(c: _Ctx, term: Term) -> Optional[str]:
-    ty = _term_ty(c, term, COM)
-    if span(term, c.sig) != 0 or work(term, c.sig) != 0:
-        return "common term has nonzero span/work"
-    out = relabel(term, TGT)
-    typecheck(out, TGT, c.env_t)
-    if span(out, c.sig) != 0 or work(out, c.sig) != 0:
-        return "relabelled term has nonzero span/work"
-    va = evaluate(term, COM, REIFIED, c.consts)
-    vb = evaluate(out, TGT, REIFIED, c.consts)
-    for m in c.monads.values():
-        if not value_eq_for(ty, m)(va, vb):
-            return f"relabel changes value under {m.name}"
-    return None
+    out = smart_ap(term.fun, term.arg) if type(term) is Ap else smart_join(term.nested)
+    return _rewrite(c, term, TGT, out, _cost(c, term))
 
 
 def _check_effect_free(c: _Ctx, term: Term) -> Optional[str]:
     _term_ty(c, term, COM)
     if not is_effect_free(term):
         return "common term contains Each/Join"
-    if span(term, c.sig) != 0 or work(term, c.sig) != 0:
-        return "nonzero span/work on common term"
-    return None
+    return "nonzero span/work on common term" if _cost(c, term) != (0, 0) else None
+
+
+def _check_relabel(c: _Ctx, term: Term) -> Optional[str]:
+    if _cost(c, term) != (0, 0):
+        return "common term has nonzero span/work"
+    return _rewrite(c, term, COM, relabel(term, TGT), (0, 0))
 
 
 def _check_normalize(c: _Ctx, term: Term) -> Optional[str]:
-    """The normal form keeps type and meaning, its static span/work do not
-    grow, and they equal the span/work of its trace."""
-    ty = _term_ty(c, term, TGT)
-    out = normalize(term)
-    typecheck(out, TGT, c.env_t)
-    s_out, w_out = span(out, c.sig), work(out, c.sig)
-    if s_out > span(term, c.sig) or w_out > work(term, c.sig):
-        return "normalize increased span/work"
-    v_out = evaluate(out, TGT, REIFIED, c.consts)
-    v_term = evaluate(term, TGT, REIFIED, c.consts)
-    for m in c.monads.values():
-        if isinstance(ty, Eff):
-            a = run(m, _as_action(v_out))
-            if not actions_agree(ty.inner, m, a, _as_action(v_term)):
-                return f"normalize disagrees under {m.name}"
-            if m.name == "trace" and (dyn_span(a), dyn_work(a)) != (s_out, w_out):
-                return (f"static span/work {s_out}/{w_out} of the normal form,"
-                        f" trace {dyn_span(a)}/{dyn_work(a)}")
-        elif not value_eq_for(ty, m)(v_out, v_term):
-            return f"normalize disagrees under {m.name}"
-    return None
-
-
-def _check_baseline(c: _Ctx, term: Term) -> Optional[str]:
-    src_ty = _term_ty(c, term, SRC)
-    out = seq_translate(term)
-    typecheck(out, TGT, c.env_t)
-    a_src = evaluate(term, SRC, REIFIED, c.consts)
-    a_seq = _as_action(evaluate(out, TGT, REIFIED, c.consts))
-    for name in ("option", "state", "writer"):  # trace would see the lost parallelism
-        m = c.monads[name]
-        if not actions_agree(src_ty, m, a_seq, a_src):
-            return f"sequential baseline disagrees under {m.name}"
-    return None
+    """The normal form is a rewrite that runs, under trace, its static cost."""
+    _term_ty(c, term, TGT)  # normalize reads the stamps
+    return _rewrite(c, term, TGT, normalize(term), _cost(c, term), traced=True)
 
 
 # suite -> (label of its terms, generator, check); "laws" checks monads instead
-_TERM_SUITES: dict[str, tuple[Label, Callable[[GenConfig, int], Term],
-                              Callable[[_Ctx, Term], Optional[str]]]] = {
+_TERM_SUITES: dict[str, tuple[Label, Callable[[GenConfig, int], Term], _Check]] = {
     "types": (SRC, _gen_plain, _check_types),
     "semantics": (SRC, _gen_plain, _check_semantics),
     "span_work": (SRC, _gen_plain, _check_span_work),
@@ -630,10 +615,20 @@ _TERM_SUITES: dict[str, tuple[Label, Callable[[GenConfig, int], Term],
 }
 
 
+def _failure(check: _Check, c: _Ctx, term: Term) -> Optional[str]:
+    """``check``'s failure detail for ``term``, also when it raises an ``Exception``
+    (not a ``BaseException``: a deadline or an interrupt stops the suite)."""
+    try:
+        return check(c, term)
+    except Exception as err:
+        return f"{type(err).__name__}: {err}"
+
+
 def run_suite(name: str, cfg: GenConfig, trials: int) -> SuiteReport:
     """Run one executable theorem/lemma suite and report failures.
 
-    Every failing term is shrunk before it is reported.
+    Every failing term, including one whose check raises, is shrunk before
+    it is reported.
     """
     if name not in SUITE_NAMES:
         raise PurifyError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
@@ -664,14 +659,14 @@ def run_suite(name: str, cfg: GenConfig, trials: int) -> SuiteReport:
         except Unsatisfiable:
             report.passes += 1
             continue
-        detail = check(ctx, term)
+        detail = _failure(check, ctx, term)
         if detail is None:
             report.passes += 1
             continue
-        small = shrink(term, label, sig, lambda t: check(ctx, t) is not None)
+        small = shrink(term, label, sig, lambda t: _failure(check, ctx, t) is not None)
         report.failures.append({
             "seed": s,
             "term_pretty": pretty(small),
-            "detail": check(ctx, small) or detail,
+            "detail": _failure(check, ctx, small) or detail,
         })
     return report

@@ -506,8 +506,8 @@ def run(m: MonadDict, action):
         return m.ap(run(m, action.fun), run(m, action.arg))
     if k is AMap:
         return m.map(action.fn, run(m, action.arg))
-    if k is ABind:
-        return m.bind(lambda v, _k=action.cont: run(m, _k(v)), run(m, action.arg))
+    if k is ABind:  # m a default, not a cell that every call of ``run`` would make
+        return m.bind(lambda v, m=m, _k=action.cont: run(m, _k(v)), run(m, action.arg))
     if k is APure:
         return m.pure(action.value)
     return action

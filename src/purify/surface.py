@@ -25,8 +25,9 @@ from typing import Optional
 from .terms import (
     App, Ap, Arrow, COM, Const, ConstDecl, ConstKind, Each, Eff, FRESH_PREFIX,
     Fst, Join, Lam, Lit, Map, Prd, Prod, Pure, PurifyError, SRC, Signature,
-    Snd, STR, TGT, Term, Ty, UNIT, Unt, Var, relabel,
+    Snd, STR, TGT, Term, Ty, UNIT, Unt, Var, relabel, type_name,
 )
+from .check import TypeMismatch
 
 KEYWORDS = {
     "effect", "prim", "purify", "fun", "let", "in",
@@ -398,6 +399,9 @@ class _Parser:
                 if not isinstance(ty, Arrow):
                     raise self.syntax_error("an arrow type annotation", colon)
                 e.param_ty = ty.dom
+            if e.ty is not None and e.ty is not ty:  # ((e : A) : B)
+                self.fail(TypeMismatch, colon, f"annotation {type_name(ty)} does not match"
+                          f" annotation {type_name(e.ty)}")
             e.ty = ty  # the checker compares it with the type it synthesizes
             return e
         self.expect(")")

@@ -167,6 +167,10 @@ ANNOTATION_MISMATCHES = [
     ('purify { let y = "a" in (y : Unit) }', "annotation Unit does not match type Str"),
     (_F + 'purify { let y = "a" in (f(y)! : Unit) }', "annotation Unit does not match type Str"),
     (_F + 'purify { (f("a") : Eff Unit) }', "annotation Eff Unit does not match type Eff Str"),
+    # a second annotation on one expression is compared with the first, by the parser
+    ('purify { (("a" : Unit) : Str) }', "1:24: annotation Str does not match annotation Unit"),
+    ("purify { ((fun x -> x : Unit -> Unit) : Str -> Str) }",
+     "1:39: annotation Str -> Str does not match annotation Unit -> Unit"),
 ]
 
 ANNOTATIONS_THAT_HOLD = [
@@ -175,13 +179,14 @@ ANNOTATIONS_THAT_HOLD = [
     ('purify { let y = ("a" : Str) in (y : Str) }', STR),
     (_F + 'purify { let y = "a" in (f(y)! : Str) }', STR),
     (_F + 'purify { ((f("a") : Eff Str)! : Str) }', STR),
+    ('purify { (("a" : Str) : Str) }', STR),
 ]
 
 
 @pytest.mark.parametrize("text, message", ANNOTATION_MISMATCHES)
 def test_source_annotation_mismatch(text, message):
-    sig, body = parse_and_elaborate(text)
     with pytest.raises(TypeMismatch) as ei:
+        sig, body = parse_and_elaborate(text)
         typecheck(body, SRC, TypeEnv(sig))
     assert str(ei.value) == message
 

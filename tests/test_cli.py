@@ -277,6 +277,19 @@ def test_property_failures_exit_2(capsys, monkeypatch):
     assert main(["laws", "--monad", "option", "--trials", "10"]) == 2
 
 
+def test_suite_whose_check_raises_exits_2(monkeypatch, capsys):
+    """An exception from the system under test is a counterexample, with a
+    seed and a shrunk term: here seq_translate binds the marks in reverse
+    order, so the chain uses a variable before binding it."""
+    from purify import translate
+    build = translate._build_chain
+    monkeypatch.setattr(translate, "_build_chain", lambda binds, final: build(binds[::-1], final))
+    assert main(["suite", "baseline", "--seed", "81", "--trials", "60", "--json"]) == 2
+    first = json.loads(capsys.readouterr().out)["failures"][0]
+    assert first == {"seed": 81_000_243, "term_pretty": "stamp(probe!)!",
+                     "detail": "UnboundVar: unbound variable '$x1'"}
+
+
 def test_config_rejects_undeclared_effects(two_fetches_file, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"latency_ms": {"ghost": 5}}))

@@ -13,11 +13,11 @@ from purify.propcheck import (
 )
 from purify.surface import parse_and_elaborate, parse_target_expr
 from purify.terms import (
-    App, Ap, Arrow, COM, Const, ConstDecl, ConstKind, Each, Eff, Join, Lam, Lit,
-    Map, Prod, PurifyError, SRC, STR, Signature, TGT, UNIT, Unt, Var, alpha_eq, size,
-    subterms,
+    App, Ap, Arrow, COM, Const, ConstDecl, ConstKind, Each, Eff, Fst, Join, Lam, Lit,
+    Map, Prd, Prod, PurifyError, SRC, STR, Signature, Snd, TGT, UNIT, Unt, Var, alpha_eq,
+    children, relabel, replace_children, size, subterms, type_name,
 )
-from purify.translate import opt_translate
+from purify.translate import _build_chain, opt_translate, seq_translate
 
 
 def test_generator_soundness_all_labels():
@@ -138,13 +138,70 @@ def _swapped_normalize(e, reassoc=False):
     return Ap(Map(flip, e.arg, label=TGT), e.fun, label=TGT)
 
 
-@pytest.mark.parametrize("suite, depth, seed, trials, attr, wrong", [
-    ("smart_ctors", 4, 61, 40, "smart_ap", _doubled_ap),
-    ("normalize", 5, 101, 100, "normalize", _swapped_normalize),
+def _rebuilt(e, node):
+    """``e`` rebuilt bottom-up through ``node(old, new children)``; a rebuilt
+    node drops its type stamp, which the fault may have made wrong."""
+    kids = tuple(_rebuilt(k, node) for k in children(e))
+    if not kids:
+        return e
+    out = node(e, kids)
+    out.ty = None
+    return out
+
+
+def _swap_pairs(e):
+    return _rebuilt(e, lambda t, kids: replace_children(t, kids[::-1] if type(t) is Prd else kids))
+
+
+def _swapped_opt(e):
+    """A wrong opt translation: every pair has its components swapped."""
+    return _swap_pairs(opt_translate(e))
+
+
+def _fst_as_snd(e):
+    """A wrong opt translation: every first projection becomes the second."""
+    return _rebuilt(opt_translate(e), lambda t, kids: (
+        Snd(kids[0], label=t.label) if type(t) is Fst else replace_children(t, kids)))
+
+
+def _swapped_relabel(e, label):
+    """A wrong relabel: every pair has its components swapped."""
+    return _swap_pairs(relabel(e, label))
+
+
+def _constants_cost(t, sig):
+    """A wrong work: every constant counts as one effect."""
+    return work(t, sig) + sum(type(n) is Const for n in subterms(t))
+
+
+def _reversed_chain(bindings, final):
+    """A wrong seq_translate chain: binds the marks in reverse order."""
+    return _build_chain(bindings[::-1], final)
+
+
+def _reparse(text, label, sig):
+    """A reported ``term_pretty`` parsed back at its suite's label."""
+    if label is TGT:
+        return parse_target_expr(text, sig)
+    decls = "".join(f"{d.kind.value} {d.name} : {type_name(d.ty)}\n" for d in sig)
+    _, body = parse_and_elaborate(f"{decls}purify {{ {text} }}")
+    return body if label is SRC else relabel(body, COM)
+
+
+@pytest.mark.parametrize("suite, depth, seed, trials, target, wrong", [
+    ("smart_ctors", 4, 61, 40, "propcheck.smart_ap", _doubled_ap),
+    ("normalize", 5, 101, 100, "propcheck.normalize", _swapped_normalize),
+    ("types", 6, 31, 60, "propcheck.opt_translate", _fst_as_snd),
+    ("semantics", 5, 41, 60, "propcheck.opt_translate", _swapped_opt),
+    ("span_work", 6, 51, 60, "propcheck.opt_translate", seq_translate),
+    ("relabel", 5, 71, 60, "propcheck.relabel", _swapped_relabel),
+    ("effect_free", 5, 71, 60, "propcheck.work", _constants_cost),
+    ("baseline", 5, 81, 60, "translate._build_chain", _reversed_chain),
 ])
-def test_target_suites_shrink_failures(monkeypatch, suite, depth, seed, trials, attr,
-                                       wrong):
-    monkeypatch.setattr(propcheck, attr, wrong)
+def test_suites_shrink_failures(monkeypatch, suite, depth, seed, trials, target, wrong):
+    """An injected fault, whether its check returns a detail or raises, is
+    reported with a shrunk term that still fails."""
+    monkeypatch.setattr(f"purify.{target}", wrong)
     rep = run_suite(suite, GenConfig(max_depth=depth, seed=seed), trials)
     assert rep.failures
     sig = default_signature()
@@ -152,14 +209,28 @@ def test_target_suites_shrink_failures(monkeypatch, suite, depth, seed, trials, 
     ctx = propcheck._Ctx.of(sig)
     shrunk = 0
     for f in rep.failures:
-        small = parse_target_expr(f["term_pretty"], sig)
-        typecheck(small, TGT, TypeEnv(sig))
-        assert check(ctx, small) is not None
+        small = _reparse(f["term_pretty"], label, sig)
+        typecheck(small, label, TypeEnv(sig))
+        assert propcheck._failure(check, ctx, small) is not None
         i = f["seed"] - seed * 1_000_003
         original = generate(GenConfig(depth, f["seed"], sig, label), i)
         assert size(small) <= size(original)
         shrunk += size(small) < size(original)
     assert shrunk > 0
+
+
+def test_a_deadline_in_a_check_stops_the_suite(monkeypatch):
+    """A check that raises an ``Exception`` fails; a ``BaseException``, such
+    as a SIGALRM deadline or an interrupt, passes through and stops the suite."""
+    class Deadline(BaseException):
+        pass
+
+    def late(ctx, term):
+        raise Deadline
+
+    monkeypatch.setitem(propcheck._TERM_SUITES, "types", (SRC, propcheck._gen_plain, late))
+    with pytest.raises(Deadline):
+        run_suite("types", GenConfig(max_depth=4, seed=1), 5)
 
 
 def test_normalize_check_compares_statics_with_the_trace(monkeypatch):

@@ -298,3 +298,9 @@ def test_reified_actions_are_observed_only_through_run(sig):
         with pytest.raises(EvalError, match="observed only through run"):
             observe()
     assert run(trace_monad(), a).nodes[0].effect == "probe"
+
+
+def test_run_makes_no_cell_per_call():
+    """``run`` is called once per reified node under every monad; a closure
+    nested in it would make a cell for ``m`` on every call."""
+    assert run.__code__.co_cellvars == ()
