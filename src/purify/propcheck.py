@@ -6,8 +6,9 @@ generated term typechecks at its label.  Effectful constants only appear
 in saturated calls: under an Each at source, as embedded calls or Pure
 payloads at target.  Failures are minimized by greedy subterm shrinking.
 
-Checks are built from four steps: ``_cost``, ``_disagrees`` (the first
-monad under which two values differ), ``_translation`` and ``_rewrite``.
+Checks are built from five steps: ``_cost``, ``_mistyped`` (an output's
+type against the expected one, before any cost or evaluation), ``_disagrees``
+(the first monad under which two values differ), ``_translation`` and ``_rewrite``.
 A check that raises an ``Exception`` fails: its term is shrunk and reported
 with the exception's class and message.
 """
@@ -28,7 +29,7 @@ from .terms import (
     App, Ap, Arrow, COM, Const, ConstDecl, ConstKind, Each, Eff, Fst, Join,
     Label, Lam, Lit, Map, Prd, Prod, Pure, PurifyError, SRC, STR, Signature,
     Snd, Str, TGT, Term, Ty, UNIT, Unit, Unt, Var, is_effect_free, relabel,
-    size, subterms,
+    size, subterms, type_name,
 )
 from .translate import normalize, opt_translate, seq_translate, smart_ap, smart_join
 
@@ -527,12 +528,20 @@ def _disagrees(c: _Ctx, ty: Ty, a: object, b: object, monads: Iterable[str]) -> 
     return name and f"disagrees under {name}"
 
 
+def _mistyped(c: _Ctx, out: Term, ty: Ty) -> Optional[str]:
+    """A detail naming both types when target term ``out`` does not check at ``ty``."""
+    got = typecheck(out, TGT, c.env_t)
+    return None if got is ty else f"expected {type_name(ty)}, got {type_name(got)}"
+
+
 def _translation(translate: Callable[[Term], Term], monads: Iterable[str]) -> _Check:
-    """A check that ``translate(term)`` typechecks and agrees with ``term`` under ``monads``."""
+    """A check that ``translate(term)`` checks at ``Eff`` of the term's type and
+    agrees with ``term`` under ``monads``; with no monads it evaluates nothing."""
     def check(c: _Ctx, term: Term) -> Optional[str]:
         ty = Eff(_term_ty(c, term, SRC))
         out = translate(term)
-        typecheck(out, TGT, c.env_t)
+        if (detail := _mistyped(c, out, ty)) or not monads:
+            return detail
         b = VEff(evaluate(term, SRC, REIFIED, c.consts))
         return _disagrees(c, ty, evaluate(out, TGT, REIFIED, c.consts), b, monads)
     return check
@@ -541,10 +550,12 @@ def _translation(translate: Callable[[Term], Term], monads: Iterable[str]) -> _C
 def _rewrite(c: _Ctx, term: Term, label: Label, out: Term, cost: tuple[int, int],
              traced: bool = False) -> Optional[str]:
     """``out``, a target rewrite of ``term`` (labelled ``label``, static span/work
-    ``cost``), typechecks, costs no more and agrees with ``term`` under every
-    monad.  With ``traced``, an action ``out`` also runs its own static cost."""
+    ``cost``), checks at the term's type, costs no more and agrees with ``term``
+    under every monad.  With ``traced``, an action ``out`` also runs its own
+    static cost."""
     ty = _term_ty(c, term, label)
-    typecheck(out, TGT, c.env_t)
+    if detail := _mistyped(c, out, ty):
+        return detail
     s, w = _cost(c, out)
     if s > cost[0] or w > cost[1]:
         return f"span {cost[0]}->{s}, work {cost[1]}->{w}"
@@ -558,13 +569,8 @@ def _rewrite(c: _Ctx, term: Term, label: Label, out: Term, cost: tuple[int, int]
     return f"static span/work {s}/{w} of the normal form, trace {dyn_span(d)}/{dyn_work(d)}"
 
 
-def _check_types(c: _Ctx, term: Term) -> Optional[str]:
-    src_ty = _term_ty(c, term, SRC)
-    out_ty = typecheck(opt_translate(term), TGT, c.env_t)
-    return None if out_ty == Eff(src_ty) else f"expected Eff {src_ty!r}, got {out_ty!r}"
-
-
 # each translation is named when the check runs, so that rebinding it (a tracer, a fault) shows
+_check_types = _translation(lambda t: opt_translate(t), ())
 _check_semantics = _translation(lambda t: opt_translate(t), (*_UNTRACED, "trace"))
 _check_baseline = _translation(lambda t: seq_translate(t), _UNTRACED)
 

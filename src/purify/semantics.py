@@ -20,6 +20,10 @@ effect-free source code runs as host code and enters the monad only at a
 mark, by laws ``check_laws`` checks: ``map`` where one operand is pure
 (``apl``, ``apr``), a marked pure action runs as itself (``idl``), and ``ap``
 stays where both operands run effects.
+
+``value_eq_for`` compares functions on one symbolic argument, ``SYMBOL``:
+in this branch-free language that decides their equality, as in
+normalization by evaluation.
 """
 
 from __future__ import annotations
@@ -614,32 +618,20 @@ def _apply(m: MonadDict, f, x):
 # Type-directed observational equality
 # ---------------------------------------------------------------------------
 
-EXTENSIONAL_SAMPLES = 5
-
-
-def sample_values(ty, m: MonadDict) -> list[object]:
-    """Deterministic sample inputs for extensional function comparison."""
-    k = type(ty)
-    if k is Unit:
-        return [VUNIT]
-    if k is Str:
-        return ["", "a", "b", "ab", "q"]
-    if k is Prod:
-        ls, rs = sample_values(ty.left, m), sample_values(ty.right, m)
-        return [(l, r) for l in ls for r in rs][:EXTENSIONAL_SAMPLES]
-    if k is Arrow:
-        cods = sample_values(ty.cod, m)
-        return [lambda v, _i=i: cods[(len(render_value(v)) + _i) % len(cods)]
-                for i in range(min(3, len(cods)) or 1)]
-    if k is Eff:
-        return [VEff(m.pure(s)) for s in sample_values(ty.inner, m)[:3]]
-    raise EvalError(f"unknown type {ty!r}")
+SYMBOL = "\u00a7"  # in no generated literal, constant name or tag
 
 
 def value_eq_for(ty, m: MonadDict) -> ValueEq:
-    """Observational equality at a type: structural at base types, pointwise
-    on sampled arguments for functions, run_eq on underlying actions for
-    effect types, run first when reified."""
+    """Observational equality at a type: structural at base types, run_eq on
+    the actions (run first when reified) at effect types, and for functions
+    equality of the results on one argument, ``seed_value(dom, SYMBOL, m)``.
+
+    This decides function equality while ``SYMBOL`` occurs in no literal,
+    constant name or tag: nothing branches, ``concat`` concatenates and
+    every other constant renders its arguments into tags, so any observation
+    is a substitution instance of the result on the symbol.  An ``Eff``
+    argument is the symbol's pure action: how often it runs is not observed.
+    """
     k = type(ty)
     if k is Str:
         return operator.eq
@@ -649,9 +641,8 @@ def value_eq_for(ty, m: MonadDict) -> ValueEq:
         le, re = value_eq_for(ty.left, m), value_eq_for(ty.right, m)
         return lambda a, b: le(a[0], b[0]) and re(a[1], b[1])
     if k is Arrow:
-        args = sample_values(ty.dom, m)[:EXTENSIONAL_SAMPLES]
-        ce = value_eq_for(ty.cod, m)
-        return lambda a, b: all(ce(a(x), b(x)) for x in args)
+        x, ce = seed_value(ty.dom, SYMBOL, m), value_eq_for(ty.cod, m)
+        return lambda a, b: ce(a(x), b(x))
     if k is Eff:
         ie = value_eq_for(ty.inner, m)
         return lambda a, b: m.run_eq(run(m, a.action), run(m, b.action), ie)

@@ -496,29 +496,21 @@ def alpha_eq(a: Term, b: Term) -> bool:
     and parameter annotations are ignored.  Binders are compared by level
     so shadowing cannot conflate distinct variables.
     """
-
-    def go(x: Term, y: Term, lx: dict[str, int], ly: dict[str, int],
-           depth: int) -> bool:
-        if type(x) is not type(y) or x.label is not y.label:
+    todo = [(a, b, {}, {}, 0)]
+    while todo:
+        x, y, lx, ly, depth = todo.pop()
+        k = type(x)
+        if k is not type(y) or x.label is not y.label:
             return False
-        match x, y:
-            case Var(n1), Var(n2):
-                if n1 in lx or n2 in ly:
-                    return lx.get(n1) == ly.get(n2)
-                return n1 == n2  # both free
-            case Const(n1), Const(n2):
-                return n1 == n2
-            case Unt(), Unt():
-                return True
-            case Lit(v1), Lit(v2):
-                return v1 == v2
-            case Lam(p1, b1, _), Lam(p2, b2, _):
-                return go(b1, b2, {**lx, p1: depth}, {**ly, p2: depth}, depth + 1)
-            case _:
-                cx, cy = children(x), children(y)
-                return len(cx) == len(cy) and all(
-                    go(u, v, lx, ly, depth) for u, v in zip(cx, cy)
-                )
-
-    return go(a, b, {}, {}, 0)
-
+        if k is Var:
+            i, j = lx.get(x.name), ly.get(y.name)
+            if i != j or i is None and x.name != y.name:  # bound at one level, or both free
+                return False
+        elif k is Lam:
+            todo.append((x.body, y.body, {**lx, x.param: depth}, {**ly, y.param: depth}, depth + 1))
+        elif k is Const or k is Lit:
+            if x != y:
+                return False
+        else:
+            todo.extend((u, v, lx, ly, depth) for u, v in zip(children(x), children(y)))
+    return True

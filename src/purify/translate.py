@@ -162,36 +162,31 @@ def normalize(e: Term, reassoc: bool = False) -> Term:
     Rules: map identity, map composition, the Ap collapses (homomorphism,
     identity, interchange -- the same collapses smart_ap performs), the two
     left-unit forms, right unit, and bind associativity.  The ap-composition
-    reassociation is only applied when ``reassoc`` is set.  Fuel is derived
-    from term size; exhausting it signals a bug in the rule system.
+    reassociation is only applied when ``reassoc`` is set.  Fuel derived
+    from term size bounds the passes and the rule firings, also those at one
+    node; exhausting it signals a bug in the rule system.
     """
     n = size(e)
-    sweeps = 4 * n + 4
-    fire_cap = 1000 * n + 1000
+    sweeps, fire_cap = 4 * n + 4, 1000 * n + 1000
     fresh = FreshNames()
-    cur = e
     fires = 0
     for _ in range(sweeps):
-        cur, fired = _sweep(cur, reassoc, fresh)
-        if not fired:
-            return cur
-        fires += fired
-        if fires > fire_cap:
-            break
-    raise FuelExhausted(
-        f"normalize did not reach a fixed point within {sweeps} passes"
-    )
+        e, total = _sweep(e, reassoc, fresh, fires, fire_cap)
+        if total == fires:
+            return e
+        fires = total
+    raise FuelExhausted(f"normalize did not reach a fixed point within {sweeps} passes")
 
 
-def _sweep(e: Term, reassoc: bool, fresh: FreshNames) -> tuple[Term, int]:
-    """One innermost-first pass; returns the new term and rules fired.
+def _sweep(e: Term, reassoc: bool, fresh: FreshNames, fired: int, cap: int) -> tuple[Term, int]:
+    """One innermost-first pass; returns the new term and the rules fired so
+    far, ``fired`` before it.  Past ``cap`` firings it raises ``FuelExhausted``.
 
     Post-order with an explicit stack: an interior node waits on ``todo``
     as a ``(node, children)`` pair while its children are swept onto
     ``done``.  A subtree in which no rule fired is returned as it was, not
     copied.
     """
-    fired = 0
     done: list[Term] = []
     todo: list = [e]
     while todo:
@@ -205,6 +200,8 @@ def _sweep(e: Term, reassoc: bool, fresh: FreshNames) -> tuple[Term, int]:
             while (out := _apply_rule(t, reassoc, fresh)) is not None:
                 t = out
                 fired += 1
+                if fired > cap:
+                    raise FuelExhausted(f"normalize fired more than {cap} rules")
             done.append(t)
             continue
         kids = children(t)

@@ -1,3 +1,4 @@
+import builtins
 import json
 import random
 
@@ -11,6 +12,7 @@ from purify.propcheck import (
     GenConfig, SUITE_NAMES, Unsatisfiable, default_signature, gen_term,
     run_suite, shrink,
 )
+from purify.semantics import SYMBOL
 from purify.surface import parse_and_elaborate, parse_target_expr
 from purify.terms import (
     App, Ap, Arrow, COM, Const, ConstDecl, ConstKind, Each, Eff, Fst, Join, Lam, Lit,
@@ -193,6 +195,7 @@ def _reparse(text, label, sig):
     ("normalize", 5, 101, 100, "propcheck.normalize", _swapped_normalize),
     ("types", 6, 31, 60, "propcheck.opt_translate", _fst_as_snd),
     ("semantics", 5, 41, 60, "propcheck.opt_translate", _swapped_opt),
+    ("semantics", 5, 41, 60, "propcheck.opt_translate", _fst_as_snd),
     ("span_work", 6, 51, 60, "propcheck.opt_translate", seq_translate),
     ("relabel", 5, 71, 60, "propcheck.relabel", _swapped_relabel),
     ("effect_free", 5, 71, 60, "propcheck.work", _constants_cost),
@@ -200,7 +203,9 @@ def _reparse(text, label, sig):
 ])
 def test_suites_shrink_failures(monkeypatch, suite, depth, seed, trials, target, wrong):
     """An injected fault, whether its check returns a detail or raises, is
-    reported with a shrunk term that still fails."""
+    reported with a shrunk term that still fails.  A translation that changes
+    a type is reported with both types, not by a Python error from comparing
+    values of different types."""
     monkeypatch.setattr(f"purify.{target}", wrong)
     rep = run_suite(suite, GenConfig(max_depth=depth, seed=seed), trials)
     assert rep.failures
@@ -209,6 +214,7 @@ def test_suites_shrink_failures(monkeypatch, suite, depth, seed, trials, target,
     ctx = propcheck._Ctx.of(sig)
     shrunk = 0
     for f in rep.failures:
+        assert f["detail"].split(":")[0] not in dir(builtins), f
         small = _reparse(f["term_pretty"], label, sig)
         typecheck(small, label, TypeEnv(sig))
         assert propcheck._failure(check, ctx, small) is not None
@@ -217,6 +223,18 @@ def test_suites_shrink_failures(monkeypatch, suite, depth, seed, trials, target,
         assert size(small) <= size(original)
         shrunk += size(small) < size(original)
     assert shrunk > 0
+
+
+def test_the_symbol_is_in_no_generated_literal_or_name():
+    """Comparing functions on ``SYMBOL`` decides their equality only while no
+    literal or constant name, and so no tag, contains its character."""
+    assert len(SYMBOL) == 1
+    assert not any(SYMBOL in w for w in (*propcheck._WORDS, "s"))
+    assert not any(SYMBOL in d.name for d in default_signature())
+    for label in (SRC, COM, TGT):
+        for i in range(2_000):
+            t = gen_term(GenConfig(max_depth=5, seed=40_000 + i, label=label))
+            assert not any(type(n) is Lit and SYMBOL in n.value for n in subterms(t))
 
 
 def test_a_deadline_in_a_check_stops_the_suite(monkeypatch):
@@ -375,10 +393,11 @@ def test_tabled_generator_draws_the_scanned_terms(monkeypatch):
 
 
 @pytest.mark.parametrize("suite", ["semantics", "smart_ctors", "relabel", "normalize",
-                                   "baseline"])
+                                   "baseline", "types"])
 def test_each_check_evaluates_each_side_once(monkeypatch, suite):
     """A check evaluates its two terms once each and runs the results under
-    every monad, instead of evaluating them again per monad."""
+    every monad, instead of evaluating them again per monad; ``types``
+    compares types only and evaluates nothing."""
     calls = []
     evaluate = propcheck.evaluate
     monkeypatch.setattr(propcheck, "evaluate", lambda *a: calls.append(a) or evaluate(*a))
@@ -393,7 +412,7 @@ def test_each_check_evaluates_each_side_once(monkeypatch, suite):
 
     monkeypatch.setitem(propcheck._TERM_SUITES, suite, (label, generate, counted))
     rep = run_suite(suite, GenConfig(max_depth=5, seed=17), 40)
-    assert rep.all_passed and per_check and set(per_check) == {2}
+    assert rep.all_passed and per_check and set(per_check) == {0 if suite == "types" else 2}
 
 
 def test_types_suite_typechecks_each_term_once(monkeypatch):

@@ -186,6 +186,10 @@ def test_extensional_function_comparison(sig):
     eq = value_eq_for(Arrow(STR, STR), m)
     assert eq(lambda v: v + "", lambda v: v)
     assert not eq(lambda v: v, lambda v: v + "!")
+    for m in builtin_monads():  # a function argument is told apart by what it is applied to
+        eq = value_eq_for(Arrow(Arrow(STR, STR), STR), m)
+        assert not eq(lambda h: h("a"), lambda h: h("b"))
+        assert eq(lambda h: h("a"), lambda h: h("a" + ""))
 
 
 def test_effect_behavior_config_value_and_log():

@@ -125,6 +125,18 @@ def test_alpha_eq_bound_vs_free():
     assert not alpha_eq(b, a)
 
 
+def test_alpha_eq_on_deep_chains():
+    """A walk on an explicit stack: chains far deeper than the recursion limit."""
+    def chain(bottom):
+        t = bottom
+        for _ in range(10_000):
+            t = Fst(Prd(t, Unt(label=COM), label=COM), label=COM)
+        return t
+
+    assert alpha_eq(chain(Lit("a", label=COM)), chain(Lit("a", label=COM)))
+    assert not alpha_eq(chain(Lit("a", label=COM)), chain(Lit("b", label=COM)))
+
+
 def test_alpha_eq_is_equivalence_on_generated_terms():
     terms = [gen_term(GenConfig(max_depth=4, seed=i, label=SRC)) for i in range(60)]
     for t in terms:

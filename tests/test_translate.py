@@ -384,3 +384,23 @@ def test_normalize_deep_bind_chain_terminates():
     out = normalize(t)
     typecheck(out, TGT, TypeEnv(sig))
     assert span(out, sig) == 61 and work(out, sig) == 61
+
+
+def test_a_rule_that_keeps_firing_at_one_node_exhausts_the_fuel(monkeypatch):
+    """A rule that returns its input never reaches a fixed point at its node;
+    the firing bound stops it there, within one pass."""
+    class Hung(Exception):
+        pass
+
+    t = Pure(Lit("a", label=COM), label=TGT)  # 2 nodes: at most 3,000 firings
+    fired = []
+
+    def stuck(e, reassoc, fresh):
+        fired.append(e)
+        if len(fired) > 10 * 3_000:
+            raise Hung
+        return e
+
+    monkeypatch.setattr("purify.translate._apply_rule", stuck)
+    with pytest.raises(FuelExhausted, match="fired more than 3000 rules"):
+        normalize(t)
