@@ -228,9 +228,6 @@ class TraceDag:
         _fold(self.tree, leaves.append, _ignore, _ignore)
         return tuple(leaves)
 
-    def with_result(self, result: object) -> "TraceDag":
-        return TraceDag(self.tree, result)
-
 
 def empty_dag(result: object) -> TraceDag:
     return TraceDag(None, result)

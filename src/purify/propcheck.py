@@ -8,9 +8,10 @@ payloads at target.  Failures are minimized by greedy subterm shrinking.
 
 Checks are built from five steps: ``_cost``, ``_mistyped`` (an output's
 type against the expected one, before any cost or evaluation), ``_disagrees``
-(the first monad under which two values differ), ``_translation`` and ``_rewrite``.
-A check that raises an ``Exception`` fails: its term is shrunk and reported
-with the exception's class and message.
+(the first monad under which two values differ), ``_translation`` and
+``_rewrite``, which also holds a rewritten action's static cost to its trace.
+A translation keeps the source's span and work exactly (``span_work``).  A
+check that raises an ``Exception`` fails: its term is shrunk and reported.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ from .semantics import (
     evaluate, make_const_env, run, value_eq_for, _as_action,
 )
 from .terms import (
-    App, Ap, Arrow, COM, Const, ConstDecl, ConstKind, Each, Eff, Fst, Join,
-    Label, Lam, Lit, Map, Prd, Prod, Pure, PurifyError, SRC, STR, Signature,
+    App, Ap, Arrow, COM, Const, ConstDecl, ConstKind, Each, Eff, FreshNames, Fst,
+    Join, Label, Lam, Lit, Map, Prd, Prod, Pure, PurifyError, SRC, STR, Signature,
     Snd, Str, TGT, Term, Ty, UNIT, Unit, Unt, Var, is_effect_free, relabel,
-    size, subterms, type_name,
+    size, slot_dict, subterms, type_name,
 )
 from .translate import normalize, opt_translate, seq_translate, smart_ap, smart_join
 
@@ -432,15 +433,7 @@ class SuiteReport:
     def all_passed(self) -> bool:
         return not self.failures
 
-    def to_dict(self) -> dict:
-        return {
-            "v": 1,
-            "suite": self.suite,
-            "trials": self.trials,
-            "passes": self.passes,
-            "seed": self.seed,
-            "failures": self.failures,
-        }
+    to_dict = slot_dict
 
 
 SUITE_NAMES = (
@@ -547,11 +540,10 @@ def _translation(translate: Callable[[Term], Term], monads: Iterable[str]) -> _C
     return check
 
 
-def _rewrite(c: _Ctx, term: Term, label: Label, out: Term, cost: tuple[int, int],
-             traced: bool = False) -> Optional[str]:
+def _rewrite(c: _Ctx, term: Term, label: Label, out: Term, cost: tuple[int, int]) -> Optional[str]:
     """``out``, a target rewrite of ``term`` (labelled ``label``, static span/work
     ``cost``), checks at the term's type, costs no more and agrees with ``term``
-    under every monad.  With ``traced``, an action ``out`` also runs its own
+    under every monad.  An action ``out`` also runs, under trace, its own
     static cost."""
     ty = _term_ty(c, term, label)
     if detail := _mistyped(c, out, ty):
@@ -560,13 +552,13 @@ def _rewrite(c: _Ctx, term: Term, label: Label, out: Term, cost: tuple[int, int]
     if s > cost[0] or w > cost[1]:
         return f"span {cost[0]}->{s}, work {cost[1]}->{w}"
     a, b = evaluate(out, TGT, REIFIED, c.consts), evaluate(term, label, REIFIED, c.consts)
-    if not traced or type(ty) is not Eff:
+    if type(ty) is not Eff:
         return _disagrees(c, ty, a, b, c.monads)
     d = run(c.monads["trace"], _as_action(a))  # run once, for meaning and for cost
     detail = _disagrees(c, ty, a, b, _UNTRACED) or _disagrees(c, ty, VEff(d), b, ("trace",))
     if detail or (dyn_span(d), dyn_work(d)) == (s, w):
         return detail
-    return f"static span/work {s}/{w} of the normal form, trace {dyn_span(d)}/{dyn_work(d)}"
+    return f"static span/work {s}/{w} of the rewrite, trace {dyn_span(d)}/{dyn_work(d)}"
 
 
 # each translation is named when the check runs, so that rebinding it (a tracer, a fault) shows
@@ -578,14 +570,15 @@ _check_baseline = _translation(lambda t: seq_translate(t), _UNTRACED)
 def _check_span_work(c: _Ctx, term: Term) -> Optional[str]:
     _term_ty(c, term, SRC)
     (s0, w0), (s1, w1) = _cost(c, term), _cost(c, opt_translate(term))
-    return f"span {s0}->{s1}, work {w0}->{w1}" if s1 > s0 or w1 > w0 else None
+    return f"span {s0}->{s1}, work {w0}->{w1}" if (s1, w1) != (s0, w0) else None
 
 
 def _check_smart_ctors(c: _Ctx, term: Term) -> Optional[str]:
     """Compare the raw Ap/Join node with its smart constructor's output."""
-    if type(term) is not Ap and type(term) is not Join:
+    k = type(term)
+    if k is not Ap and k is not Join:
         return None
-    out = smart_ap(term.fun, term.arg) if type(term) is Ap else smart_join(term.nested)
+    out = smart_ap(term.fun, term.arg, FreshNames()) if k is Ap else smart_join(term.nested)
     return _rewrite(c, term, TGT, out, _cost(c, term))
 
 
@@ -603,9 +596,8 @@ def _check_relabel(c: _Ctx, term: Term) -> Optional[str]:
 
 
 def _check_normalize(c: _Ctx, term: Term) -> Optional[str]:
-    """The normal form is a rewrite that runs, under trace, its static cost."""
     _term_ty(c, term, TGT)  # normalize reads the stamps
-    return _rewrite(c, term, TGT, normalize(term), _cost(c, term), traced=True)
+    return _rewrite(c, term, TGT, normalize(term), _cost(c, term))
 
 
 # suite -> (label of its terms, generator, check); "laws" checks monads instead

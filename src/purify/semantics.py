@@ -39,7 +39,7 @@ from .metrics import (
 from .terms import (
     App, Ap, Arrow, Const, Each, Eff, Fst, Join, Label, Lam, Lit, Map,
     Prd, Prod, Pure, PurifyError, SRC, STR, Signature, Snd, Term, Unit,
-    Str, Unt, Var, type_name,
+    Str, Unt, Var, slot_dict, type_name,
 )
 
 
@@ -289,7 +289,7 @@ def trace_monad() -> MonadDict:
         return empty_dag(v)
 
     def map_(f, d: TraceDag):
-        return d.with_result(f(d.result))
+        return TraceDag(d.tree, f(d.result))
 
     def ap(df: TraceDag, dx: TraceDag):
         return parallel_compose(df, dx, df.result(dx.result))
@@ -437,6 +437,7 @@ def make_const_env(sig: Signature, m: MonadDict,
 # REIFIED evaluates to a monad-independent action tree (the free/freer
 # structure of Capriotti & Kaposi 2014 and Kiselyov & Ishii 2015), applying
 # the identity laws as it builds; ``run`` folds it into any monad's action.
+# A node's ``fun`` is a function (AMap), an action of one (AAp) or a continuation (ABind).
 
 class APure:
     __slots__ = ("value",)
@@ -453,24 +454,20 @@ class AEffect:
 
 
 class AMap:
-    __slots__ = ("fn", "arg")
-
-    def __init__(self, fn: Callable[[object], object], arg):
-        self.fn, self.arg = fn, arg
-
-
-class AAp:
     __slots__ = ("fun", "arg")
 
     def __init__(self, fun, arg):
         self.fun, self.arg = fun, arg
 
 
-class ABind:
-    __slots__ = ("cont", "arg")
+class AAp:
+    __slots__ = ("fun", "arg")
+    __init__ = AMap.__init__
 
-    def __init__(self, cont: Callable[[object], object], arg):
-        self.cont, self.arg = cont, arg
+
+class ABind:
+    __slots__ = ("fun", "arg")
+    __init__ = AMap.__init__
 
 
 def _reified_monad() -> MonadDict:
@@ -509,9 +506,9 @@ def run(m: MonadDict, action):
     if k is AAp:
         return m.ap(run(m, action.fun), run(m, action.arg))
     if k is AMap:
-        return m.map(action.fn, run(m, action.arg))
+        return m.map(action.fun, run(m, action.arg))
     if k is ABind:  # m a default, not a cell that every call of ``run`` would make
-        return m.bind(lambda v, m=m, _k=action.cont: run(m, _k(v)), run(m, action.arg))
+        return m.bind(lambda v, m=m, _k=action.fun: run(m, _k(v)), run(m, action.arg))
     if k is APure:
         return m.pure(action.value)
     return action
@@ -630,7 +627,7 @@ def value_eq_for(ty, m: MonadDict) -> ValueEq:
     constant name or tag: nothing branches, ``concat`` concatenates and
     every other constant renders its arguments into tags, so any observation
     is a substitution instance of the result on the symbol.  An ``Eff``
-    argument is the symbol's pure action: how often it runs is not observed.
+    argument runs one effect, ``SYMBOL``, so when and how often it runs shows.
     """
     k = type(ty)
     if k is Str:
@@ -641,7 +638,8 @@ def value_eq_for(ty, m: MonadDict) -> ValueEq:
         le, re = value_eq_for(ty.left, m), value_eq_for(ty.right, m)
         return lambda a, b: le(a[0], b[0]) and re(a[1], b[1])
     if k is Arrow:
-        x, ce = seed_value(ty.dom, SYMBOL, m), value_eq_for(ty.cod, m)
+        d, ce = ty.dom, value_eq_for(ty.cod, m)
+        x = _effect_const(m, SYMBOL, d, 0, {}) if type(d) is Eff else seed_value(d, SYMBOL, m)
         return lambda a, b: ce(a(x), b(x))
     if k is Eff:
         ie = value_eq_for(ty.inner, m)
@@ -673,15 +671,7 @@ class LawReport:
     def all_passed(self) -> bool:
         return all(not f for f in self.failures.values())
 
-    def to_dict(self) -> dict:
-        return {
-            "v": 1,
-            "monad": self.monad,
-            "trials": self.trials,
-            "seed": self.seed,
-            "passes": self.passes,
-            "failures": self.failures,
-        }
+    to_dict = slot_dict
 
 
 def _gen_value(rng: random.Random, depth: int = 0) -> object:

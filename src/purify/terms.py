@@ -52,6 +52,11 @@ class _Frozen:
         return f"{type(self).__name__}({fields})"
 
 
+def slot_dict(record: object) -> dict:
+    """A report's JSON form: ``"v": 1``, then its ``__slots__`` in order."""
+    return {"v": 1, **{f: getattr(record, f) for f in record.__slots__}}
+
+
 class Ty(_Frozen):
     """Guest type; one of Unit, Str, Prod, Arrow, Eff.  Hash-consed and
     immutable: equal types are one object, so ``==`` and ``hash`` are the

@@ -30,14 +30,13 @@ class FuelExhausted(PurifyError):
 # Smart constructors
 # ---------------------------------------------------------------------------
 
-def smart_ap(f: Term, e: Term, fresh: FreshNames | None = None) -> Term:
+def smart_ap(f: Term, e: Term, fresh: FreshNames) -> Term:
     """Applicative application with law-based collapses.
 
     Pure/Pure collapses by the homomorphism law; a Pure on either side
-    collapses to a single Map by the identity and interchange laws; anything
-    else keeps the parallel Ap node.
+    collapses to a single Map, binding a name from ``fresh``, by the identity
+    and interchange laws; anything else keeps the parallel Ap node.
     """
-    fresh = fresh or FreshNames()
     if type(f) is Pure:
         if type(e) is Pure:
             return Pure(App(f.inner, e.inner, label=COM), label=TGT)
@@ -281,7 +280,7 @@ def _apply_rule(e: Term, reassoc: bool, fresh: FreshNames) -> Optional[Term]:
     elif k is Join:
         inner = e.nested
         if isinstance(inner, Pure):
-            return relabel(inner.inner, TGT)  # left unit, join form
+            return smart_join(inner)  # left unit, join form
         if isinstance(inner, Map):
             g, x = inner.fun, inner.arg
             if isinstance(x, Pure):

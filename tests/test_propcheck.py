@@ -126,7 +126,7 @@ def test_shrinking_soundness():
     assert shrunk_any
 
 
-def _doubled_ap(f, e, fresh=None):
+def _doubled_ap(f, e, fresh):
     """A wrong smart_ap: binds the argument action once before the real Ap."""
     return Join(Map(Lam("$dup", Ap(f, e), label=TGT), e, label=TGT), label=TGT)
 
@@ -276,8 +276,34 @@ def test_normalize_check_compares_statics_with_the_trace(monkeypatch):
 
     monkeypatch.setattr(metrics, "_runs", no_let_redex)
     assert propcheck._check_normalize(ctx, term) == (
-        "static span/work 2/2 of the normal form, trace 3/3"
+        "static span/work 2/2 of the rewrite, trace 3/3"
     )
+
+
+def test_smart_ctors_hold_each_rewrite_to_its_trace(monkeypatch):
+    """Every rewritten action runs, under trace, its own static cost.  A cost
+    that undercounts what ``smart_ap`` builds cannot raise span or work, so
+    only comparing with the trace catches it."""
+    def map_free(cost):
+        return lambda t, sig: 0 if type(t) is Map else cost(t, sig)
+
+    monkeypatch.setattr(propcheck, "span", map_free(span))
+    monkeypatch.setattr(propcheck, "work", map_free(work))
+    rep = run_suite("smart_ctors", GenConfig(max_depth=4, seed=61), 200)
+    assert rep.failures
+    assert all(f["detail"].startswith("static span/work 0/0 of the rewrite, trace ")
+               for f in rep.failures)
+
+
+def test_span_work_requires_the_source_span(monkeypatch):
+    """Translation retains the source's span and work exactly.  A source cost
+    that runs every effect in sequence (span = work) cannot make the
+    translation cost more, so only the equality catches it."""
+    monkeypatch.setattr(propcheck, "span",
+                        lambda t, sig: work(t, sig) if t.label is SRC else span(t, sig))
+    rep = run_suite("span_work", GenConfig(max_depth=6, seed=51), 300)
+    assert rep.failures
+    assert all(f["detail"].startswith("span ") for f in rep.failures)
 
 
 def test_static_span_work_survive_print_and_parse():

@@ -11,8 +11,8 @@ from purify.semantics import (
     trace_monad, value_eq_for, writer_monad,
 )
 from purify.terms import (
-    Arrow, COM, Const, ConstDecl, ConstKind, Each, Eff, Fst, Lit, Prd, SRC, STR,
-    Signature, TGT, UNIT, Unt, alpha_eq,
+    Arrow, COM, Const, ConstDecl, ConstKind, Each, Eff, Fst, Join, Lam, Lit, Map, Prd,
+    SRC, STR, Signature, TGT, UNIT, Unt, Var, alpha_eq,
 )
 from purify.translate import naive_translate, normalize, opt_translate, seq_translate
 
@@ -190,6 +190,23 @@ def test_extensional_function_comparison(sig):
         eq = value_eq_for(Arrow(Arrow(STR, STR), STR), m)
         assert not eq(lambda h: h("a"), lambda h: h("b"))
         assert eq(lambda h: h("a"), lambda h: h("a" + ""))
+
+
+def test_functions_of_actions_are_observed_running_them(sig):
+    """An ``Eff`` argument runs one effect, so a function that runs it twice
+    differs from one that runs it once wherever a run is observed.  Option
+    observes only presence and the result, so it cannot tell them apart."""
+    once = Lam("a", Var("a", label=TGT), Eff(STR), label=TGT)
+    twice = Lam("a", Join(Map(Lam("_", Var("a", label=TGT), STR, label=TGT),
+                              Var("a", label=TGT), label=TGT), label=TGT), Eff(STR), label=TGT)
+    ty = Arrow(Eff(STR), Eff(STR))
+    for t in (once, twice):
+        assert typecheck(t, TGT, TypeEnv(sig)) is ty
+    consts = make_const_env(sig, REIFIED)
+    f, g = (evaluate(t, TGT, REIFIED, consts) for t in (once, twice))
+    equal = {m.name: value_eq_for(ty, m)(f, g) for m in builtin_monads()}
+    assert equal == {"option": True, "state": False, "writer": False, "trace": False}
+    assert all(value_eq_for(ty, m)(f, f) for m in builtin_monads())
 
 
 def test_effect_behavior_config_value_and_log():

@@ -5,7 +5,7 @@ from purify.metrics import span, work
 from purify.propcheck import GenConfig, default_signature, gen_term
 from purify.semantics import actions_agree, builtin_monads, evaluate, make_const_env
 from purify.terms import (
-    App, Ap, COM, Const, ConstDecl, ConstKind, Each, Eff, Join, Lam, Lit,
+    App, Ap, COM, Const, ConstDecl, ConstKind, Each, Eff, FreshNames, Join, Lam, Lit,
     Map, Prd, Pure, SRC, STR, Signature, TGT, Term, Var, alpha_eq,
     is_effect_free, subterms,
 )
@@ -124,14 +124,14 @@ def test_type_preservation_all_modes():
 def test_smart_ap_pure_pure():
     f = Pure(Lam("x", Var("x", label=COM), STR, label=COM), label=TGT)
     e = Pure(Unt_lit := Lit("v", label=COM), label=TGT)
-    out = smart_ap(f, e)
+    out = smart_ap(f, e, FreshNames())
     assert out == Pure(App(f.inner, Unt_lit, label=COM), label=TGT)
 
 
 def test_smart_ap_pure_function_side():
     g = Pure(Lam("y", Var("y", label=COM), STR, label=COM), label=TGT)
     ff = _tgt("probe")
-    out = smart_ap(g, ff)
+    out = smart_ap(g, ff, FreshNames())
     assert isinstance(out, Map)
     lam = out.fun
     assert isinstance(lam, Lam) and lam.body == App(g.inner, Var(lam.param, label=COM), label=COM)
@@ -141,7 +141,7 @@ def test_smart_ap_pure_function_side():
 def test_smart_ap_pure_argument_side():
     gf = _tgt("gf")
     e = Pure(Lit("v", label=COM), label=TGT)
-    out = smart_ap(gf, e)
+    out = smart_ap(gf, e, FreshNames())
     assert isinstance(out, Map)
     lam = out.fun
     assert lam.body == App(Var(lam.param, label=COM), e.inner, label=COM)
@@ -149,7 +149,7 @@ def test_smart_ap_pure_argument_side():
 
 
 def test_smart_ap_fallthrough_keeps_parallel_ap():
-    out = smart_ap(_tgt("gf"), _tgt("ff"))
+    out = smart_ap(_tgt("gf"), _tgt("ff"), FreshNames())
     assert out == Ap(_tgt("gf"), _tgt("ff"), label=TGT)
 
 
