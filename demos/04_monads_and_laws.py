@@ -1,8 +1,9 @@
-"""Pluggable monads, the seven laws, and why Ap is kept distinct from bind.
+"""Pluggable monads, the ten laws, and why Ap is kept distinct from bind.
 
 Every monad ships pure/map/ap/bind plus an observational equality.  The
-seven laws (left/right unit, associativity, the two applicative collapse
-laws, the pure free theorem and map fusion) are checked on random values.
+ten laws (left unit, right unit in bind form and plain, associativity,
+the two applicative collapse laws, the pure free theorem, map fusion,
+functor identity and applicative composition) are checked on random values.
 
 The punchline: a monad whose ap runs its argument before its function is
 just as lawful as the usual one.  Programs agree with the mixed translation
@@ -21,7 +22,7 @@ from purify.translate import opt_translate, seq_translate
 print("== law reports (1000 trials each) ==")
 for m in builtin_monads() + [mixed_order_writer()]:
     rep = check_laws(m, 1000, seed=7)
-    verdict = "all seven laws hold" if rep.all_passed else f"FAILS: {rep.failures}"
+    verdict = "all ten laws hold" if rep.all_passed else f"FAILS: {rep.failures}"
     print(f"  {m.name:10s} {verdict}")
 
 sig, body = parse_and_elaborate("""

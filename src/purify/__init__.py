@@ -27,7 +27,7 @@ from .semantics import (
     evaluate, check_laws, LawReport, value_eq_for, actions_agree, render_value,
 )
 from .metrics import (
-    span, work, TraceDag, dyn_span, dyn_work, simulate_latency, dag_iso,
+    span, work, span_work, TraceDag, dyn_span, dyn_work, simulate_latency, dag_iso,
     to_dot, UnknownEffect,
 )
 from .propcheck import (

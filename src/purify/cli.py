@@ -10,7 +10,7 @@ import sys
 from typing import Optional
 
 from .check import TypeEnv, typecheck
-from .metrics import span, to_dot, work
+from .metrics import span_work, to_dot
 from .pretty import pretty
 from .propcheck import SUITE_NAMES, GenConfig, run_suite
 from .semantics import BEHAVIOR_KINDS, MONADS, check_laws, evaluate, make_const_env
@@ -113,7 +113,7 @@ def cmd_analyze(args) -> int:
         typecheck(terms[key], TGT, env)
     stats = {"v": 1}
     for key, t in terms.items():
-        stats["span_" + key], stats["work_" + key] = span(t, sig), work(t, sig)
+        stats["span_" + key], stats["work_" + key] = span_work(t, sig)
     if args.json:
         print(json.dumps(stats))
     else:
@@ -224,7 +224,7 @@ def _parser() -> _ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_run)
 
-    p = sub.add_parser("laws", help="check the seven monad laws")
+    p = sub.add_parser("laws", help="check the ten monad laws")
     p.add_argument("--monad", required=True,
                    choices=tuple(MONADS))
     p.add_argument("--trials", type=int, default=1000)

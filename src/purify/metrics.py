@@ -106,31 +106,25 @@ def _runs(t: Term, scope: int, pending: list, arity: dict[str, int], env: list):
             raise PurifyError(f"unknown term former {k.__name__}")
 
 
-# Work stack entries besides terms: an int, the scope of the terms above it,
-# or an instruction: combine the top two values by max (span) or + (work), add
-# them (a bind runs one side after the other), or add one to the top value.
-_COMBINE, _ADD, _ONE = "combine", "add", "one"
+# Work stack entries besides terms: an int, the scope of the terms above it, or
+# combine the top two (span, work) values by (max, +), or add them (a bind).
+_COMBINE, _ADD = "combine", "add"
 
 
-def _measure(e: Term, sig: Signature, use_max: bool) -> int:
-    """The span (``use_max``) or work fold, with a work and a value stack."""
+def span_work(e: Term, sig: Signature) -> tuple[int, int]:
+    """Span and work of ``e`` in one fold, with a work and a value stack."""
     arity = sig.table(_effect_arities)
     env: list = []
-    vals: list[int] = []
+    vals: list[tuple[int, int]] = []
     todo: list = [e]
     scope = -1
     while todo:
         t = todo.pop()
         k = type(t)
         if k is str:
-            if t == _ONE:
-                vals[-1] += 1
-                continue
-            b = vals.pop()
-            if t == _ADD or not use_max:
-                vals[-1] += b
-            elif b > vals[-1]:
-                vals[-1] = b
+            s, w = vals.pop()
+            s0, w0 = vals[-1]
+            vals[-1] = (s0 + s if t is _ADD else s if s > s0 else s0, w0 + w)
             continue
         if k is int:
             scope = t
@@ -140,20 +134,22 @@ def _measure(e: Term, sig: Signature, use_max: bool) -> int:
             # the part, then what running its value runs (a join's: its result)
             x = t.nested if k is Join else t.eff
             r = _runs(x, scope, [_RESULT] if k is Join else [], arity, env)
-            todo += (_ADD, scope, *r, x) if type(r) is tuple else (_ONE, x) if r else (x,)
+            if type(r) is not tuple:  # running the value runs r effects
+                vals.append((r, r))
+            todo += (_ADD, scope, *r, x) if type(r) is tuple else (_ADD, x)
         elif lab is TGT:
             if k is Ap:
                 todo += (_COMBINE, t.arg, t.fun)
             elif k is Map:
                 todo.append(t.arg)
             elif k is Pure:
-                vals.append(0)
+                vals.append((0, 0))
             else:
                 r = _runs(t, scope, [], arity, env)
                 if type(r) is tuple:
                     todo += (scope, *r)
                 else:
-                    vals.append(r)
+                    vals.append((r, r))
         elif lab is SRC and k is App:
             todo += (_COMBINE, t.arg, t.fun)
         elif lab is SRC and k is Prd:
@@ -162,18 +158,18 @@ def _measure(e: Term, sig: Signature, use_max: bool) -> int:
             todo.append(t.pair)
         else:
             children(t)  # which rejects an unknown kind
-            vals.append(0)
+            vals.append((0, 0))
     return vals[0]
 
 
 def span(e: Term, signature: Signature) -> int:
     """Longest chain of effect operations that running ``e`` performs."""
-    return _measure(e, signature, True)
+    return span_work(e, signature)[0]
 
 
 def work(e: Term, signature: Signature) -> int:
     """Total count of effect operations that running ``e`` performs."""
-    return _measure(e, signature, False)
+    return span_work(e, signature)[1]
 
 
 # ---------------------------------------------------------------------------

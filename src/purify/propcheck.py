@@ -6,7 +6,7 @@ generated term typechecks at its label.  Effectful constants only appear
 in saturated calls: under an Each at source, as embedded calls or Pure
 payloads at target.  Failures are minimized by greedy subterm shrinking.
 
-Checks are built from five steps: ``_cost``, ``_mistyped`` (an output's
+Checks are built from five steps: ``span_work``, ``_mistyped`` (an output's
 type against the expected one, before any cost or evaluation), ``_disagrees``
 (the first monad under which two values differ), ``_translation`` and
 ``_rewrite``, which also holds a rewritten action's static cost to its trace.
@@ -20,7 +20,7 @@ import random
 from typing import Callable, Iterable, Optional, Sequence
 
 from .check import TypeEnv, typecheck
-from .metrics import dyn_span, dyn_work, span, work
+from .metrics import dyn_span, dyn_work, span_work
 from .pretty import pretty
 from .semantics import (
     REIFIED, ConstEnv, MonadDict, VEff, actions_agree, builtin_monads, check_laws,
@@ -503,10 +503,6 @@ def _term_ty(c: _Ctx, term: Term, label: Label) -> Ty:
     return term.ty if term.ty is not None else typecheck(term, label, c.env_t)
 
 
-def _cost(c: _Ctx, t: Term) -> tuple[int, int]:
-    return span(t, c.sig), work(t, c.sig)
-
-
 _UNTRACED = ("option", "state", "writer")  # trace would see seq_translate's lost parallelism
 
 
@@ -548,7 +544,7 @@ def _rewrite(c: _Ctx, term: Term, label: Label, out: Term, cost: tuple[int, int]
     ty = _term_ty(c, term, label)
     if detail := _mistyped(c, out, ty):
         return detail
-    s, w = _cost(c, out)
+    s, w = span_work(out, c.sig)
     if s > cost[0] or w > cost[1]:
         return f"span {cost[0]}->{s}, work {cost[1]}->{w}"
     a, b = evaluate(out, TGT, REIFIED, c.consts), evaluate(term, label, REIFIED, c.consts)
@@ -569,7 +565,7 @@ _check_baseline = _translation(lambda t: seq_translate(t), _UNTRACED)
 
 def _check_span_work(c: _Ctx, term: Term) -> Optional[str]:
     _term_ty(c, term, SRC)
-    (s0, w0), (s1, w1) = _cost(c, term), _cost(c, opt_translate(term))
+    (s0, w0), (s1, w1) = span_work(term, c.sig), span_work(opt_translate(term), c.sig)
     return f"span {s0}->{s1}, work {w0}->{w1}" if (s1, w1) != (s0, w0) else None
 
 
@@ -579,25 +575,25 @@ def _check_smart_ctors(c: _Ctx, term: Term) -> Optional[str]:
     if k is not Ap and k is not Join:
         return None
     out = smart_ap(term.fun, term.arg, FreshNames()) if k is Ap else smart_join(term.nested)
-    return _rewrite(c, term, TGT, out, _cost(c, term))
+    return _rewrite(c, term, TGT, out, span_work(term, c.sig))
 
 
 def _check_effect_free(c: _Ctx, term: Term) -> Optional[str]:
     _term_ty(c, term, COM)
     if not is_effect_free(term):
         return "common term contains Each/Join"
-    return "nonzero span/work on common term" if _cost(c, term) != (0, 0) else None
+    return "nonzero span/work on common term" if span_work(term, c.sig) != (0, 0) else None
 
 
 def _check_relabel(c: _Ctx, term: Term) -> Optional[str]:
-    if _cost(c, term) != (0, 0):
+    if span_work(term, c.sig) != (0, 0):
         return "common term has nonzero span/work"
     return _rewrite(c, term, COM, relabel(term, TGT), (0, 0))
 
 
 def _check_normalize(c: _Ctx, term: Term) -> Optional[str]:
     _term_ty(c, term, TGT)  # normalize reads the stamps
-    return _rewrite(c, term, TGT, normalize(term), _cost(c, term))
+    return _rewrite(c, term, TGT, normalize(term), span_work(term, c.sig))
 
 
 # suite -> (label of its terms, generator, check); "laws" checks monads instead

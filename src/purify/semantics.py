@@ -277,7 +277,7 @@ def writer_monad() -> MonadDict:
 def mixed_order_writer() -> MonadDict:
     """A fully lawful monad whose ap is the right-to-left applicative.
 
-    Every one of the seven laws holds, yet its ap is not the left-to-right
+    Every one of the ten laws holds, yet its ap is not the left-to-right
     bind chain; programs with order-sensitive parallel effects observe the
     difference against the sequential baseline.
     """
@@ -334,19 +334,22 @@ def builtin_monads() -> list[MonadDict]:
 ConstEnv = dict  # constant name -> its value under one monad
 
 
-def seed_value(ty, tag: str, m: MonadDict) -> object:
-    """Deterministic, type-correct default value derived from a tag."""
+def seed_value(ty, tag: str, m: MonadDict, runs: bool = False) -> object:
+    """Deterministic, type-correct default value derived from a tag.  An
+    action in it is pure or, if ``runs``, runs one effect named by its tag."""
     k = type(ty)
     if k is Str:
         return tag
     if k is Unit:
         return VUNIT
     if k is Prod:
-        return seed_value(ty.left, tag + ".1", m), seed_value(ty.right, tag + ".2", m)
+        return seed_value(ty.left, tag + ".1", m, runs), seed_value(ty.right, tag + ".2", m, runs)
     if k is Arrow:
         cod = ty.cod
-        return lambda v: seed_value(cod, f"{tag}({render_value(v)})", m)
+        return lambda v: seed_value(cod, f"{tag}({render_value(v)})", m, runs)
     if k is Eff:
+        if runs:
+            return _effect_const(m, tag, ty, {})
         return VEff(m.pure(seed_value(ty.inner, tag + "^", m)))
     raise EvalError(f"unknown type {ty!r}")
 
@@ -356,12 +359,13 @@ def seed_value(ty, tag: str, m: MonadDict) -> object:
 BEHAVIOR_KINDS = ("value", "absent", "state_incr", "log")
 
 
-def _effect_const(m: MonadDict, name: str, ty, arity: int, behavior: dict) -> object:
-    """Effect ``name`` under ``m``: a curried function of ``arity`` arguments
-    ending in the call's action.  Behavior and payload are read once, here."""
-    for _ in range(arity):
-        ty = ty.cod
-    result_ty, payload = ty.inner, behavior.get("payload")
+def _effect_const(m: MonadDict, name: str, ty, behavior: dict) -> object:
+    """Effect ``name`` of type ``ty`` under ``m``: a curried function, one argument
+    per arrow, ending in the call's action.  Behavior and payload are read once."""
+    eff, arity = ty, 0
+    while type(eff) is Arrow:
+        eff, arity = eff.cod, arity + 1
+    result_ty, payload = eff.inner, behavior.get("payload")
     act = m.effect(name, result_ty, behavior)
     if payload is not None and result_ty == STR:
         result = lambda tag, _fixed=str(payload): _fixed
@@ -382,14 +386,13 @@ def _effect_const(m: MonadDict, name: str, ty, arity: int, behavior: dict) -> ob
     return curry("", arity) if arity else VEff(act("", name, result(name)))
 
 
-def _require_observed_payload(m: MonadDict, name: str, ty, arity: int,
-                              behavior: dict) -> None:
+def _require_observed_payload(m: MonadDict, name: str, ty, behavior: dict) -> None:
     """A payload the monad never observes is a config error.  The monad
     decides: the effect's action with the payload and with another one must
     differ under its ``run_eq``."""
     other = {**behavior, "payload": f"{behavior['payload']}'"}
-    a, b = _effect_const(m, name, ty, arity, behavior), _effect_const(m, name, ty, arity, other)
-    for _ in range(arity):
+    a, b = _effect_const(m, name, ty, behavior), _effect_const(m, name, ty, other)
+    while type(ty) is Arrow:
         arg = seed_value(ty.dom, "arg", m)
         a, b, ty = a(arg), b(arg), ty.cod
     if m.run_eq(a.action, b.action, value_eq_for(ty.inner, m)):
@@ -419,13 +422,12 @@ def make_const_env(sig: Signature, m: MonadDict,
     for decl in sig:
         if decl.effectful:
             behavior = (behaviors or {}).get(decl.name) or {}
-            arity = decl.effect_arity() or 0
             if behavior.get("payload") is not None:
-                _require_observed_payload(m, decl.name, decl.ty, arity, behavior)
+                _require_observed_payload(m, decl.name, decl.ty, behavior)
             if behavior.get("kind", "value") not in m.kinds:
                 raise PurifyError(f"behavior kind {behavior['kind']!r} for {decl.name!r} "
                                   f"is never observed under the {m.name} monad")
-            env[decl.name] = _effect_const(m, decl.name, decl.ty, arity, behavior)
+            env[decl.name] = _effect_const(m, decl.name, decl.ty, behavior)
         else:
             env[decl.name] = _pure_const(m, decl.name, decl.ty)
     return env
@@ -621,13 +623,14 @@ SYMBOL = "\u00a7"  # in no generated literal, constant name or tag
 def value_eq_for(ty, m: MonadDict) -> ValueEq:
     """Observational equality at a type: structural at base types, run_eq on
     the actions (run first when reified) at effect types, and for functions
-    equality of the results on one argument, ``seed_value(dom, SYMBOL, m)``.
+    equality of the results on one argument, ``seed_value(dom, SYMBOL, m, True)``.
 
     This decides function equality while ``SYMBOL`` occurs in no literal,
     constant name or tag: nothing branches, ``concat`` concatenates and
     every other constant renders its arguments into tags, so any observation
-    is a substitution instance of the result on the symbol.  An ``Eff``
-    argument runs one effect, ``SYMBOL``, so when and how often it runs shows.
+    is a substitution instance of the result on the symbol.  Each action in
+    the argument, nested or not, runs one effect named by its tag, so when and
+    how often the function runs it shows.
     """
     k = type(ty)
     if k is Str:
@@ -638,8 +641,8 @@ def value_eq_for(ty, m: MonadDict) -> ValueEq:
         le, re = value_eq_for(ty.left, m), value_eq_for(ty.right, m)
         return lambda a, b: le(a[0], b[0]) and re(a[1], b[1])
     if k is Arrow:
-        d, ce = ty.dom, value_eq_for(ty.cod, m)
-        x = _effect_const(m, SYMBOL, d, 0, {}) if type(d) is Eff else seed_value(d, SYMBOL, m)
+        ce = value_eq_for(ty.cod, m)
+        x = seed_value(ty.dom, SYMBOL, m, runs=True)
         return lambda a, b: ce(a(x), b(x))
     if k is Eff:
         ie = value_eq_for(ty.inner, m)
@@ -656,7 +659,7 @@ def actions_agree(ty, m: MonadDict, a, b) -> bool:
 # Law checking
 # ---------------------------------------------------------------------------
 
-LAW_NAMES = ("idl", "idr", "asc", "apl", "apr", "aplr", "map_map")
+LAW_NAMES = ("idl", "idr", "asc", "apl", "apr", "aplr", "map_map", "bind_pure", "map_id", "ap_comp")
 
 
 class LawReport:
@@ -710,7 +713,7 @@ def _gen_kleisli(rng: random.Random, m: MonadDict) -> Callable[[object], object]
 
 
 def check_laws(m: MonadDict, trials: int = 1000, seed: int = 0) -> LawReport:
-    """Randomized check of the seven monad/applicative/functor laws."""
+    """Randomized check of the ten monad/applicative/functor laws."""
     passes = {law: 0 for law in LAW_NAMES}
     failures: dict[str, list[str]] = {law: [] for law in LAW_NAMES}
 
@@ -723,6 +726,8 @@ def check_laws(m: MonadDict, trials: int = 1000, seed: int = 0) -> LawReport:
         k1 = _gen_kleisli(rng, m)
         k2 = _gen_kleisli(rng, m)
         fa = m.map(lambda w: lambda v, _w=w: (_w, f(v)), _gen_action(rng, m))
+        u, v = (m.map(lambda r, h=h: lambda y: (r, h(y)), _gen_action(rng, m)) for h in (f, g))
+        w = _gen_action(rng, m)
 
         checks = {
             "idl": lambda: m.run_eq(m.bind(k1, m.pure(x)), k1(x)),
@@ -738,6 +743,12 @@ def check_laws(m: MonadDict, trials: int = 1000, seed: int = 0) -> LawReport:
             "aplr": lambda: m.run_eq(m.map(f, m.pure(x)), m.pure(f(x))),
             "map_map": lambda: m.run_eq(
                 m.map(f, m.map(g, a)), m.map(lambda v: f(g(v)), a)
+            ),
+            "bind_pure": lambda: m.run_eq(m.bind(m.pure, a), a),
+            "map_id": lambda: m.run_eq(m.map(lambda y: y, a), a),
+            "ap_comp": lambda: m.run_eq(
+                m.ap(m.ap(m.map(lambda p: lambda q: lambda y: p(q(y)), u), v), w),
+                m.ap(u, m.ap(v, w)),
             ),
         }
         for law, checker in checks.items():

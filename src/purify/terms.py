@@ -378,12 +378,9 @@ class ConstDecl(_Frozen):
         if not self.effectful:
             return None
         t, n = self.ty, 0
-        while isinstance(t, Arrow):
-            t = t.cod
-            n += 1
-            if isinstance(t, Eff):
-                return n
-        return 0 if isinstance(self.ty, Eff) else None
+        while type(t) is Arrow:
+            t, n = t.cod, n + 1
+        return n if type(t) is Eff else None
 
 
 class Signature:

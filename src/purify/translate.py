@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from .terms import (
-    App, Ap, COM, Const, Each, Eff, FreshNames, Fst, Join, Lam, Lit, Map,
+    App, Ap, COM, Const, Each, Eff, FreshNames, Fst, Join, Label, Lam, Lit, Map,
     NotCommon, Prd, Pure, PurifyError, Snd, TGT, Term, Unt, Var, children,
     relabel, replace_children, size,
 )
@@ -117,25 +117,25 @@ def seq_translate(e: Term) -> Term:
     fresh = FreshNames()
     bindings: list[tuple[str, Term]] = []
 
-    def compile_(t: Term) -> Term:
-        """Common-fragment value of ``t``; effect marks become bindings."""
+    def compile_(t: Term, lab: Label) -> Term:
+        """Value of ``t`` labelled ``lab``; effect marks become bindings."""
         k = type(t)
         if k is App:
-            return App(compile_(t.fun), compile_(t.arg), label=COM)
+            return App(compile_(t.fun, lab), compile_(t.arg, lab), label=lab)
         if k is Const or k is Lit or k is Lam or k is Unt or k is Var:
-            return relabel(t, COM)
+            return relabel(t, lab)
         if k is Each:
-            payload = compile_(t.eff)
+            payload = compile_(t.eff, TGT)
             name = fresh.fresh()
             bindings.append((name, payload))
-            return Var(name, label=COM)
+            return Var(name, label=lab)
         if k is Prd:
-            return Prd(compile_(t.fst), compile_(t.snd), label=COM)
+            return Prd(compile_(t.fst, lab), compile_(t.snd, lab), label=lab)
         if k is Fst or k is Snd:
-            return k(compile_(t.pair), label=COM)
+            return k(compile_(t.pair, lab), label=lab)
         raise PurifyError(f"not a source term former: {k.__name__}")
 
-    final = compile_(e)
+    final = compile_(e, COM)
     return _build_chain(bindings, final)
 
 
@@ -144,10 +144,9 @@ def _build_chain(bindings: list[tuple[str, Term]], final: Term) -> Term:
     if not bindings:
         return Pure(final, label=TGT)
     name, payload = bindings[-1]
-    out = Map(Lam(name, final, label=TGT), relabel(payload, TGT), label=TGT)
+    out = Map(Lam(name, final, label=TGT), payload, label=TGT)
     for name, payload in reversed(bindings[:-1]):
-        action = relabel(payload, TGT)
-        out = Join(Map(Lam(name, out, label=TGT), action, label=TGT), label=TGT)
+        out = Join(Map(Lam(name, out, label=TGT), payload, label=TGT), label=TGT)
     return out
 
 

@@ -204,3 +204,15 @@ def test_target_annotation_mismatch(env, sig):
     assert str(ei.value) == "annotation Str -> Unit does not match type Str -> Str"
     t = parse_target_expr('map (fun x -> x : Str -> Str) (pure "a")', sig)
     assert typecheck(t, TGT, env) == Eff(STR)
+
+
+@pytest.mark.parametrize("text, message", [
+    ('map (fun x -> x) "a"', "Map argument must be Eff-typed, got Str"),
+    ('ap (pure "a") (pure "b")', "Ap function side must have type Eff (s -> t), got Eff Str"),
+    ('map "a" (pure "b")', "expected a function, got Str"),
+])
+def test_target_combinator_diagnostics(sig, env, text, message):
+    t = parse_target_expr(text, sig)
+    with pytest.raises(TypeMismatch) as ei:
+        typecheck(t, TGT, env)
+    assert str(ei.value) == message

@@ -290,6 +290,30 @@ def test_suite_whose_check_raises_exits_2(monkeypatch, capsys):
                      "detail": "UnboundVar: unbound variable '$x1'"}
 
 
+def test_suite_text_lists_failures_and_exits_2(monkeypatch, capsys):
+    from purify import translate
+    build = translate._build_chain
+    monkeypatch.setattr(translate, "_build_chain", lambda binds, final: build(binds[::-1], final))
+    assert main(["suite", "baseline", "--seed", "81", "--trials", "60"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("suite baseline: ") and lines[0].endswith("/60 passed")
+    assert not lines[0].startswith("suite baseline: 60/")
+    assert lines[1] == "  seed=81000243 term=stamp(probe!)!: UnboundVar: unbound variable '$x1'"
+    assert 2 <= len(lines) <= 11 and all(line.startswith("  seed=") for line in lines[1:])
+
+
+def test_analyze_costs_a_mark_on_a_mark(tmp_path, capsys):
+    """Running the action that an effect returns is costed as one more
+    effect on every side, while the trace runs one (an open case of the cost
+    semantics); this pins the cost resolver's mark-on-a-mark case."""
+    p = tmp_path / "nested.pfy"
+    p.write_text('effect g : Str -> Eff (Eff Str)\npurify { g("u")!! }\n')
+    assert main(["analyze", str(p), "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data == {"v": 1, **{f"{m}_{side}": 2 for side in ("src", "opt", "naive", "seq")
+                               for m in ("span", "work")}}
+
+
 def test_config_rejects_undeclared_effects(two_fetches_file, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"latency_ms": {"ghost": 5}}))

@@ -6,13 +6,13 @@ import pytest
 
 from purify import metrics, propcheck
 from purify.check import TypeEnv, typecheck
-from purify.metrics import span, work
+from purify.metrics import span, span_work, work
 from purify.pretty import pretty
 from purify.propcheck import (
     GenConfig, SUITE_NAMES, Unsatisfiable, default_signature, gen_term,
     run_suite, shrink,
 )
-from purify.semantics import SYMBOL
+from purify.semantics import SYMBOL, MonadDict, writer_monad
 from purify.surface import parse_and_elaborate, parse_target_expr
 from purify.terms import (
     App, Ap, Arrow, COM, Const, ConstDecl, ConstKind, Each, Eff, Fst, Join, Lam, Lit,
@@ -173,7 +173,8 @@ def _swapped_relabel(e, label):
 
 def _constants_cost(t, sig):
     """A wrong work: every constant counts as one effect."""
-    return work(t, sig) + sum(type(n) is Const for n in subterms(t))
+    s, w = span_work(t, sig)
+    return s, w + sum(type(n) is Const for n in subterms(t))
 
 
 def _reversed_chain(bindings, final):
@@ -198,7 +199,7 @@ def _reparse(text, label, sig):
     ("semantics", 5, 41, 60, "propcheck.opt_translate", _fst_as_snd),
     ("span_work", 6, 51, 60, "propcheck.opt_translate", seq_translate),
     ("relabel", 5, 71, 60, "propcheck.relabel", _swapped_relabel),
-    ("effect_free", 5, 71, 60, "propcheck.work", _constants_cost),
+    ("effect_free", 5, 71, 60, "propcheck.span_work", _constants_cost),
     ("baseline", 5, 81, 60, "translate._build_chain", _reversed_chain),
 ])
 def test_suites_shrink_failures(monkeypatch, suite, depth, seed, trials, target, wrong):
@@ -284,11 +285,8 @@ def test_smart_ctors_hold_each_rewrite_to_its_trace(monkeypatch):
     """Every rewritten action runs, under trace, its own static cost.  A cost
     that undercounts what ``smart_ap`` builds cannot raise span or work, so
     only comparing with the trace catches it."""
-    def map_free(cost):
-        return lambda t, sig: 0 if type(t) is Map else cost(t, sig)
-
-    monkeypatch.setattr(propcheck, "span", map_free(span))
-    monkeypatch.setattr(propcheck, "work", map_free(work))
+    monkeypatch.setattr(propcheck, "span_work",
+                        lambda t, sig: (0, 0) if type(t) is Map else span_work(t, sig))
     rep = run_suite("smart_ctors", GenConfig(max_depth=4, seed=61), 200)
     assert rep.failures
     assert all(f["detail"].startswith("static span/work 0/0 of the rewrite, trace ")
@@ -299,11 +297,25 @@ def test_span_work_requires_the_source_span(monkeypatch):
     """Translation retains the source's span and work exactly.  A source cost
     that runs every effect in sequence (span = work) cannot make the
     translation cost more, so only the equality catches it."""
-    monkeypatch.setattr(propcheck, "span",
-                        lambda t, sig: work(t, sig) if t.label is SRC else span(t, sig))
+    monkeypatch.setattr(propcheck, "span_work", lambda t, sig: (
+        (work(t, sig),) * 2 if t.label is SRC else span_work(t, sig)))
     rep = run_suite("span_work", GenConfig(max_depth=6, seed=51), 300)
     assert rep.failures
     assert all(f["detail"].startswith("span ") for f in rep.failures)
+
+
+def test_laws_suite_reports_the_lawless_monad(monkeypatch):
+    """A writer whose map drops the log breaks idr; the laws suite names
+    that monad and the laws it breaks."""
+    w = writer_monad()
+    lossy = MonadDict("lossy-writer", w.pure, lambda f, a: (f(a[0]), ()), w.ap, w.bind,
+                      w.run_eq, w.sample_action, w.effect, w.report, w.kinds)
+    monkeypatch.setattr(propcheck, "builtin_monads", lambda: [writer_monad(), lossy])
+    rep = run_suite("laws", GenConfig(seed=3), 200)
+    assert (rep.trials, rep.passes) == (2, 1)
+    [failure] = rep.failures
+    assert failure["term_pretty"] == "lossy-writer" and failure["seed"] == 3
+    assert "idr" in failure["detail"] and "idl" not in failure["detail"]
 
 
 def test_static_span_work_survive_print_and_parse():

@@ -5,14 +5,14 @@ from purify.check import TypeEnv, typecheck
 from purify.metrics import Leaf, dyn_span, dyn_work, to_dot
 from purify.propcheck import GenConfig, default_signature, gen_term
 from purify.semantics import (
-    ABSENT, MONADS, REIFIED, EvalError, SignatureMismatch, VEff, VUNIT,
+    ABSENT, LAW_NAMES, MONADS, REIFIED, EvalError, MonadDict, SignatureMismatch, VEff, VUNIT,
     actions_agree, base_value_eq, builtin_monads, check_laws, evaluate,
     make_const_env, mixed_order_writer, option_monad, render_value, run, state_monad,
     trace_monad, value_eq_for, writer_monad,
 )
 from purify.terms import (
     Arrow, COM, Const, ConstDecl, ConstKind, Each, Eff, Fst, Join, Lam, Lit, Map, Prd,
-    SRC, STR, Signature, TGT, UNIT, Unt, Var, alpha_eq,
+    Prod, SRC, STR, Signature, TGT, UNIT, Unt, Var, alpha_eq,
 )
 from purify.translate import naive_translate, normalize, opt_translate, seq_translate
 
@@ -81,6 +81,28 @@ def test_laws_hold_for_mixed_order_writer_too():
     # Both applicative orders are lawful; that is the point of keeping Ap.
     rep = check_laws(mixed_order_writer(), 400, 42)
     assert rep.all_passed, rep.failures
+
+
+def bracketing_writer():
+    """A writer whose ap wraps two non-empty logs in brackets: lawful in all
+    but applicative composition, where the nesting of the brackets shows."""
+    w = writer_monad()
+
+    def ap(af, ax):
+        (vf, wf), (vx, wx) = af, ax
+        return vf(vx), (("(",) + wf + wx + (")",) if wf and wx else wf + wx)
+
+    return MonadDict("bracketing", w.pure, w.map, ap, w.bind, w.run_eq, w.sample_action,
+                     w.effect, w.report, w.kinds)
+
+
+def test_laws_check_applicative_composition():
+    rep = check_laws(bracketing_writer(), 2000, 0)
+    assert tuple(rep.passes) == LAW_NAMES
+    assert LAW_NAMES[-3:] == ("bind_pure", "map_id", "ap_comp")
+    assert {law for law, fails in rep.failures.items() if fails} == {"ap_comp"}
+    assert 0 < rep.passes["ap_comp"] < 2000
+    assert all(n == 2000 for law, n in rep.passes.items() if law != "ap_comp")
 
 
 def test_mixed_order_writer_disagrees_with_sequential_baseline(two_fetches):
@@ -207,6 +229,24 @@ def test_functions_of_actions_are_observed_running_them(sig):
     equal = {m.name: value_eq_for(ty, m)(f, g) for m in builtin_monads()}
     assert equal == {"option": True, "state": False, "writer": False, "trace": False}
     assert all(value_eq_for(ty, m)(f, f) for m in builtin_monads())
+
+
+def test_functions_observe_actions_nested_in_their_argument(sig):
+    """An action inside a function's argument (here the first of a pair)
+    runs one effect too, so running it twice is observed as at the top."""
+    p = Var("p", label=TGT)
+    once = Lam("p", Fst(p, label=TGT), Prod(Eff(STR), STR), label=TGT)
+    twice = Lam("p", Join(Map(Lam("u", Fst(p, label=TGT), STR, label=TGT),
+                              Fst(p, label=TGT), label=TGT), label=TGT),
+                Prod(Eff(STR), STR), label=TGT)
+    ty = Arrow(Prod(Eff(STR), STR), Eff(STR))
+    for t in (once, twice):
+        assert typecheck(t, TGT, TypeEnv(sig)) is ty
+    consts = make_const_env(sig, REIFIED)
+    f, g = (evaluate(t, TGT, REIFIED, consts) for t in (once, twice))
+    equal = {m.name: value_eq_for(ty, m)(f, g) for m in builtin_monads()}
+    assert equal == {"option": True, "state": False, "writer": False, "trace": False}
+    assert all(value_eq_for(ty, m)(g, g) for m in builtin_monads())
 
 
 def test_effect_behavior_config_value_and_log():

@@ -325,6 +325,14 @@ def test_reassoc_flag():
         assert actions_agree(STR, m, a, b), m.name
 
 
+def test_reassoc_needs_the_checker_stamps():
+    """Reassociation types its composition lambdas from the stamps, so on a
+    term never checked it does not fire."""
+    t = Ap(_tgt("acts"), Ap(_tgt("bops"), _tgt("vals"), label=TGT), label=TGT)
+    assert t.ty is None and t.arg.ty is None
+    assert normalize(t, reassoc=True) == normalize(t) == t
+
+
 def test_normalize_is_sound_on_translations(two_chains):
     sig, body = two_chains
     env = TypeEnv(sig)
