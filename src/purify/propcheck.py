@@ -36,7 +36,15 @@ from .translate import normalize, opt_translate, seq_translate, smart_ap, smart_
 
 
 class Unsatisfiable(PurifyError):
-    """No term of the requested type exists within the depth budget."""
+    """No term of the requested type exists within the depth budget.  The
+    type, if any, follows ``what`` in the message, rendered when it is read."""
+
+    def __init__(self, what: str, ty: Optional[Ty] = None):
+        super().__init__(what, ty)
+
+    def __str__(self) -> str:
+        what, ty = self.args
+        return what if ty is None else f"{what} {type_name(ty)}"
 
 
 class GenConfig:
@@ -63,14 +71,17 @@ def default_signature() -> Signature:
 
 
 _WORDS = ("", "a", "b", "foo", "bar", "xy")
+_PAIR = Prod(STR, STR)
 
 
-def _gen_tables(sig: Signature) -> tuple[dict, dict, dict]:
+def _gen_tables(sig: Signature) -> tuple[dict, dict, dict, tuple[dict, dict, dict]]:
     """The generator's signature lookups, each list in signature order.
 
     Effectful decls by the result of their Eff layer; pure decls, with their
     argument types, by every result an argument prefix reaches; constant
-    names by declared type.  Built once per signature (``Signature.table``).
+    names by declared type.  Then the menus at source, common and target,
+    filled on first use by ``_Gen._menu``.  Built once per signature
+    (``Signature.table``), so ``Signature.add`` drops the menus too.
     """
     effects: dict[Ty, list[ConstDecl]] = {}
     calls: dict[Ty, list[tuple[ConstDecl, tuple[Ty, ...]]]] = {}
@@ -85,14 +96,15 @@ def _gen_tables(sig: Signature) -> tuple[dict, dict, dict]:
                 calls.setdefault(t, []).append((d, tuple(args)))
         if d.effectful and isinstance(t, Eff):
             effects.setdefault(t.inner, []).append(d)
-    return effects, calls, consts
+    return effects, calls, consts, ({}, {}, {})
 
 
 class _Gen:
     def __init__(self, rng: random.Random, sig: Signature):
         self.rng = rng
         self._names = 0
-        self._effects, self._calls, self._consts = sig.table(_gen_tables)
+        self._effects, self._calls, self._consts, menus = sig.table(_gen_tables)
+        self._src_menus, self._com_menus, self._tgt_menus = menus
 
     def fresh_var(self) -> str:
         self._names += 1
@@ -106,7 +118,7 @@ class _Gen:
             return STR
         if r < 0.85:
             return UNIT
-        return Prod(STR, STR)
+        return _PAIR
 
     def _effect_decls_for(self, inner: Ty) -> Sequence[ConstDecl]:
         return self._effects.get(inner, ())
@@ -146,14 +158,14 @@ class _Gen:
             named = self._consts_of(t)
             if named:
                 return Const(named[0], label=COM)
-            raise Unsatisfiable(f"no common term of type Eff {t.inner!r}")
-        raise Unsatisfiable(f"no minimal term of type {t!r}")
+            raise Unsatisfiable("no common term of type Eff", t.inner)
+        raise Unsatisfiable("no minimal term of type", t)
 
     def effect_call(self, inner: Ty, lab: Label, env: dict[str, Ty], depth: int) -> Term:
         """Saturated application of an effectful constant yielding Eff inner."""
         decls = self._effect_decls_for(inner)
         if not decls:
-            raise Unsatisfiable(f"no effectful constant produces Eff {inner!r}")
+            raise Unsatisfiable("no effectful constant produces Eff", inner)
         d = self.rng.choice(decls)
         if lab is TGT:
             # embedded direct call: argument values are pure, generated in the
@@ -175,7 +187,7 @@ class _Gen:
 
     def gen(self, t: Ty, lab: Label, env: dict[str, Ty], depth: int,
             allow_effect_values: bool = False) -> Term:
-        if isinstance(t, Eff):
+        if type(t) is Eff:
             return self.gen_eff(t, lab, env, depth, allow_effect_values)
         if depth <= 1:
             return self.gen_leaf(t, lab, env)
@@ -185,79 +197,29 @@ class _Gen:
         leaf_p = 0.4 if depth <= 2 else 0.15
         if self.rng.random() < leaf_p:
             return self.gen_leaf(t, lab, env)
-        return self.gen_compound(t, lab, env, depth, allow_effect_values)
+        return self._weighted(self._menu(t, lab), t, lab, env, depth, allow_effect_values)
 
     def gen_leaf(self, t: Ty, lab: Label, env: dict[str, Ty]) -> Term:
-        opts: list[Callable[[], Term]] = []
+        # one kind per applicable leaf, drawn uniformly; an unapplied effectful
+        # constant is an ordinary function/action value, and goals of such
+        # types only arise on effect-allowing paths
+        kinds: list[type] = []
         vars_ = [n for n, vt in env.items() if vt is t]
         if vars_:
-            opts.append(lambda: Var(self.rng.choice(vars_), label=lab))
-        # an unapplied effectful constant is an ordinary function/action value;
-        # goals of such types only arise on effect-allowing paths
+            kinds.append(Var)
         consts = self._consts_of(t)
         if consts:
-            opts.append(lambda: Const(self.rng.choice(consts), label=lab))
+            kinds.append(Const)
         if t is UNIT:
-            opts.append(lambda: Unt(label=lab))
-        if t is STR:
-            opts.append(lambda: Lit(self.rng.choice(_WORDS), label=lab))
-        if not opts:
+            kinds.append(Unt)
+        elif t is STR:
+            kinds.append(Lit)
+        if not kinds:
             return self.minimal(t, lab, env)
-        return self.rng.choice(opts)()
-
-    def gen_compound(self, t: Ty, lab: Label, env: dict[str, Ty], depth: int,
-                     allow_effect_values: bool = False) -> Term:
-        opts: list[tuple[float, Callable[[], Term]]] = []
-
-        if isinstance(t, Prod):
-            opts.append((3.0, lambda: Prd(
-                self.gen(t.left, lab, env, depth - 1),
-                self.gen(t.right, lab, env, depth - 1), label=lab)))
-        if isinstance(t, Arrow):
-            def lam():
-                x = self.fresh_var()
-                body = self.gen(t.cod, COM, {**env, x: t.dom}, depth - 1,
-                                allow_effect_values)
-                return Lam(x, body, t.dom, label=lab)
-
-            opts.append((3.0, lam))
-
-        def app():
-            s = self.small_type()
-            f = self.gen(Arrow(s, t), lab, env, depth - 1)
-            a = self.gen(s, lab, env, depth - 1)
-            return App(f, a, label=lab)
-
-        opts.append((1.2, app))
-
-        def proj():
-            s = self.small_type()
-            pair_ty = Prod(t, s) if self.rng.random() < 0.5 else Prod(s, t)
-            p = self.gen(pair_ty, lab, env, depth - 1)
-            if pair_ty.left is t:
-                return Fst(p, label=lab)
-            return Snd(p, label=lab)
-
-        opts.append((0.8, proj))
-
-        calls = self._pure_call_decls(t)
-        if calls:
-            def pure_call():
-                d, args = self.rng.choice(calls)
-                term: Term = Const(d.name, label=lab)
-                for at in args:
-                    term = App(term, self.gen(at, lab, env, depth - 1), label=lab)
-                return term
-
-            opts.append((1.2, pure_call))
-
-        if lab is SRC and self._effect_decls_for(t):
-            # the heaviest option: about two in three depth-5 source terms
-            # run an effect
-            opts.append((5.0, lambda: Each(
-                self.effect_call(t, SRC, env, depth - 1), label=SRC)))
-
-        return self._weighted(opts)
+        k = self.rng.choice(kinds)
+        if k is Var or k is Const:
+            return k(self.rng.choice(vars_ if k is Var else consts), label=lab)
+        return Unt(label=lab) if k is Unt else Lit(self.rng.choice(_WORDS), label=lab)
 
     def gen_eff(self, t: Eff, lab: Label, env: dict[str, Ty], depth: int,
                 allow_effect_values: bool) -> Term:
@@ -276,81 +238,134 @@ class _Gen:
             if decls:
                 d = self.rng.choice(decls)
                 return self._saturate(d, COM, env, depth)
-            raise Unsatisfiable(f"no effectful constant produces Eff {inner!r}")
+            raise Unsatisfiable("no effectful constant produces Eff", inner)
         # target
         if depth <= 1:
             return Pure(self.gen(inner, COM, env, 1, allow_effect_values=True),
                         label=TGT)
-        opts: list[tuple[float, Callable[[], Term]]] = [
-            (2.0, lambda: Pure(
-                self.gen(inner, COM, env, depth - 1, allow_effect_values=True),
-                label=TGT)),
-        ]
-        if self._effect_decls_for(inner):
-            opts.append((2.5, lambda: self.effect_call(inner, TGT, env, depth)))
-
-        def map_():
-            s = self.small_type()
-            f = self.gen(Arrow(s, inner), TGT, env, depth - 1, allow_effect_values=True)
-            a = self.gen(Eff(s), TGT, env, depth - 1)
-            return Map(f, a, label=TGT)
-
-        opts.append((1.5, map_))
-
-        def ap_():
-            s = self.small_type()
-            f = self.gen(Eff(Arrow(s, inner)), TGT, env, depth - 1)
-            a = self.gen(Eff(s), TGT, env, depth - 1)
-            return Ap(f, a, label=TGT)
-
-        opts.append((1.5, ap_))
-
-        def join_():
-            n = self.gen_nested_eff(inner, env, depth - 1)
-            return Join(n, label=TGT)
-
-        opts.append((1.0, join_))
-
-        def bind_():
-            s = self.small_type()
-            x = self.fresh_var()
-            body = self.gen(Eff(inner), TGT, {**env, x: s}, depth - 1)
-            a = self.gen(Eff(s), TGT, env, depth - 1)
-            return Join(Map(Lam(x, body, s, label=TGT), a, label=TGT), label=TGT)
-
-        opts.append((0.7, bind_))
-        return self._weighted(opts)
+        return self._weighted(self._menu(t, TGT), t, TGT, env, depth, allow_effect_values)
 
     def gen_nested_eff(self, inner: Ty, env: dict[str, Ty], depth: int) -> Term:
         """A target term of type Eff (Eff inner): a Pure-wrapped action value."""
         payload = self.gen(Eff(inner), COM, env, max(depth, 1), allow_effect_values=True)
         return Pure(payload, label=TGT)
 
-    def _weighted(self, opts: list[tuple[float, Callable[[], Term]]]) -> Term:
+    # -- menus: each option is a method (goal, label, env, depth, allow
+    # effect values) -> term, drawn by its weight ------------------------
+
+    def _menu(self, t: Ty, lab: Label) -> tuple[tuple, float]:
+        """The (weight, option) pairs for goal ``t`` at ``lab`` and their total,
+        built at first use: the target actions for an ``Eff`` goal (only ever
+        at target), the compound constructors otherwise.  One dict per label,
+        picked by ``is`` tests, since ``Label`` hashes in Python."""
+        menus = self._tgt_menus if lab is TGT else self._src_menus if lab is SRC \
+            else self._com_menus
+        menu = menus.get(t)
+        if menu is not None:
+            return menu
+        if type(t) is Eff:
+            opts = [(2.0, _Gen._gen_pure)]
+            if self._effect_decls_for(t.inner):
+                opts.append((2.5, _Gen._gen_effect))
+            opts += [(1.5, _Gen._gen_map), (1.5, _Gen._gen_ap), (1.0, _Gen._gen_join),
+                     (0.7, _Gen._gen_bind)]
+        else:
+            opts = [(3.0, _Gen._gen_prd)] if type(t) is Prod else \
+                [(3.0, _Gen._gen_lam)] if type(t) is Arrow else []
+            opts += [(1.2, _Gen._gen_app), (0.8, _Gen._gen_proj)]
+            if self._pure_call_decls(t):
+                opts.append((1.2, _Gen._gen_call))
+            if lab is SRC and self._effect_decls_for(t):
+                # the heaviest option: about two in three depth-5 source
+                # terms run an effect
+                opts.append((5.0, _Gen._gen_each))
+        menu = menus[t] = tuple(opts), sum(w for w, _ in opts)
+        return menu
+
+    def _weighted(self, menu: tuple[tuple, float], t: Ty, lab: Label, env: dict[str, Ty],
+                  depth: int, allow: bool) -> Term:
         """Pick by weight; fall back to remaining options when one cannot be
         satisfied within the depth budget."""
-        remaining = opts
-        while remaining:
-            idx = _pick(self.rng, remaining)
+        options, total = menu
+        while options:
+            i = _pick(self.rng, options, total)
             try:
-                return remaining[idx][1]()
+                return options[i][1](self, t, lab, env, depth, allow)
             except Unsatisfiable:
-                remaining = remaining[:idx] + remaining[idx + 1:]
+                options = options[:i] + options[i + 1:]
+                total = sum(w for w, _ in options)
         raise Unsatisfiable("no constructor applies at this goal within depth")
+
+    def _gen_prd(self, t: Prod, lab: Label, env: dict[str, Ty], depth: int, allow: bool) -> Term:
+        return Prd(self.gen(t.left, lab, env, depth - 1),
+                   self.gen(t.right, lab, env, depth - 1), label=lab)
+
+    def _gen_lam(self, t: Arrow, lab: Label, env: dict[str, Ty], depth: int, allow: bool) -> Term:
+        x = self.fresh_var()
+        body = self.gen(t.cod, COM, {**env, x: t.dom}, depth - 1, allow)
+        return Lam(x, body, t.dom, label=lab)
+
+    def _gen_app(self, t: Ty, lab: Label, env: dict[str, Ty], depth: int, allow: bool) -> Term:
+        s = self.small_type()
+        f = self.gen(Arrow(s, t), lab, env, depth - 1)
+        return App(f, self.gen(s, lab, env, depth - 1), label=lab)
+
+    def _gen_proj(self, t: Ty, lab: Label, env: dict[str, Ty], depth: int, allow: bool) -> Term:
+        s = self.small_type()
+        pair_ty = Prod(t, s) if self.rng.random() < 0.5 else Prod(s, t)
+        p = self.gen(pair_ty, lab, env, depth - 1)
+        return Fst(p, label=lab) if pair_ty.left is t else Snd(p, label=lab)
+
+    def _gen_call(self, t: Ty, lab: Label, env: dict[str, Ty], depth: int, allow: bool) -> Term:
+        d, args = self.rng.choice(self._pure_call_decls(t))
+        term: Term = Const(d.name, label=lab)
+        for at in args:
+            term = App(term, self.gen(at, lab, env, depth - 1), label=lab)
+        return term
+
+    def _gen_each(self, t: Ty, lab: Label, env: dict[str, Ty], depth: int, allow: bool) -> Term:
+        return Each(self.effect_call(t, SRC, env, depth - 1), label=SRC)
+
+    def _gen_pure(self, t: Eff, lab: Label, env: dict[str, Ty], depth: int, allow: bool) -> Term:
+        return Pure(self.gen(t.inner, COM, env, depth - 1, allow_effect_values=True), label=TGT)
+
+    def _gen_effect(self, t: Eff, lab: Label, env: dict[str, Ty], depth: int, allow: bool) -> Term:
+        return self.effect_call(t.inner, TGT, env, depth)
+
+    def _gen_map(self, t: Eff, lab: Label, env: dict[str, Ty], depth: int, allow: bool) -> Term:
+        s = self.small_type()
+        f = self.gen(Arrow(s, t.inner), TGT, env, depth - 1, allow_effect_values=True)
+        return Map(f, self.gen(Eff(s), TGT, env, depth - 1), label=TGT)
+
+    def _gen_ap(self, t: Eff, lab: Label, env: dict[str, Ty], depth: int, allow: bool) -> Term:
+        s = self.small_type()
+        f = self.gen(Eff(Arrow(s, t.inner)), TGT, env, depth - 1)
+        return Ap(f, self.gen(Eff(s), TGT, env, depth - 1), label=TGT)
+
+    def _gen_join(self, t: Eff, lab: Label, env: dict[str, Ty], depth: int, allow: bool) -> Term:
+        return Join(self.gen_nested_eff(t.inner, env, depth - 1), label=TGT)
+
+    def _gen_bind(self, t: Eff, lab: Label, env: dict[str, Ty], depth: int, allow: bool) -> Term:
+        s = self.small_type()
+        x = self.fresh_var()
+        body = self.gen(t, TGT, {**env, x: s}, depth - 1)
+        a = self.gen(Eff(s), TGT, env, depth - 1)
+        return Join(Map(Lam(x, body, s, label=TGT), a, label=TGT), label=TGT)
 
 
 _GOALS: list[tuple[float, Ty]] = [
     (5.0, STR),
     (1.5, UNIT),
-    (2.0, Prod(STR, STR)),
+    (2.0, _PAIR),
     (0.5, Prod(STR, UNIT)),
     (1.0, Arrow(STR, STR)),
 ]
+_GOALS_WEIGHT = sum(w for w, _ in _GOALS)
 
 
-def _pick(rng: random.Random, opts: list[tuple[float, object]]) -> int:
-    """Index of a pick among ``opts`` by weight, with one ``rng.random()``."""
-    r = rng.random() * sum(w for w, _ in opts)
+def _pick(rng: random.Random, opts: Sequence[tuple[float, object]], total: float) -> int:
+    """Index of a pick among ``opts``, of weight ``total``, with one ``rng.random()``."""
+    r = rng.random() * total
     for i, (w, _) in enumerate(opts):
         r -= w
         if r <= 0:
@@ -359,7 +374,7 @@ def _pick(rng: random.Random, opts: list[tuple[float, object]]) -> int:
 
 
 def _pick_goal(rng: random.Random) -> Ty:
-    return _GOALS[_pick(rng, _GOALS)][1]
+    return _GOALS[_pick(rng, _GOALS, _GOALS_WEIGHT)][1]
 
 
 def _generate(cfg: GenConfig, build: Callable[[_Gen], Term]) -> Term:

@@ -64,6 +64,59 @@ def test_unsatisfiable_effect_goal_without_constants():
         gen_term(cfg)
 
 
+def _raw_gen(ty, label, depth, allow=False):
+    """``_Gen.gen`` on one goal, for raise sites whose ``Unsatisfiable`` a
+    ``gen_term`` caller only sees through the fallback of ``_weighted``."""
+    return lambda: propcheck._Gen(random.Random(0), default_signature()).gen(
+        ty, label, {}, depth, allow)
+
+
+# what the generator tried -> (a draw that raises there, its message)
+UNSATISFIABLE_TEXTS = {
+    "common Eff term, no constant": (
+        lambda: gen_term(GenConfig(1, 0, Signature(), COM, Arrow(STR, Eff(STR)))),
+        "no common term of type Eff Str"),
+    "source effect, none declared": (
+        lambda: gen_term(GenConfig(3, 0, Signature(), SRC, Eff(STR))),
+        "no effectful constant produces Eff Str"),
+    "source effect, none for the inner type": (
+        lambda: gen_term(GenConfig(3, 0, default_signature(), SRC, Eff(Prod(STR, STR)))),
+        "no effectful constant produces Eff (Str, Str)"),
+    "common action value, none for the inner type": (
+        _raw_gen(Eff(Prod(STR, STR)), COM, 2, allow=True),
+        "no effectful constant produces Eff (Str, Str)"),
+    "action value in a plain common term": (
+        _raw_gen(Eff(STR), COM, 3),
+        "no effect values in plain common terms"),
+    "common goal at an effect type": (
+        lambda: gen_term(GenConfig(3, 0, None, COM, Eff(STR))),
+        "common terms cannot be generated at effect types"),
+    "every constructor": (
+        lambda: gen_term(GenConfig(3, 0, Signature(), COM, Arrow(STR, Eff(STR)))),
+        "no constructor applies at this goal within depth"),
+}
+
+
+def test_unsatisfiable_texts_and_trials():
+    """Each raise site's message, and a trial whose generator raises
+    ``Unsatisfiable`` counts as a pass: 40 ``smart_ctors`` trials at depth 4,
+    seed 1, some of them unsatisfiable, all pass."""
+    for case, (draw, text) in UNSATISFIABLE_TEXTS.items():
+        with pytest.raises(Unsatisfiable) as err:
+            draw()
+        assert str(err.value) == text, case
+    sig, trials = default_signature(), 40
+    label, generate, _ = propcheck._TERM_SUITES["smart_ctors"]
+    unsat = 0
+    for i in range(trials):
+        try:
+            generate(GenConfig(4, propcheck._sub_seed(1, i), sig, label), i)
+        except Unsatisfiable:
+            unsat += 1
+    report = run_suite("smart_ctors", GenConfig(4, 1, sig), trials)
+    assert unsat > 0 and report.failures == [] and report.passes == trials
+
+
 def test_effect_types_reachable_at_src():
     sig = default_signature()
     found = False
@@ -373,11 +426,14 @@ def test_signatures_never_share_tables():
         del sig  # the next one may reuse its id(), so tables keyed by id() go stale
 
 
-def _scanning_lookups(sig):
-    """The generator's lookups as scans of the signature per call."""
+def _scanning_lookups(sig, drop=None):
+    """The generator's lookups as scans of the signature per call, each
+    blind to the declaration named ``drop``."""
+    decls = [d for d in sig if d.name != drop]
+
     def effect_decls_for(self, inner):
         out = []
-        for d in sig:
+        for d in decls:
             if d.effectful:
                 t = d.ty
                 while isinstance(t, Arrow):
@@ -388,7 +444,7 @@ def _scanning_lookups(sig):
 
     def pure_call_decls(self, result):
         out = []
-        for d in sig:
+        for d in decls:
             if d.effectful:
                 continue
             args, t = [], d.ty
@@ -400,34 +456,58 @@ def _scanning_lookups(sig):
         return out
 
     def consts_of(self, t):
-        return [d.name for d in sig if d.ty == t]
+        return [d.name for d in decls if d.ty == t]
 
     return effect_decls_for, pure_call_decls, consts_of
 
 
-def test_tabled_generator_draws_the_scanned_terms(monkeypatch):
+_LOOKUPS = ("_effect_decls_for", "_pure_call_decls", "_consts_of")
+
+
+def _scan_signature():
     sig = default_signature()
     sig.add(ConstDecl("both", Arrow(STR, Arrow(UNIT, Eff(Prod(STR, STR)))),
                       ConstKind.EFFECTFUL))
     sig.add(ConstDecl("twice", Arrow(STR, Arrow(STR, Prod(STR, STR))), ConstKind.PURE))
+    return sig
+
+
+def _draws(sig):
     gens = [(label, propcheck._gen_plain) for label in (SRC, COM, TGT)]
     gens += [(TGT, propcheck._gen_smart), (TGT, propcheck._gen_action)]
+    out = []
+    for i in range(500):
+        for label, generate in gens:
+            try:
+                out.append(pretty(generate(GenConfig(4 + i % 3, i, sig, label), i)))
+            except Unsatisfiable:
+                out.append(None)
+    return out
 
-    def draw():
-        out = []
-        for i in range(500):
-            for label, generate in gens:
-                try:
-                    out.append(pretty(generate(GenConfig(4 + i % 3, i, sig, label), i)))
-                except Unsatisfiable:
-                    out.append(None)
-        return out
 
-    tabled = draw()
-    for name, scan in zip(("_effect_decls_for", "_pure_call_decls", "_consts_of"),
-                          _scanning_lookups(sig)):
+def test_tabled_generator_draws_the_scanned_terms(monkeypatch):
+    """The generator reads its tables only through the three lookups, its
+    menus included: on a fresh signature, whose menus are built through the
+    lookups replaced by scans, it draws the tabled terms."""
+    tabled = _draws(_scan_signature())
+    sig = _scan_signature()
+    for name, scan in zip(_LOOKUPS, _scanning_lookups(sig)):
         monkeypatch.setattr(propcheck._Gen, name, scan)
-    assert draw() == tabled
+    assert _draws(sig) == tabled
+
+
+@pytest.mark.parametrize("lookup, dropped", [
+    ("_effect_decls_for", "both"), ("_pure_call_decls", "twice"), ("_consts_of", "shout"),
+])
+def test_scanned_draws_see_a_dropped_declaration(monkeypatch, lookup, dropped):
+    """The negative control of the test above: when one lookup's scan misses
+    a declaration, the draws change."""
+    tabled = _draws(_scan_signature())
+    sig = _scan_signature()
+    scans = zip(_LOOKUPS, _scanning_lookups(sig), _scanning_lookups(sig, dropped))
+    for name, scan, blind in scans:
+        monkeypatch.setattr(propcheck._Gen, name, blind if name == lookup else scan)
+    assert _draws(sig) != tabled
 
 
 @pytest.mark.parametrize("suite", ["semantics", "smart_ctors", "relabel", "normalize",
