@@ -16,6 +16,7 @@ check that raises an ``Exception`` fails: its term is shrunk and reported.
 
 from __future__ import annotations
 
+import functools
 import random
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -56,7 +57,8 @@ class GenConfig:
         self.label, self.goal_type = label, goal_type
 
     def sig(self) -> Signature:
-        return self.signature if self.signature is not None else default_signature()
+        """The given signature, or the one shared default signature."""
+        return self.signature if self.signature is not None else _shared_default_signature()
 
 
 def default_signature() -> Signature:
@@ -68,6 +70,10 @@ def default_signature() -> Signature:
     sig.add(ConstDecl("probe", Eff(STR), ConstKind.EFFECTFUL))
     sig.add(ConstDecl("stamp", Arrow(STR, Eff(UNIT)), ConstKind.EFFECTFUL))
     return sig
+
+
+# built at first use and never added to; ``default_signature()`` stays fresh for callers that add
+_shared_default_signature = functools.cache(default_signature)
 
 
 _WORDS = ("", "a", "b", "foo", "bar", "xy")

@@ -8,8 +8,10 @@ its argument before its function: it satisfies every law, yet distinguishes
 the applicative from the left-to-right bind chaining -- which is exactly why
 the translation keeps Ap nodes instead of lowering them to binds.  Each
 monad's constructor is the one place that defines its behaviour, including
-what one effect call does and what ``purify run`` reports.  The suites
-evaluate a term once, under ``REIFIED``, and ``run`` it under each monad.
+what one effect call does, which behavior kinds a config may give it and
+what ``purify run`` reports; ``check_laws`` samples its actions from that
+same effect call, and ``BEHAVIOR_KINDS`` is the union of the kinds.  The
+suites evaluate a term once, under ``REIFIED``, and ``run`` it under each monad.
 
 Guest values are host data, as in a definitional interpreter: a Str is a
 ``str``, unit ``()``, a pair a 2-tuple and a function a Python callable.
@@ -108,20 +110,19 @@ class MonadDict:
     ``effect(name, result_ty, behavior)`` reads one effect constant's config
     entry (or {}) and returns its ``call(args, tag, result)``: the action of
     one call (``args`` rendered, ``tag`` the call as text, ``result`` its
-    default value).  ``report(action, latencies)`` gives the JSON fields
-    ``purify run`` prints; ``kinds`` the behavior kinds a config may give.
+    default value).  It is the monad's only model of an effect: programs
+    run it and ``check_laws`` draws its samples from it.  ``report(action,
+    latencies)`` gives the JSON fields ``purify run`` prints; ``kinds``, in
+    order, the behavior kinds a config may give (``BEHAVIOR_KINDS`` is their union).
     """
 
-    __slots__ = ("name", "pure", "map", "ap", "bind", "run_eq", "sample_action",
-                 "effect", "report", "kinds")
+    __slots__ = ("name", "pure", "map", "ap", "bind", "run_eq", "effect", "report", "kinds")
 
     def __init__(self, name: str, pure: Callable, map: Callable, ap: Callable, bind: Callable,
-                 run_eq: Callable, sample_action: Callable[[random.Random], object],
-                 effect: Callable, report: Callable[[object, dict[str, float]], dict],
-                 kinds: frozenset[str]):
+                 run_eq: Callable, effect: Callable,
+                 report: Callable[[object, dict[str, float]], dict], kinds: tuple[str, ...]):
         self.name, self.pure, self.map, self.ap, self.bind = name, pure, map, ap, bind
-        self.run_eq, self.sample_action, self.effect = run_eq, sample_action, effect
-        self.report, self.kinds = report, kinds
+        self.run_eq, self.effect, self.report, self.kinds = run_eq, effect, report, kinds
 
 
 class _Absent:
@@ -152,11 +153,6 @@ def option_monad() -> MonadDict:
             return False
         return True if a is ABSENT else value_eq(a, b)
 
-    def sample(rng: random.Random):
-        if rng.random() < 0.25:
-            return ABSENT
-        return pure(_gen_value(rng))
-
     def effect(name, result_ty, behavior):
         if behavior.get("kind") == "absent":
             return lambda args, tag, result: ABSENT
@@ -167,8 +163,7 @@ def option_monad() -> MonadDict:
             return {"absent": True}
         return {"absent": False, "value": render_value(a)}
 
-    return MonadDict("option", pure, map_, ap, bind, run_eq, sample, effect, report,
-                     frozenset({"value", "absent"}))
+    return MonadDict("option", pure, map_, ap, bind, run_eq, effect, report, ("value", "absent"))
 
 
 def state_monad() -> MonadDict:
@@ -205,14 +200,6 @@ def state_monad() -> MonadDict:
                 return False
         return True
 
-    def sample(rng: random.Random):
-        n = rng.randint(1, 2)
-
-        def run(s):
-            return f"s{s}", s + n
-
-        return run
-
     def effect(name, result_ty, behavior):
         if behavior.get("kind") == "value":
             return lambda args, tag, result: pure(result)
@@ -224,8 +211,7 @@ def state_monad() -> MonadDict:
         value, final_state = a(0)
         return {"value": render_value(value), "final_state": final_state}
 
-    m = MonadDict("state", pure, map_, ap, bind, run_eq, sample, effect, report,
-                  frozenset({"value", "state_incr"}))
+    m = MonadDict("state", pure, map_, ap, bind, run_eq, effect, report, ("value", "state_incr"))
     return m
 
 
@@ -251,10 +237,6 @@ def _writer(monad_name: str, flipped: bool) -> MonadDict:
     def run_eq(a, b, value_eq: ValueEq = base_value_eq):
         return a[1] == b[1] and value_eq(a[0], b[0])
 
-    def sample(rng: random.Random):
-        tag = f"w{rng.randint(0, 5)}"
-        return _gen_value(rng), (tag,)
-
     def effect(name, result_ty, behavior):
         kind, payload = behavior.get("kind"), behavior.get("payload")
         if kind == "value":
@@ -266,8 +248,7 @@ def _writer(monad_name: str, flipped: bool) -> MonadDict:
     def report(a, latencies):
         return {"value": render_value(a[0]), "log": list(a[1])}
 
-    return MonadDict(monad_name, pure, map_, ap, bind, run_eq, sample, effect, report,
-                     frozenset({"value", "log"}))
+    return MonadDict(monad_name, pure, map_, ap, bind, run_eq, effect, report, ("value", "log"))
 
 
 def writer_monad() -> MonadDict:
@@ -301,9 +282,6 @@ def trace_monad() -> MonadDict:
     def run_eq(a: TraceDag, b: TraceDag, value_eq: ValueEq = base_value_eq):
         return dag_iso(a, b) and value_eq(a.result, b.result)
 
-    def sample(rng: random.Random):
-        return single_effect(f"e{rng.randint(0, 3)}", "", _gen_value(rng))
-
     def effect(name, result_ty, behavior):
         return lambda args, tag, result: single_effect(name, args, result)
 
@@ -311,8 +289,7 @@ def trace_monad() -> MonadDict:
         return {"value": render_value(d.result), "dyn_span": dyn_span(d),
                 "dyn_work": dyn_work(d), "latency_ms": simulate_latency(d, latencies)}
 
-    return MonadDict("trace", pure, map_, ap, bind, run_eq, sample, effect, report,
-                     frozenset({"value"}))
+    return MonadDict("trace", pure, map_, ap, bind, run_eq, effect, report, ("value",))
 
 
 MONADS: dict[str, Callable[[], MonadDict]] = {
@@ -354,9 +331,9 @@ def seed_value(ty, tag: str, m: MonadDict, runs: bool = False) -> object:
     raise EvalError(f"unknown type {ty!r}")
 
 
-# Behavior kinds a config may name; each monad's ``kinds`` are the ones its
-# ``effect`` reads, and ``state_incr`` is the state monad's default.
-BEHAVIOR_KINDS = ("value", "absent", "state_incr", "log")
+# Behavior kinds a config may name: each monad's ``kinds``, the ones its ``effect``
+# reads, in MONADS order.  ``state_incr`` names the state monad's default.
+BEHAVIOR_KINDS = tuple(dict.fromkeys(k for make in MONADS.values() for k in make().kinds))
 
 
 def _effect_const(m: MonadDict, name: str, ty, behavior: dict) -> object:
@@ -388,14 +365,12 @@ def _effect_const(m: MonadDict, name: str, ty, behavior: dict) -> object:
 
 def _require_observed_payload(m: MonadDict, name: str, ty, behavior: dict) -> None:
     """A payload the monad never observes is a config error.  The monad
-    decides: the effect's action with the payload and with another one must
-    differ under its ``run_eq``."""
+    decides: the effect constant with the payload and with another one must
+    differ under ``value_eq_for`` at its declared type."""
     other = {**behavior, "payload": f"{behavior['payload']}'"}
-    a, b = _effect_const(m, name, ty, behavior), _effect_const(m, name, ty, other)
-    while type(ty) is Arrow:
-        arg = seed_value(ty.dom, "arg", m)
-        a, b, ty = a(arg), b(arg), ty.cod
-    if m.run_eq(a.action, b.action, value_eq_for(ty.inner, m)):
+    if value_eq_for(ty, m)(_effect_const(m, name, ty, behavior), _effect_const(m, name, ty, other)):
+        while type(ty) is Arrow:
+            ty = ty.cod
         raise PurifyError(
             f"behavior payload for {name!r} is never observed under the {m.name} "
             f"monad (kind {behavior.get('kind', 'default')}, result {type_name(ty.inner)})"
@@ -492,8 +467,8 @@ def _reified_monad() -> MonadDict:
     def unobservable(*_):
         raise EvalError("a reified action is observed only through run(m, action)")
 
-    return MonadDict("reified", APure, map_, ap, bind, unobservable, unobservable,
-                     effect, unobservable, frozenset(BEHAVIOR_KINDS))
+    return MonadDict("reified", APure, map_, ap, bind, unobservable, effect, unobservable,
+                     BEHAVIOR_KINDS)
 
 
 REIFIED = _reified_monad()
@@ -698,36 +673,47 @@ def _gen_fun(rng: random.Random) -> Callable[[object], object]:
     return lambda v: (v, "t")
 
 
-def _gen_action(rng: random.Random, m: MonadDict):
+def _gen_action(rng: random.Random, m: MonadDict, calls: list[Callable]):
+    """A pure action, or one call of an effect from ``calls`` with a random result."""
     if rng.random() < 0.7:
-        return m.sample_action(rng)
+        args = str(rng.randrange(6))
+        return rng.choice(calls)(args, f"e({args})", _gen_value(rng))
     return m.pure(_gen_value(rng))
 
 
-def _gen_kleisli(rng: random.Random, m: MonadDict) -> Callable[[object], object]:
+def _gen_kleisli(rng: random.Random, m: MonadDict, calls: list[Callable]) -> Callable:
     f = _gen_fun(rng)
     if rng.random() < 0.5:
         return lambda v: m.pure(f(v))
-    base = _gen_action(rng, m)
+    base = _gen_action(rng, m, calls)
     return lambda v: m.map(lambda w, _v=v: (f(_v), w), base)
 
 
 def check_laws(m: MonadDict, trials: int = 1000, seed: int = 0) -> LawReport:
-    """Randomized check of the ten monad/applicative/functor laws."""
+    """Randomized check of the ten monad/applicative/functor laws.
+
+    The actions are pure or one call of an effect ``e : Eff Str`` under
+    ``m.effect``: its default behavior or one of ``m.kinds``, all but
+    ``value``, which the pure actions cover.  A law whose comparison raises
+    an ``Exception`` fails, with the exception in its failure text.
+    """
     passes = {law: 0 for law in LAW_NAMES}
     failures: dict[str, list[str]] = {law: [] for law in LAW_NAMES}
+    calls = [m.effect("e", STR, behavior)
+             for behavior in ({}, *({"kind": k} for k in m.kinds if k != "value"))]
 
     for i in range(trials):
         rng = random.Random(seed * 1_000_003 + i)
         x = _gen_value(rng)
         f = _gen_fun(rng)
         g = _gen_fun(rng)
-        a = _gen_action(rng, m)
-        k1 = _gen_kleisli(rng, m)
-        k2 = _gen_kleisli(rng, m)
-        fa = m.map(lambda w: lambda v, _w=w: (_w, f(v)), _gen_action(rng, m))
-        u, v = (m.map(lambda r, h=h: lambda y: (r, h(y)), _gen_action(rng, m)) for h in (f, g))
-        w = _gen_action(rng, m)
+        a = _gen_action(rng, m, calls)
+        k1 = _gen_kleisli(rng, m, calls)
+        k2 = _gen_kleisli(rng, m, calls)
+        fa = m.map(lambda w: lambda v, _w=w: (_w, f(v)), _gen_action(rng, m, calls))
+        u, v = (m.map(lambda r, h=h: lambda y: (r, h(y)), _gen_action(rng, m, calls))
+                for h in (f, g))
+        w = _gen_action(rng, m, calls)
 
         checks = {
             "idl": lambda: m.run_eq(m.bind(k1, m.pure(x)), k1(x)),
@@ -752,9 +738,13 @@ def check_laws(m: MonadDict, trials: int = 1000, seed: int = 0) -> LawReport:
             ),
         }
         for law, checker in checks.items():
-            if checker():
+            try:
+                held, why = checker(), ""
+            except Exception as err:  # not BaseException: an interrupt stops the check
+                held, why = False, f": {type(err).__name__}: {err}"
+            if held:
                 passes[law] += 1
             elif len(failures[law]) < 5:
-                failures[law].append(f"trial {i}: x={render_value(x)}")
+                failures[law].append(f"trial {i}: x={render_value(x)}{why}")
 
     return LawReport(m.name, trials, seed, passes, failures)

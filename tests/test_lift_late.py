@@ -153,8 +153,7 @@ def _counting(m: MonadDict) -> tuple[MonadDict, Counter]:
         return call
 
     ops = (counted(op) for op in ("pure", "map", "ap", "bind"))
-    return MonadDict(m.name, *ops, m.run_eq, m.sample_action, m.effect, m.report,
-                     m.kinds), counts
+    return MonadDict(m.name, *ops, m.run_eq, m.effect, m.report, m.kinds), counts
 
 
 @pytest.mark.parametrize("body", list(PROGRAMS))

@@ -362,7 +362,7 @@ def test_laws_suite_reports_the_lawless_monad(monkeypatch):
     that monad and the laws it breaks."""
     w = writer_monad()
     lossy = MonadDict("lossy-writer", w.pure, lambda f, a: (f(a[0]), ()), w.ap, w.bind,
-                      w.run_eq, w.sample_action, w.effect, w.report, w.kinds)
+                      w.run_eq, w.effect, w.report, w.kinds)
     monkeypatch.setattr(propcheck, "builtin_monads", lambda: [writer_monad(), lossy])
     rep = run_suite("laws", GenConfig(seed=3), 200)
     assert (rep.trials, rep.passes) == (2, 1)
@@ -410,6 +410,13 @@ def test_tables_follow_signature_add():
     sig.add(ConstDecl("ping", Arrow(STR, Eff(STR)), ConstKind.EFFECTFUL))
     assert "ping" in _names(sig, range(100))
     assert span(call, sig) == work(call, sig) == 1
+
+
+def test_default_config_shares_one_signature():
+    """Without a signature, every config generates over one default signature,
+    built once; ``default_signature()`` is fresh, since callers add to it."""
+    assert GenConfig().sig() is GenConfig(3, 7).sig()
+    assert default_signature() is not default_signature()
 
 
 def test_signatures_never_share_tables():

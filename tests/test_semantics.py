@@ -83,26 +83,72 @@ def test_laws_hold_for_mixed_order_writer_too():
     assert rep.all_passed, rep.failures
 
 
-def bracketing_writer():
-    """A writer whose ap wraps two non-empty logs in brackets: lawful in all
-    but applicative composition, where the nesting of the brackets shows."""
-    w = writer_monad()
+def _bracketing_ap(af, ax):
+    (vf, wf), (vx, wx) = af, ax
+    return vf(vx), (("(",) + wf + wx + (")",) if wf and wx else wf + wx)
 
-    def ap(af, ax):
-        (vf, wf), (vx, wx) = af, ax
-        return vf(vx), (("(",) + wf + wx + (")",) if wf and wx else wf + wx)
 
-    return MonadDict("bracketing", w.pure, w.map, ap, w.bind, w.run_eq, w.sample_action,
-                     w.effect, w.report, w.kinds)
+def _state_ap_incr(af, ax):
+    def run(s):
+        vf, s1 = af(s)
+        vx, s2 = ax(s1)
+        return vf(vx), s2 + 1
+
+    return run
+
+
+# name: (monad, the operations replaced, the laws it fails at seed 0 in 1,000
+# trials).  Each fault shows only on an action that observes something: an
+# absent option, a state increment or a log entry.
+LAWLESS = {
+    # wraps two non-empty logs in brackets: lawful in all but applicative
+    # composition, where the nesting of the brackets shows
+    "bracketing": (writer_monad, {"ap": _bracketing_ap}, {"ap_comp"}),
+    "state-ap-incr": (state_monad, {"ap": _state_ap_incr}, {"apl", "apr", "ap_comp"}),
+    "state-map-keeps": (state_monad, {"map": lambda f, a: lambda s: (f(a(s)[0]), s)},
+                        {"idr", "apl", "map_id"}),
+    "writer-map-doubles": (writer_monad, {"map": lambda f, a: (f(a[0]), a[1] + a[1])},
+                           {"idr", "apl", "apr", "map_map", "map_id", "ap_comp"}),
+    "option-keeps-fun": (option_monad, {"ap": lambda af, ax: (
+        ABSENT if af is ABSENT else af if ax is ABSENT else af(ax))}, {"apl", "ap_comp"}),
+    "option-absent-x": (option_monad, {"map": lambda f, a: "x" if a is ABSENT else f(a)},
+                        {"idr", "apl", "apr", "map_map", "map_id", "ap_comp"}),
+}
+
+
+def lawless(name: str) -> MonadDict:
+    """``LAWLESS[name]``'s monad with its operations replaced."""
+    make, ops, _ = LAWLESS[name]
+    m = make()
+    pure, map_, ap, bind = (ops.get(op, getattr(m, op)) for op in ("pure", "map", "ap", "bind"))
+    return MonadDict(name, pure, map_, ap, bind, m.run_eq, m.effect, m.report, m.kinds)
 
 
 def test_laws_check_applicative_composition():
-    rep = check_laws(bracketing_writer(), 2000, 0)
+    rep = check_laws(lawless("bracketing"), 2000, 0)
     assert tuple(rep.passes) == LAW_NAMES
     assert LAW_NAMES[-3:] == ("bind_pure", "map_id", "ap_comp")
     assert {law for law, fails in rep.failures.items() if fails} == {"ap_comp"}
     assert 0 < rep.passes["ap_comp"] < 2000
     assert all(n == 2000 for law, n in rep.passes.items() if law != "ap_comp")
+
+
+@pytest.mark.parametrize("name", list(LAWLESS))
+def test_law_strength_table(name):
+    rep = check_laws(lawless(name), 1_000, 0)
+    assert {law for law, fails in rep.failures.items() if fails} == LAWLESS[name][2]
+
+
+@pytest.mark.parametrize("name, error", [
+    ("option-keeps-fun", "EvalError: function values need a type-directed comparator"),
+    ("option-absent-x", "TypeError: 'str' object is not callable"),
+])
+def test_law_whose_comparison_raises_fails(monkeypatch, name, error):
+    texts = [t for fails in check_laws(lawless(name), 300, 0).failures.values() for t in fails]
+    assert any(t.endswith(error) for t in texts), texts
+    monkeypatch.setattr(propcheck, "builtin_monads", lambda: [option_monad(), lawless(name)])
+    rep = propcheck.run_suite("laws", GenConfig(seed=0), 300)
+    assert (rep.trials, rep.passes, len(rep.failures)) == (2, 1, 1)
 
 
 def test_mixed_order_writer_disagrees_with_sequential_baseline(two_fetches):
@@ -354,8 +400,7 @@ def test_run_of_a_reified_action_equals_direct_evaluation(sig):
 def test_reified_actions_are_observed_only_through_run(sig):
     a = evaluate(Each(Const("probe", label=SRC), label=SRC), SRC, REIFIED,
                  make_const_env(sig, REIFIED))
-    for observe in (lambda: REIFIED.run_eq(a, a), lambda: REIFIED.report(a, {}),
-                    lambda: REIFIED.sample_action(None)):
+    for observe in (lambda: REIFIED.run_eq(a, a), lambda: REIFIED.report(a, {})):
         with pytest.raises(EvalError, match="observed only through run"):
             observe()
     assert run(trace_monad(), a).nodes[0].effect == "probe"
