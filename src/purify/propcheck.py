@@ -24,7 +24,7 @@ from .check import TypeEnv, typecheck
 from .metrics import dyn_span, dyn_work, span_work
 from .pretty import pretty
 from .semantics import (
-    REIFIED, ConstEnv, MonadDict, VEff, actions_agree, builtin_monads, check_laws,
+    REIFIED, ConstEnv, MonadDict, VEff, builtin_monads, check_laws,
     evaluate, make_const_env, run, value_eq_for, _as_action,
 )
 from .terms import (
@@ -529,12 +529,8 @@ _UNTRACED = ("option", "state", "writer")  # trace would see seq_translate's los
 
 def _disagrees(c: _Ctx, ty: Ty, a: object, b: object, monads: Iterable[str]) -> Optional[str]:
     """The first of ``monads`` (names) under which two ``REIFIED`` values of
-    type ``ty`` differ, as a failure detail; actions through ``actions_agree``."""
-    if type(ty) is Eff:
-        a, b = _as_action(a), _as_action(b)
-        name = next((n for n in monads if not actions_agree(ty.inner, c.monads[n], a, b)), None)
-    else:
-        name = next((n for n in monads if not value_eq_for(ty, c.monads[n])(a, b)), None)
+    type ``ty`` differ, as a failure detail."""
+    name = next((n for n in monads if not value_eq_for(ty, c.monads[n])(a, b)), None)
     return name and f"disagrees under {name}"
 
 

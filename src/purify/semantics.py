@@ -627,7 +627,7 @@ def value_eq_for(ty, m: MonadDict) -> ValueEq:
 
 def actions_agree(ty, m: MonadDict, a, b) -> bool:
     """run_eq two actions, reified or ``m``'s own, whose results have type ``ty``."""
-    return m.run_eq(run(m, a), run(m, b), value_eq_for(ty, m))
+    return value_eq_for(Eff(ty), m)(VEff(a), VEff(b))
 
 
 # ---------------------------------------------------------------------------

@@ -466,23 +466,34 @@ def relabel(e: Term, target: Label) -> Term:
     common, and reading the whole body would make nested lambdas (such as
     desugared lets) quadratic.
     """
+    return _relabel(e, target, None)
+
+
+def _relabel(e: Term, target: Label, mark: Optional[Callable[[Term, Label], Term]]) -> Term:
+    """``relabel`` with a hook for effect marks: an Each becomes
+    ``mark(each, target)``, children left to right; with no hook it raises
+    NotCommon."""
     k = type(e)
     if k is Lit:
         return Lit(e.value, label=target, ty=e.ty)
     if k is Const or k is Var:
         return k(e.name, label=target, ty=e.ty)
     if k is App:
-        return App(relabel(e.fun, target), relabel(e.arg, target), label=target, ty=e.ty)
+        return App(_relabel(e.fun, target, mark), _relabel(e.arg, target, mark),
+                   label=target, ty=e.ty)
     if k is Prd:
-        return Prd(relabel(e.fst, target), relabel(e.snd, target), label=target, ty=e.ty)
+        return Prd(_relabel(e.fst, target, mark), _relabel(e.snd, target, mark),
+                   label=target, ty=e.ty)
     if k is Lam:
         if e.body.label is not COM:
             raise NotCommon("relabel: lambda body contains non-common nodes")
         return Lam(e.param, e.body, e.param_ty, label=target, ty=e.ty)
     if k is Fst or k is Snd:
-        return k(relabel(e.pair, target), label=target, ty=e.ty)
+        return k(_relabel(e.pair, target, mark), label=target, ty=e.ty)
     if k is Unt:
         return Unt(label=target, ty=e.ty)
+    if k is Each and mark is not None:
+        return mark(e, target)
     raise NotCommon(f"relabel: {k.__name__} is not a common term former")
 
 

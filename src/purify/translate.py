@@ -18,7 +18,7 @@ from typing import Callable, Optional
 from .terms import (
     App, Ap, COM, Const, Each, Eff, FreshNames, Fst, Join, Label, Lam, Lit, Map,
     NotCommon, Prd, Pure, PurifyError, Snd, TGT, Term, Unt, Var, children,
-    relabel, replace_children, size,
+    _relabel, relabel, replace_children, size,
 )
 
 
@@ -112,30 +112,20 @@ def seq_translate(e: Term) -> Term:
     right).  Each bind is the Join-over-Map pattern; the continuation
     lambdas carry explicit combinator bodies, which is what distinguishes
     this baseline from the common-fragment lambdas of the main translation.
-    The output contains no Ap node.
+    The output contains no Ap node.  The term is copied by ``relabel``'s
+    walk, whose mark hook binds each payload before its own name.
     """
     fresh = FreshNames()
     bindings: list[tuple[str, Term]] = []
 
-    def compile_(t: Term, lab: Label) -> Term:
-        """Value of ``t`` labelled ``lab``; effect marks become bindings."""
-        k = type(t)
-        if k is App:
-            return App(compile_(t.fun, lab), compile_(t.arg, lab), label=lab)
-        if k is Const or k is Lit or k is Lam or k is Unt or k is Var:
-            return relabel(t, lab)
-        if k is Each:
-            payload = compile_(t.eff, TGT)
-            name = fresh.fresh()
-            bindings.append((name, payload))
-            return Var(name, label=lab)
-        if k is Prd:
-            return Prd(compile_(t.fst, lab), compile_(t.snd, lab), label=lab)
-        if k is Fst or k is Snd:
-            return k(compile_(t.pair, lab), label=lab)
-        raise PurifyError(f"not a source term former: {k.__name__}")
+    def bind(each: Term, lab: Label) -> Term:
+        """An effect mark becomes a fresh name bound to its payload."""
+        payload = _relabel(each.eff, TGT, bind)
+        name = fresh.fresh()
+        bindings.append((name, payload))
+        return Var(name, label=lab)
 
-    final = compile_(e, COM)
+    final = _relabel(e, COM, bind)
     return _build_chain(bindings, final)
 
 

@@ -167,6 +167,8 @@ ANNOTATION_MISMATCHES = [
     ('purify { let y = "a" in (y : Unit) }', "annotation Unit does not match type Str"),
     (_F + 'purify { let y = "a" in (f(y)! : Unit) }', "annotation Unit does not match type Str"),
     (_F + 'purify { (f("a") : Eff Unit) }', "annotation Eff Unit does not match type Eff Str"),
+    # a mark on a value that is not an action
+    ('purify { "a"! }', "Each needs an Eff-typed argument, got Str"),
     # a second annotation on one expression is compared with the first, by the parser
     ('purify { (("a" : Unit) : Str) }', "1:24: annotation Str does not match annotation Unit"),
     ("purify { ((fun x -> x : Unit -> Unit) : Str -> Str) }",

@@ -8,15 +8,17 @@ from hypothesis import given, strategies as st
 from purify.check import TypeEnv, typecheck
 from purify.metrics import (
     UnknownEffect, dag_iso, dyn_span, dyn_work, empty_dag, parallel_compose,
-    sequential_compose, simulate_latency, single_effect, span, to_dot, work,
+    sequential_compose, simulate_latency, single_effect, span, span_work, to_dot, work,
 )
-from purify.propcheck import GenConfig, default_signature, gen_term
+from purify.propcheck import (
+    GenConfig, Unsatisfiable, _gen_plain, _sub_seed, default_signature, gen_term,
+)
 from purify.semantics import VUNIT, evaluate, make_const_env, trace_monad
 from purify.surface import parse_and_elaborate
 from purify.terms import (
     App, COM, Const, Each, Lam, Lit, Prd, SRC, TGT, Var, relabel,
 )
-from purify.translate import naive_translate, opt_translate, seq_translate
+from purify.translate import naive_translate, normalize, opt_translate, seq_translate
 
 DEMO = Path(__file__).resolve().parent.parent / "demos" / "programs"
 
@@ -354,36 +356,31 @@ def test_to_dot_nested_chains_demo_pinned():
 # ---------------------------------------------------------------------------
 
 def test_static_equals_dynamic_on_source_terms(sig):
+    """Static span/work of the source and of every translation equal the
+    trace of its run, on the dependency oracle's terms; the optimizing
+    translation keeps the source's, and normalizing finds no more
+    parallelism than it has."""
     m = trace_monad()
     env = make_const_env(sig, m)
     checked = 0
-    for i in range(250):
-        t = gen_term(GenConfig(max_depth=5, seed=13000 + i, label=SRC))
-        ty = typecheck(t, SRC, TypeEnv(sig))
-        from purify.terms import Arrow as ArrowTy
-        if isinstance(ty, ArrowTy):
-            continue  # function results defer their effects
-        d = evaluate(t, SRC, m, env)
-        assert dyn_span(d) == span(t, sig), i
-        assert dyn_work(d) == work(t, sig), i
-        checked += 1
-    assert checked > 150
-
-
-def test_translated_dynamics_bounded_by_source_statics(sig):
-    m = trace_monad()
-    env = make_const_env(sig, m)
-    for i in range(250):
-        t = gen_term(GenConfig(max_depth=5, seed=14000 + i, label=SRC))
-        ty = typecheck(t, SRC, TypeEnv(sig))
-        from purify.terms import Arrow as ArrowTy, Eff as EffTy
-        if isinstance(ty, (ArrowTy, EffTy)):
-            continue
-        out = opt_translate(t)
-        typecheck(out, TGT, TypeEnv(sig))
-        d = evaluate(out, TGT, m, env).action
-        assert dyn_span(d) <= span(t, sig)
-        assert dyn_work(d) <= work(t, sig)
+    for depth, seed in [(6, 51), (4, 1)]:
+        for i in range(1_500):
+            try:
+                t = _gen_plain(GenConfig(depth, _sub_seed(seed, i), sig, SRC), i)
+            except Unsatisfiable:
+                continue
+            opt = opt_translate(t)
+            norm = normalize(opt)
+            sides = [("src", t, evaluate(t, SRC, m, env))] + [
+                (name, out, evaluate(out, TGT, m, env).action)
+                for name, out in (("opt", opt), ("naive", naive_translate(t)),
+                                  ("seq", seq_translate(t)), ("normalize", norm))]
+            for name, out, d in sides:
+                assert span_work(out, sig) == (dyn_span(d), dyn_work(d)), (depth, seed, i, name)
+            assert span_work(opt, sig) == span_work(t, sig), (depth, seed, i)
+            assert span(norm, sig) == span(opt, sig), (depth, seed, i)
+            checked += 1
+    assert checked > 2_800
 
 
 @given(st.data())

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from purify import propcheck
@@ -8,7 +10,7 @@ from purify.semantics import (
     ABSENT, LAW_NAMES, MONADS, REIFIED, EvalError, MonadDict, SignatureMismatch, VEff, VUNIT,
     actions_agree, base_value_eq, builtin_monads, check_laws, evaluate,
     make_const_env, mixed_order_writer, option_monad, render_value, run, state_monad,
-    trace_monad, value_eq_for, writer_monad,
+    trace_monad, value_eq_for, writer_monad, _gen_action, _gen_fun,
 )
 from purify.terms import (
     Arrow, COM, Const, ConstDecl, ConstKind, Each, Eff, Fst, Join, Lam, Lit, Map, Prd,
@@ -81,6 +83,30 @@ def test_laws_hold_for_mixed_order_writer_too():
     # Both applicative orders are lawful; that is the point of keeping Ap.
     rep = check_laws(mixed_order_writer(), 400, 42)
     assert rep.all_passed, rep.failures
+
+
+def _incoherent(m: MonadDict, trials: int) -> int:
+    """How many instances of ``ap f x == bind (fun g -> map g x) f`` fail
+    under ``m``, with ``f`` and ``x`` drawn from its own effect calls, as
+    ``check_laws`` draws its actions."""
+    calls = [m.effect("e", STR, behavior)
+             for behavior in ({}, *({"kind": k} for k in m.kinds if k != "value"))]
+    fails = 0
+    for i in range(trials):
+        rng = random.Random(i)
+        h = _gen_fun(rng)
+        f = m.map(lambda r: lambda y: (r, h(y)), _gen_action(rng, m, calls))
+        x = _gen_action(rng, m, calls)
+        fails += not m.run_eq(m.ap(f, x), m.bind(lambda g: m.map(g, x), f))
+    return fails
+
+
+def test_ap_bind_coherence_is_what_untraced_lists():
+    # the suites compare the do-notation baseline, which has no ap, under
+    # exactly the builtin monads whose ap agrees with bind
+    fails = {name: _incoherent(make(), 2_000) for name, make in MONADS.items()}
+    assert {m.name for m in builtin_monads() if not fails[m.name]} == set(propcheck._UNTRACED)
+    assert fails["writer-rtl"] > 0, fails
 
 
 def _bracketing_ap(af, ax):

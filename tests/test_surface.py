@@ -11,8 +11,8 @@ from purify.surface import (
 )
 from purify.check import TypeEnv, typecheck
 from purify.terms import (
-    App, Arrow, COM, Const, Each, Eff, Lam, Lit, Prd, Pure, SRC, STR,
-    Signature, TGT, UNIT, Var, alpha_eq, subterms,
+    App, Arrow, COM, Const, ConstDecl, ConstKind, Each, Eff, Lam, Lit, Prd, Pure,
+    PurifyError, SRC, STR, Signature, TGT, UNIT, Var, alpha_eq, subterms,
 )
 from purify.translate import naive_translate, opt_translate, seq_translate
 
@@ -67,6 +67,10 @@ def test_trailing_comment_keeps_column():
 def test_duplicate_decl():
     with pytest.raises(DuplicateDecl):
         parse("prim a : Str\nprim a : Str\npurify { a }")
+    sig = Signature([ConstDecl("a", STR, ConstKind.PURE)])
+    with pytest.raises(PurifyError) as ei:
+        sig.add(ConstDecl("a", STR, ConstKind.PURE))
+    assert str(ei.value) == "duplicate constant 'a'"
 
 
 def test_unbound_name():
@@ -423,6 +427,7 @@ SOURCE_DIAGNOSTICS = [
      "1:6: expected identifier (prefix '$' is reserved)"),
     ("purify { fun $x -> () }", ParseError,
      "1:14: expected identifier (prefix '$' is reserved)"),
+    ("effect f : -> Str\npurify { () }", ParseError, "1:12: expected a type"),
 ]
 
 TARGET_DIAGNOSTICS = [

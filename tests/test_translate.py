@@ -412,3 +412,14 @@ def test_a_rule_that_keeps_firing_at_one_node_exhausts_the_fuel(monkeypatch):
     monkeypatch.setattr("purify.translate._apply_rule", stuck)
     with pytest.raises(FuelExhausted, match="fired more than 3000 rules"):
         normalize(t)
+
+
+def test_passes_that_keep_firing_exhaust_the_pass_bound(monkeypatch):
+    """A pass that reports a firing but changes nothing never reaches a
+    fixed point; the pass bound stops the loop."""
+    t = Pure(Lit("a", label=COM), label=TGT)  # 2 nodes: at most 12 passes
+    monkeypatch.setattr("purify.translate._sweep",
+                        lambda e, reassoc, fresh, fired, cap: (e, fired + 1))
+    with pytest.raises(FuelExhausted) as ei:
+        normalize(t)
+    assert str(ei.value) == "normalize did not reach a fixed point within 12 passes"
