@@ -94,12 +94,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_translate(args) -> int:
-    if args.reassoc and not args.normalize:
-        raise PurifyError("--reassoc is a rule of the normalizer; it needs --normalize")
     sig, body, _ = _load_program(args.file)
     out = TRANSLATIONS[args.mode](body)
     if args.normalize:
-        out = normalize(out, reassoc=args.reassoc)
+        out = normalize(out)
     typecheck(out, TGT, TypeEnv(sig))
     print(pretty(out))
     return 0
@@ -206,8 +204,6 @@ def _parser() -> _ArgumentParser:
     p.add_argument("file")
     p.add_argument("--mode", choices=tuple(TRANSLATIONS), default="opt")
     p.add_argument("--normalize", action="store_true")
-    p.add_argument("--reassoc", action="store_true",
-                   help="enable the ap-composition reassociation rule")
     p.set_defaults(fn=cmd_translate)
 
     p = sub.add_parser("analyze", help="span/work of source and translations")

@@ -609,7 +609,6 @@ def _check_relabel(c: _Ctx, term: Term) -> Optional[str]:
 
 
 def _check_normalize(c: _Ctx, term: Term) -> Optional[str]:
-    _term_ty(c, term, TGT)  # normalize reads the stamps
     return _rewrite(c, term, TGT, normalize(term), span_work(term, c.sig))
 
 

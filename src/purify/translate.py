@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from .terms import (
-    App, Ap, COM, Const, Each, Eff, FreshNames, Fst, Join, Label, Lam, Lit, Map,
+    App, Ap, COM, Const, Each, FreshNames, Fst, Join, Label, Lam, Lit, Map,
     NotCommon, Prd, Pure, PurifyError, Snd, TGT, Term, Unt, Var, children,
     _relabel, relabel, replace_children, size,
 )
@@ -144,14 +144,13 @@ def _build_chain(bindings: list[tuple[str, Term]], final: Term) -> Term:
 # Law-based normalizer
 # ---------------------------------------------------------------------------
 
-def normalize(e: Term, reassoc: bool = False) -> Term:
+def normalize(e: Term) -> Term:
     """Rewrite a target term to a fixed point of the law rules.
 
     Rules: map identity, map composition, the Ap collapses (homomorphism,
     identity, interchange -- the same collapses smart_ap performs), the two
-    left-unit forms, right unit, and bind associativity.  The ap-composition
-    reassociation is only applied when ``reassoc`` is set.  Fuel derived
-    from term size bounds the passes and the rule firings, also those at one
+    left-unit forms, right unit, and bind associativity.  Fuel derived from
+    term size bounds the passes and the rule firings, also those at one
     node; exhausting it signals a bug in the rule system.
     """
     n = size(e)
@@ -159,14 +158,14 @@ def normalize(e: Term, reassoc: bool = False) -> Term:
     fresh = FreshNames()
     fires = 0
     for _ in range(sweeps):
-        e, total = _sweep(e, reassoc, fresh, fires, fire_cap)
+        e, total = _sweep(e, fresh, fires, fire_cap)
         if total == fires:
             return e
         fires = total
     raise FuelExhausted(f"normalize did not reach a fixed point within {sweeps} passes")
 
 
-def _sweep(e: Term, reassoc: bool, fresh: FreshNames, fired: int, cap: int) -> tuple[Term, int]:
+def _sweep(e: Term, fresh: FreshNames, fired: int, cap: int) -> tuple[Term, int]:
     """One innermost-first pass; returns the new term and the rules fired so
     far, ``fired`` before it.  Past ``cap`` firings it raises ``FuelExhausted``.
 
@@ -185,7 +184,7 @@ def _sweep(e: Term, reassoc: bool, fresh: FreshNames, fired: int, cap: int) -> t
             del done[-len(kids):]
             if new[0] is not kids[0] or new[-1] is not kids[-1]:  # 1 or 2 kids
                 t = replace_children(t, new)
-            while (out := _apply_rule(t, reassoc, fresh)) is not None:
+            while (out := _apply_rule(t, fresh)) is not None:
                 t = out
                 fired += 1
                 if fired > cap:
@@ -219,7 +218,7 @@ def _is_pure_eta(f: Term) -> bool:
     )
 
 
-def _apply_rule(e: Term, reassoc: bool, fresh: FreshNames) -> Optional[Term]:
+def _apply_rule(e: Term, fresh: FreshNames) -> Optional[Term]:
     k = type(e)
     if k is Map:
         f, a = e.fun, e.arg
@@ -237,35 +236,6 @@ def _apply_rule(e: Term, reassoc: bool, fresh: FreshNames) -> Optional[Term]:
         f, a = e.fun, e.arg
         if isinstance(f, Pure) or isinstance(a, Pure):
             return smart_ap(f, a, fresh)
-        if reassoc and isinstance(a, Ap):
-            u, v, w = f, a.fun, a.arg
-            # parameter annotations come from the checker's type stamps;
-            # without them the inner composition lambdas cannot be typed
-            tys = (u.ty, v.ty, w.ty)
-            if not all(isinstance(t, Eff) for t in tys):
-                return None
-            cx, cg, cv = fresh.fresh(), fresh.fresh(), fresh.fresh()
-            compose = Lam(
-                cx,
-                Lam(
-                    cg,
-                    Lam(
-                        cv,
-                        App(
-                            Var(cx, label=COM),
-                            App(Var(cg, label=COM), Var(cv, label=COM), label=COM),
-                            label=COM,
-                        ),
-                        tys[2].inner,
-                        label=COM,
-                    ),
-                    tys[1].inner,
-                    label=COM,
-                ),
-                tys[0].inner,
-                label=TGT,
-            )
-            return Ap(Ap(Map(compose, u, label=TGT), v, label=TGT), w, label=TGT)
     elif k is Join:
         inner = e.nested
         if isinstance(inner, Pure):

@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from purify.cli import main
+from purify.cli import _parser, main
 from purify.semantics import MONADS
 
 TWO_FETCHES = """prim concat : Str -> Str -> Str
@@ -119,12 +119,14 @@ def test_translate_normalize_flag(two_chains_file, capsys):
     assert "join" in out
 
 
-def test_reassoc_without_normalize_is_diagnostic(two_chains_file, capsys):
+def test_reassoc_is_an_unknown_argument(two_chains_file, capsys):
+    """The normalizer has no optional rules, so there is no flag to select one."""
     assert main(["translate", two_chains_file, "--reassoc"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: --reassoc is a rule of the normalizer; it needs --normalize\n"
-    assert main(["translate", two_chains_file, "--normalize", "--reassoc"]) == 0
+    usage = _parser().format_usage()
+    assert usage.startswith("usage: purify ")
+    assert captured.err == usage + "error: unrecognized arguments: --reassoc\n"
 
 
 def test_run_dot_escapes_quotes_and_backslashes(tmp_path, capsys):
@@ -387,6 +389,19 @@ def test_internal_fault_exits_3(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("internal error: RecursionError")
         assert err.count("\n") == 1
+
+
+def test_internal_fault_exits_3_wherever_it_is_raised(two_chains_file, monkeypatch, capsys):
+    """An internal fault after parsing, here in the checker, is reported the
+    same way in every pipeline command."""
+    def boom(*args):
+        raise RecursionError("boom")
+
+    monkeypatch.setattr("purify.cli.typecheck", boom)
+    for cmd in PIPELINE:
+        assert main([cmd[0], two_chains_file, *cmd[1:]]) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "internal error: RecursionError: boom\n")
 
 
 _TOKENS = ("fetch", "concat", "x", '"a"', "(", ")", ",", "!", ".1", ".2", "++", "fun",

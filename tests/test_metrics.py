@@ -16,7 +16,7 @@ from purify.propcheck import (
 from purify.semantics import VUNIT, evaluate, make_const_env, trace_monad
 from purify.surface import parse_and_elaborate
 from purify.terms import (
-    App, COM, Const, Each, Lam, Lit, Prd, SRC, TGT, Var, relabel,
+    App, COM, Const, Each, Lam, Lit, Prd, SRC, TGT, Var, alpha_eq, relabel,
 )
 from purify.translate import naive_translate, normalize, opt_translate, seq_translate
 
@@ -358,8 +358,9 @@ def test_to_dot_nested_chains_demo_pinned():
 def test_static_equals_dynamic_on_source_terms(sig):
     """Static span/work of the source and of every translation equal the
     trace of its run, on the dependency oracle's terms; the optimizing
-    translation keeps the source's, and normalizing finds no more
-    parallelism than it has."""
+    translation keeps the source's, normalizing finds no more parallelism
+    than it has, and the naive translation normalizes to the same term
+    (the smart constructors' collapses are normalizer rules)."""
     m = trace_monad()
     env = make_const_env(sig, m)
     checked = 0
@@ -369,16 +370,17 @@ def test_static_equals_dynamic_on_source_terms(sig):
                 t = _gen_plain(GenConfig(depth, _sub_seed(seed, i), sig, SRC), i)
             except Unsatisfiable:
                 continue
-            opt = opt_translate(t)
+            opt, naive = opt_translate(t), naive_translate(t)
             norm = normalize(opt)
             sides = [("src", t, evaluate(t, SRC, m, env))] + [
                 (name, out, evaluate(out, TGT, m, env).action)
-                for name, out in (("opt", opt), ("naive", naive_translate(t)),
+                for name, out in (("opt", opt), ("naive", naive),
                                   ("seq", seq_translate(t)), ("normalize", norm))]
             for name, out, d in sides:
                 assert span_work(out, sig) == (dyn_span(d), dyn_work(d)), (depth, seed, i, name)
             assert span_work(opt, sig) == span_work(t, sig), (depth, seed, i)
             assert span(norm, sig) == span(opt, sig), (depth, seed, i)
+            assert alpha_eq(norm, normalize(naive)), (depth, seed, i)
             checked += 1
     assert checked > 2_800
 

@@ -184,7 +184,7 @@ def _doubled_ap(f, e, fresh):
     return Join(Map(Lam("$dup", Ap(f, e), label=TGT), e, label=TGT), label=TGT)
 
 
-def _swapped_normalize(e, reassoc=False):
+def _swapped_normalize(e):
     """A wrong normalize: runs an Ap's argument action before its function."""
     if not isinstance(e, Ap):
         return e

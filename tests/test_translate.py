@@ -2,8 +2,13 @@ import pytest
 
 from purify.check import TypeEnv, typecheck
 from purify.metrics import span, work
-from purify.propcheck import GenConfig, default_signature, gen_term
-from purify.semantics import actions_agree, builtin_monads, evaluate, make_const_env
+from purify.propcheck import (
+    GenConfig, Unsatisfiable, _gen_plain, _sub_seed, default_signature, gen_term,
+)
+from purify.semantics import (
+    REIFIED, VEff, actions_agree, builtin_monads, evaluate, make_const_env,
+    mixed_order_writer, value_eq_for,
+)
 from purify.terms import (
     App, Ap, COM, Const, ConstDecl, ConstKind, Each, Eff, FreshNames, Join, Lam, Lit,
     Map, Prd, Pure, SRC, STR, Signature, TGT, Term, Var, alpha_eq,
@@ -304,35 +309,6 @@ def test_normalize_associativity_flattens_nested_binds():
     assert span(out, sig) <= span(t, sig) and work(out, sig) <= work(t, sig)
 
 
-def test_reassoc_flag():
-    from purify.terms import Arrow
-    sig = Signature([
-        ConstDecl("acts", Eff(Arrow(STR, STR)), ConstKind.EFFECTFUL),
-        ConstDecl("bops", Eff(Arrow(STR, STR)), ConstKind.EFFECTFUL),
-        ConstDecl("vals", Eff(STR), ConstKind.EFFECTFUL),
-    ])
-    env = TypeEnv(sig)
-    t = Ap(_tgt("acts"), Ap(_tgt("bops"), _tgt("vals"), label=TGT), label=TGT)
-    typecheck(t, TGT, env)
-    assert normalize(t) == t  # off by default
-    out = normalize(t, reassoc=True)
-    typecheck(out, TGT, env)
-    assert isinstance(out, Ap) and isinstance(out.fun, Ap)
-    for m in builtin_monads():
-        cenv = make_const_env(sig, m)
-        a = evaluate(t, TGT, m, cenv).action
-        b = evaluate(out, TGT, m, cenv).action
-        assert actions_agree(STR, m, a, b), m.name
-
-
-def test_reassoc_needs_the_checker_stamps():
-    """Reassociation types its composition lambdas from the stamps, so on a
-    term never checked it does not fire."""
-    t = Ap(_tgt("acts"), Ap(_tgt("bops"), _tgt("vals"), label=TGT), label=TGT)
-    assert t.ty is None and t.arg.ty is None
-    assert normalize(t, reassoc=True) == normalize(t) == t
-
-
 def test_normalize_is_sound_on_translations(two_chains):
     sig, body = two_chains
     env = TypeEnv(sig)
@@ -349,6 +325,31 @@ def test_normalize_is_sound_on_translations(two_chains):
             a = evaluate(out, TGT, m, cenv).action
             b = evaluate(n, TGT, m, cenv).action
             assert actions_agree(src_ty, m, a, b), (m.name, translate.__name__)
+
+
+@pytest.mark.parametrize("depth, seed", [(5, 41), (6, 51)])
+def test_translations_under_the_order_flipped_writer(depth, seed):
+    """writer-rtl runs an Ap's argument before its function: the translations
+    that keep Ap nodes agree with the source under it, and the do-notation
+    baseline, which runs every effect left to right, does not."""
+    sig, m = default_signature(), mixed_order_writer()
+    consts = make_const_env(sig, REIFIED)
+    translations = {
+        "opt": opt_translate, "naive": naive_translate,
+        "normalize(opt)": lambda t: normalize(opt_translate(t)), "seq": seq_translate,
+    }
+    disagree = dict.fromkeys(translations, 0)
+    for i in range(1_000):
+        try:
+            t = _gen_plain(GenConfig(depth, _sub_seed(seed, i), sig, SRC), i)
+        except Unsatisfiable:
+            continue
+        eq = value_eq_for(Eff(t.ty), m)
+        src = VEff(evaluate(t, SRC, REIFIED, consts))
+        for name, translate in translations.items():
+            disagree[name] += not eq(evaluate(translate(t), TGT, REIFIED, consts), src)
+    assert disagree["seq"] > 0
+    assert disagree == {"opt": 0, "naive": 0, "normalize(opt)": 0, "seq": disagree["seq"]}
 
 
 def test_optimized_output_is_mostly_normal_with_known_exception():
@@ -403,7 +404,7 @@ def test_a_rule_that_keeps_firing_at_one_node_exhausts_the_fuel(monkeypatch):
     t = Pure(Lit("a", label=COM), label=TGT)  # 2 nodes: at most 3,000 firings
     fired = []
 
-    def stuck(e, reassoc, fresh):
+    def stuck(e, fresh):
         fired.append(e)
         if len(fired) > 10 * 3_000:
             raise Hung
@@ -419,7 +420,7 @@ def test_passes_that_keep_firing_exhaust_the_pass_bound(monkeypatch):
     fixed point; the pass bound stops the loop."""
     t = Pure(Lit("a", label=COM), label=TGT)  # 2 nodes: at most 12 passes
     monkeypatch.setattr("purify.translate._sweep",
-                        lambda e, reassoc, fresh, fired, cap: (e, fired + 1))
+                        lambda e, fresh, fired, cap: (e, fired + 1))
     with pytest.raises(FuelExhausted) as ei:
         normalize(t)
     assert str(ei.value) == "normalize did not reach a fixed point within 12 passes"
