@@ -30,8 +30,8 @@ from .semantics import (
 from .terms import (
     App, Ap, Arrow, COM, Const, ConstDecl, ConstKind, Each, Eff, FreshNames, Fst,
     Join, Label, Lam, Lit, Map, Prd, Prod, Pure, PurifyError, SRC, STR, Signature,
-    Snd, Str, TGT, Term, Ty, UNIT, Unit, Unt, Var, is_effect_free, relabel,
-    size, slot_dict, subterms, type_name,
+    Snd, Str, TGT, Term, Ty, UNIT, Unit, Unt, Var, children, is_effect_free,
+    relabel, slot_dict, subterms, type_name,
 )
 from .translate import normalize, opt_translate, seq_translate, smart_ap, smart_join
 
@@ -421,10 +421,13 @@ def shrink(term: Term, label: Label, sig: Signature,
     improved = True
     while improved:
         improved = False
-        candidates = sorted(
-            (s for s in subterms(current) if s is not current),
-            key=size,
-        )
+        # preorder, then a stable sort by size; the sizes come from one pass in
+        # reverse preorder, which meets every node after its children
+        nodes = list(subterms(current))
+        sizes: dict[int, int] = {}
+        for t in reversed(nodes):
+            sizes[id(t)] = 1 + sum(sizes[id(k)] for k in children(t))
+        candidates = sorted(nodes[1:], key=lambda s: sizes[id(s)])
         for cand in candidates:
             if not well_typed(cand):
                 continue

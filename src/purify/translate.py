@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 from .terms import (
     App, Ap, COM, Const, Each, FreshNames, Fst, Join, Label, Lam, Lit, Map,
-    NotCommon, Prd, Pure, PurifyError, Snd, TGT, Term, Unt, Var, children,
+    NotCommon, Prd, Pure, PurifyError, Snd, TGT, Term, Ty, Unt, Var, children,
     _relabel, relabel, replace_children, size,
 )
 
@@ -89,15 +89,23 @@ def _translate(
             # its parameter type from the checked source
             x, y = fresh.fresh(), fresh.fresh()
             pair = Prd(Var(x, label=COM), Var(y, label=COM), label=COM)
-            lift = Lam(x, Lam(y, pair, t.snd.ty, label=COM), t.fst.ty, label=COM)
+            lift = Lam(x, Lam(y, pair, _stamp(t.snd), label=COM), _stamp(t.fst), label=COM)
             return ap(ap(Pure(lift, label=TGT), go(t.fst)), go(t.snd))
         if k is Fst or k is Snd:
             x = fresh.fresh()
-            lift = Lam(x, k(Var(x, label=COM), label=COM), t.pair.ty, label=COM)
+            lift = Lam(x, k(Var(x, label=COM), label=COM), _stamp(t.pair), label=COM)
             return ap(Pure(lift, label=TGT), go(t.pair))
         raise PurifyError(f"not a source term former: {k.__name__}")
 
     return go(e)
+
+
+def _stamp(t: Term) -> Ty:
+    """The type the checker stamped on ``t``, which a lift lambda carries."""
+    if t.ty is None:
+        raise PurifyError("translate needs a typechecked source term:"
+                          f" a {type(t).__name__} has no type")
+    return t.ty
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from purify import metrics, propcheck
+from purify import metrics, propcheck, terms
 from purify.check import TypeEnv, typecheck
 from purify.metrics import span, span_work, work
 from purify.pretty import pretty
@@ -177,6 +177,36 @@ def test_shrinking_soundness():
         if size(small) < size(t):
             shrunk_any = True
     assert shrunk_any
+
+
+def test_a_shrink_round_sizes_its_candidates_in_one_pass(monkeypatch):
+    sig, t = parse_and_elaborate(
+        "prim concat : Str -> Str -> Str\neffect fetch : Str -> Eff Str\n"
+        'purify { ((fetch(fetch("a")!)! ++ "b", (fetch("c")!, ())),'
+        ' fetch("d" ++ fetch("e")!)!).1 }'
+    )
+    # a round offers the proper subterms that typecheck, in preorder, stably
+    # sorted by size
+    expected = []
+    for s in sorted(list(subterms(t))[1:], key=size):
+        try:
+            typecheck(s, SRC, TypeEnv(sig))
+            expected.append(s)
+        except PurifyError:
+            pass
+    calls = []
+
+    def counted(e):
+        calls.append(e)
+        return size(e)
+
+    monkeypatch.setattr(terms, "size", counted)
+    monkeypatch.setattr(propcheck, "size", counted, raising=False)
+    offered = []
+    assert shrink(t, SRC, sig, lambda s: offered.append(s)) is t
+    assert calls == []
+    assert len(offered) == len(expected) > 20
+    assert all(a is b for a, b in zip(offered, expected))
 
 
 def _doubled_ap(f, e, fresh):

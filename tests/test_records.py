@@ -1,5 +1,7 @@
 """Records are plain slotted classes that behave as the dataclasses they
 replaced, and importing purify loads neither ``dataclasses`` nor ``inspect``.
+The package namespace is lazy: each layer is loaded at the first use of one
+of its names, and every name resolves to the layer's own object.
 
 The reprs and the two digests below were recorded from the dataclass terms.
 ``unknown term`` diagnostics print a term's repr, so it must not change.
@@ -28,13 +30,80 @@ from purify.terms import (
 )
 
 
-def test_import_loads_neither_dataclasses_nor_inspect():
-    code = ("import sys, purify, purify.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+def _fresh(code: str) -> str:
+    """What ``code`` prints in a fresh interpreter that imports this purify."""
     src = os.path.dirname(os.path.dirname(purify.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    code = ("import sys, purify, purify.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    assert _fresh(code) == "[]"
+
+
+# what a caller does after ``import purify`` -> the layers that must stay unloaded
+LAZY_PATHS = {
+    "bare import": ("pass", {"check", "surface", "translate", "semantics", "metrics",
+                         "propcheck", "cli"}),
+    "parse and run": ("sig, _ = purify.parse_and_elaborate('effect f : Eff Str\\n"
+                      "purify { f! }'); [purify.make_const_env(sig, m) "
+                      "for m in purify.builtin_monads()]", {"propcheck", "translate", "cli"}),
+    "generator": ("purify.default_signature()", {"surface", "cli"}),
+    "a layer as an attribute": ("purify.metrics.span_work",
+                                {"check", "surface", "translate", "propcheck", "cli"}),
+}
+
+
+@pytest.mark.parametrize("path", LAZY_PATHS)
+def test_import_loads_only_the_layers_a_caller_uses(path):
+    code, unloaded = LAZY_PATHS[path]
+    loaded = _fresh(f"import sys, purify; {code}; "
+                    "print(' '.join(m[7:] for m in sys.modules if m.startswith('purify.')))")
+    assert {"terms", "pretty"} <= set(loaded.split())
+    assert set(loaded.split()) & unloaded == set()
+
+
+# the names ``import purify`` exported when it imported every layer
+EXPORTED = """
+ABSENT Ap App Arrow COM Const ConstDecl ConstEnv ConstKind DuplicateDecl Each Eff
+FreshNames Fst FuelExhausted GenConfig Join Label LabelMismatch Lam LawReport
+LetTooEffectful Lit Map MarkUnderLambda MonadDict NotCommon ParseError Prd Prod Pure
+PurifyError SRC STR SUITE_NAMES Signature Snd Str SuiteReport SurfaceProgram TGT Term
+TraceDag Ty TypeCheckError TypeEnv TypeMismatch UNIT UnboundName Unit UnknownEffect
+Unsatisfiable Unt VEff VUNIT Var actions_agree alpha_eq builtin_monads check_laws
+dag_iso default_signature dyn_span dyn_work elaborate evaluate gen_term is_effect_free
+make_const_env mixed_order_writer naive_translate normalize opt_translate option_monad
+parse parse_and_elaborate parse_target_expr pretty pretty_program relabel render_value
+run_suite seq_translate shrink simulate_latency size smart_ap smart_join span span_work
+state_monad subterms to_dot trace_monad type_name typecheck value_eq_for work
+writer_monad
+""".split()
+
+
+def test_every_exported_name_is_its_layers_object():
+    assert len(EXPORTED) == 99 and sorted(purify.__all__) == EXPORTED
+    assert set(EXPORTED) <= set(dir(purify))
+    for name in EXPORTED:
+        layer = importlib.import_module(f"purify.{purify._OWNER[name]}")
+        assert getattr(purify, name) is getattr(layer, name), name
+    star: dict = {}
+    exec("from purify import *", star)
+    assert set(star) - {"__builtins__"} == set(EXPORTED)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        purify.no_such_name
+    with pytest.raises(ImportError):
+        exec("from purify import no_such_name", {})
+
+
+def test_pretty_is_the_printer_whichever_layer_loads_it_first():
+    for first in ("import purify.propcheck", "import purify.pretty",
+                  "from purify import default_signature; default_signature()"):
+        code = (f"import sys; {first}; import purify; from purify import pretty; "
+                "print(pretty is purify.pretty is sys.modules['purify.pretty'].pretty)")
+        assert _fresh(code) == "True", first
 
 
 def test_no_class_in_purify_is_a_dataclass():

@@ -11,7 +11,7 @@ from purify.semantics import (
 )
 from purify.terms import (
     App, Ap, COM, Const, ConstDecl, ConstKind, Each, Eff, FreshNames, Join, Lam, Lit,
-    Map, Prd, Pure, SRC, STR, Signature, TGT, Term, Var, alpha_eq,
+    Map, Prd, Pure, PurifyError, SRC, STR, Signature, TGT, Term, Var, alpha_eq,
     is_effect_free, subterms,
 )
 from purify.translate import (
@@ -120,6 +120,20 @@ def test_type_preservation_all_modes():
         for translate in (opt_translate, naive_translate, seq_translate):
             out = translate(t)
             assert typecheck(out, TGT, env) == Eff(src_ty)
+
+
+@pytest.mark.parametrize("translate", [opt_translate, naive_translate],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("program", ['(fetch("a")!, fetch("b")!).1', '(fetch("a")!, "b")',
+                                     '(fun p -> p.2 : (Str, Str) -> Str)(("a", fetch("b")!))'])
+def test_translating_an_unchecked_pair_is_a_diagnostic(translate, program):
+    # the pair and projection lift lambdas carry the checker's type stamps
+    from purify import parse_and_elaborate
+    sig, body = parse_and_elaborate(f"effect fetch : Str -> Eff Str\npurify {{ {program} }}")
+    with pytest.raises(PurifyError, match="^translate needs a typechecked source term"):
+        translate(body)
+    src_ty = typecheck(body, SRC, TypeEnv(sig))
+    assert typecheck(translate(body), TGT, TypeEnv(sig)) == Eff(src_ty)
 
 
 # ---------------------------------------------------------------------------

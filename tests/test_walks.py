@@ -391,6 +391,7 @@ def test_marked_prim_actions_match_the_reference(program):
         "effect fetch : Str -> Eff Str\nprim k : Eff Str\nprim p : Str -> Eff Str\n"
         f"purify {{ {program} }}"
     )
+    typecheck(body, SRC, TypeEnv(sig))  # the translations read its type stamps
     opt = opt_translate(body)
     for t in (body, opt, naive_translate(body), seq_translate(body), normalize(opt)):
         assert span(t, sig) == _ref_measure(t, sig, max), pretty(t)
