@@ -293,16 +293,16 @@ def simulate_latency(d: TraceDag, latencies: dict[str, float]) -> float:
     return float(_fold(d.tree, cost, operator.add, max) or 0)
 
 
-def _canonical(tree: Trace, table: dict) -> int:
+def _canonical(tree: Trace, table: dict, ordered: bool) -> int:
     """Id in ``table`` of the canonical form of ``tree``: nested Seq and Par
-    flattened, Par children sorted.  Two series-parallel traces are
-    isomorphic exactly when their canonical forms are equal (Valdes, Tarjan
-    & Lawler 1982), and equal forms get equal ids in one table."""
+    flattened, Par children sorted unless ``ordered``.  Two series-parallel
+    traces are isomorphic exactly when their canonical forms are equal
+    (Valdes, Tarjan & Lawler 1982), and equal forms get equal ids in one table."""
     def close(v) -> int:
         kind, parts = v
         if kind is Leaf:
             return parts
-        key = (kind, tuple(parts) if kind is Seq else tuple(sorted(parts)))
+        key = (kind, tuple(parts) if kind is Seq or ordered else tuple(sorted(parts)))
         return table.setdefault(key, len(table))
 
     def flatten(kind):
@@ -322,12 +322,13 @@ def _canonical(tree: Trace, table: dict) -> int:
     return close(_fold(tree, leaf, flatten(Seq), flatten(Par)))
 
 
-def dag_iso(a: TraceDag, b: TraceDag) -> bool:
-    """Isomorphism respecting effect names, argument labels and edges."""
+def dag_iso(a: TraceDag, b: TraceDag, ordered: bool = False) -> bool:
+    """Isomorphism respecting effect names, argument labels and edges; if
+    ``ordered``, also the left-to-right order of each Par's children."""
     if a.tree is None or b.tree is None:
         return a.tree is b.tree
     table: dict = {}
-    return _canonical(a.tree, table) == _canonical(b.tree, table)
+    return _canonical(a.tree, table, ordered) == _canonical(b.tree, table, ordered)
 
 
 def to_dot(d: TraceDag) -> str:

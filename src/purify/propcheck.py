@@ -6,10 +6,13 @@ generated term typechecks at its label.  Effectful constants only appear
 in saturated calls: under an Each at source, as embedded calls or Pure
 payloads at target.  Failures are minimized by greedy subterm shrinking.
 
-Checks are built from five steps: ``span_work``, ``_mistyped`` (an output's
-type against the expected one, before any cost or evaluation), ``_disagrees``
-(the first monad under which two values differ), ``_translation`` and
-``_rewrite``, which also holds a rewritten action's static cost to its trace.
+Checks are built from six steps: ``span_work``, ``_mistyped`` (an output's
+type against the expected one, before any cost or evaluation), ``_agreeing``
+(each side evaluated and run once, under the ordered monad, whose agreement
+implies every builtin monad's), ``_disagrees`` (the first monad under which
+two values differ, asked only when the ordered monad tells them apart),
+``_translation`` and ``_rewrite``, which also holds a rewritten action's
+static cost to its trace.
 A translation keeps the source's span and work exactly (``span_work``).  A
 check that raises an ``Exception`` fails: its term is shrunk and reported.
 """
@@ -21,11 +24,14 @@ import random
 from typing import Callable, Iterable, Optional, Sequence
 
 from .check import TypeEnv, typecheck
-from .metrics import dyn_span, dyn_work, span_work
+from .metrics import (
+    TraceDag, dag_iso, dyn_span, dyn_work, empty_dag, parallel_compose, sequential_compose,
+    single_effect, span_work,
+)
 from .pretty import pretty
 from .semantics import (
-    REIFIED, ConstEnv, MonadDict, VEff, builtin_monads, check_laws,
-    evaluate, make_const_env, run, value_eq_for, _as_action,
+    REIFIED, ConstEnv, MonadDict, VEff, base_value_eq, builtin_monads, check_laws,
+    evaluate, make_const_env, run, seed_value, value_eq_for, _as_action,
 )
 from .terms import (
     App, Ap, Arrow, COM, Const, ConstDecl, ConstKind, Each, Eff, FreshNames, Fst,
@@ -471,19 +477,25 @@ def _sub_seed(seed: int, i: int) -> int:
 
 
 class _Ctx:
-    """What a suite check needs besides its term.  Terms are evaluated once,
-    under ``REIFIED``, and run under each monad."""
+    """What a suite check needs besides its term.  The constants under the
+    ordered monad are built at once; those under ``REIFIED`` (``consts``) at
+    first use, by a check whose sides the ordered monad tells apart."""
 
-    __slots__ = ("sig", "env_t", "monads", "consts")
+    __slots__ = ("sig", "env_t", "monads", "ordered_consts", "_consts")
 
-    def __init__(self, sig: Signature, env_t: TypeEnv, monads: dict[str, MonadDict],
-                 consts: ConstEnv):
-        self.sig, self.env_t, self.monads, self.consts = sig, env_t, monads, consts
+    def __init__(self, sig: Signature, env_t: TypeEnv, monads: dict[str, MonadDict]):
+        self.sig, self.env_t, self.monads = sig, env_t, monads
+        self.ordered_consts, self._consts = make_const_env(sig, _IN_ORDER), None
 
     @classmethod
     def of(cls, sig: Signature) -> _Ctx:
-        monads = {m.name: m for m in builtin_monads()}
-        return cls(sig, TypeEnv(sig), monads, make_const_env(sig, REIFIED))
+        return cls(sig, TypeEnv(sig), {m.name: m for m in builtin_monads()})
+
+    @property
+    def consts(self) -> ConstEnv:
+        if self._consts is None:
+            self._consts = make_const_env(self.sig, REIFIED)
+        return self._consts
 
 
 # -- generators: (trial config, trial index) -> a checked term --------------
@@ -530,9 +542,77 @@ def _term_ty(c: _Ctx, term: Term, label: Label) -> Ty:
 _UNTRACED = ("option", "state", "writer")  # trace would see seq_translate's lost parallelism
 
 
+def _ordered_monad(shape: bool) -> MonadDict:
+    """The ordered monad, run by the suites only.  An action maps a position
+    ``s`` to a trace action and the next position: the call at ``s`` returns
+    what state's returns there, ``tag@s``, and adds its leaf; ``ap`` runs the
+    function, then the argument, and composes them under ``Par``, ``bind``
+    under ``Seq``.  ``run_eq`` runs both actions from 0 and compares results,
+    final positions and the leaves in order or, if ``shape``, the trace
+    flattened by associativity with each Par's order kept."""
+    def pure(v):
+        return lambda s: (empty_dag(v), s)
+
+    def map_(f, a):
+        def act(s):
+            d, s = a(s)
+            return TraceDag(d.tree, f(d.result)), s
+        return act
+
+    def ap(af, ax):
+        def act(s):
+            df, s = af(s)
+            dx, s = ax(s)
+            return parallel_compose(df, dx, df.result(dx.result)), s
+        return act
+
+    def bind(k, a):
+        def act(s):
+            d, s = a(s)
+            d2, s = k(d.result)(s)
+            return sequential_compose(d, d2, d2.result), s
+        return act
+
+    def effect(name, result_ty, behavior):
+        return lambda args, tag, result: lambda s: (
+            single_effect(name, args, seed_value(result_ty, f"{tag}@{s}", m)), s + 1)
+
+    def run_eq(a, b, value_eq=base_value_eq):
+        (da, sa), (db, sb) = a(0), b(0)
+        if sa != sb or not value_eq(da.result, db.result):
+            return False
+        return dag_iso(da, db, ordered=True) if shape else \
+            [(n.effect, n.arg) for n in da.nodes] == [(n.effect, n.arg) for n in db.nodes]
+
+    m = MonadDict("ordered", pure, map_, ap, bind, run_eq, effect, None, ("value",))
+    return m
+
+
+_IN_ORDER, _IN_SHAPE = _ordered_monad(False), _ordered_monad(True)
+
+
+def _agreeing(c: _Ctx, ty: Ty, sides: Callable, view: MonadDict) -> Optional[tuple]:
+    """The two values of type ``ty`` that ``sides(monad, consts)`` evaluates
+    under the ordered monad, or None when ``view`` tells them apart or
+    evaluating or running them raises an ``Exception``."""
+    try:
+        a, b = sides(view, c.ordered_consts)
+        return (a, b) if value_eq_for(ty, view)(a, b) else None
+    except Exception:
+        return None
+
+
 def _disagrees(c: _Ctx, ty: Ty, a: object, b: object, monads: Iterable[str]) -> Optional[str]:
     """The first of ``monads`` (names) under which two ``REIFIED`` values of
-    type ``ty`` differ, as a failure detail."""
+    type ``ty`` differ, as a failure detail.
+
+    A check calls it only when the ordered monad tells its sides apart
+    (``_agreeing``), since every builtin monad's observation is a function of
+    the ordered one: state's from start ``s0`` shifts every ``@p`` by ``s0``;
+    option, writer and trace erase the ``@p`` suffixes; writer reads its log
+    off the leaves in order (writer-rtl with each Par reversed); trace
+    canonicalizes the tree.  This holds while ``@`` occurs in no literal,
+    constant name or tag, so that each ``@`` in a value is a position."""
     name = next((n for n in monads if not value_eq_for(ty, c.monads[n])(a, b)), None)
     return name and f"disagrees under {name}"
 
@@ -543,16 +623,22 @@ def _mistyped(c: _Ctx, out: Term, ty: Ty) -> Optional[str]:
     return None if got is ty else f"expected {type_name(ty)}, got {type_name(got)}"
 
 
-def _translation(translate: Callable[[Term], Term], monads: Iterable[str]) -> _Check:
+def _translation(translate: Callable[[Term], Term], monads: tuple[str, ...]) -> _Check:
     """A check that ``translate(term)`` checks at ``Eff`` of the term's type and
     agrees with ``term`` under ``monads``; with no monads it evaluates nothing."""
+    view = _IN_SHAPE if "trace" in monads else _IN_ORDER
+
     def check(c: _Ctx, term: Term) -> Optional[str]:
         ty = Eff(_term_ty(c, term, SRC))
         out = translate(term)
         if (detail := _mistyped(c, out, ty)) or not monads:
             return detail
-        b = VEff(evaluate(term, SRC, REIFIED, c.consts))
-        return _disagrees(c, ty, evaluate(out, TGT, REIFIED, c.consts), b, monads)
+
+        def sides(m: MonadDict, consts: ConstEnv) -> tuple:
+            return evaluate(out, TGT, m, consts), VEff(evaluate(term, SRC, m, consts))
+        if _agreeing(c, ty, sides, view):
+            return None
+        return _disagrees(c, ty, *sides(REIFIED, c.consts), monads)
     return check
 
 
@@ -567,13 +653,18 @@ def _rewrite(c: _Ctx, term: Term, label: Label, out: Term, cost: tuple[int, int]
     s, w = span_work(out, c.sig)
     if s > cost[0] or w > cost[1]:
         return f"span {cost[0]}->{s}, work {cost[1]}->{w}"
-    a, b = evaluate(out, TGT, REIFIED, c.consts), evaluate(term, label, REIFIED, c.consts)
-    if type(ty) is not Eff:
-        return _disagrees(c, ty, a, b, c.monads)
-    d = run(c.monads["trace"], _as_action(a))  # run once, for meaning and for cost
-    detail = _disagrees(c, ty, a, b, _UNTRACED) or _disagrees(c, ty, VEff(d), b, ("trace",))
-    if detail or (dyn_span(d), dyn_work(d)) == (s, w):
-        return detail
+
+    def sides(m: MonadDict, consts: ConstEnv) -> tuple:
+        return evaluate(out, TGT, m, consts), evaluate(term, label, m, consts)
+    if agreed := _agreeing(c, ty, sides, _IN_SHAPE):
+        d = agreed[0].action(0)[0] if type(ty) is Eff else None  # the same tree as trace's
+    else:
+        a, b = sides(REIFIED, c.consts)
+        if (detail := _disagrees(c, ty, a, b, c.monads)) or type(ty) is not Eff:
+            return detail
+        d = run(c.monads["trace"], _as_action(a))
+    if d is None or (dyn_span(d), dyn_work(d)) == (s, w):
+        return None
     return f"static span/work {s}/{w} of the rewrite, trace {dyn_span(d)}/{dyn_work(d)}"
 
 

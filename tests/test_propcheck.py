@@ -274,7 +274,8 @@ def _reparse(text, label, sig):
     return body if label is SRC else relabel(body, COM)
 
 
-@pytest.mark.parametrize("suite, depth, seed, trials, target, wrong", [
+# (suite, depth, seed, trials, the name a fault rebinds under ``purify``, the fault)
+FAULT_ROWS = [
     ("smart_ctors", 4, 61, 40, "propcheck.smart_ap", _doubled_ap),
     ("normalize", 5, 101, 100, "propcheck.normalize", _swapped_normalize),
     ("types", 6, 31, 60, "propcheck.opt_translate", _fst_as_snd),
@@ -284,7 +285,10 @@ def _reparse(text, label, sig):
     ("relabel", 5, 71, 60, "propcheck.relabel", _swapped_relabel),
     ("effect_free", 5, 71, 60, "propcheck.span_work", _constants_cost),
     ("baseline", 5, 81, 60, "translate._build_chain", _reversed_chain),
-])
+]
+
+
+@pytest.mark.parametrize("suite, depth, seed, trials, target, wrong", FAULT_ROWS)
 def test_suites_shrink_failures(monkeypatch, suite, depth, seed, trials, target, wrong):
     """An injected fault, whether its check returns a detail or raises, is
     reported with a shrunk term that still fails.  A translation that changes
@@ -550,9 +554,9 @@ def test_scanned_draws_see_a_dropped_declaration(monkeypatch, lookup, dropped):
 @pytest.mark.parametrize("suite", ["semantics", "smart_ctors", "relabel", "normalize",
                                    "baseline", "types"])
 def test_each_check_evaluates_each_side_once(monkeypatch, suite):
-    """A check evaluates its two terms once each and runs the results under
-    every monad, instead of evaluating them again per monad; ``types``
-    compares types only and evaluates nothing."""
+    """A check evaluates its two terms once each, under the ordered monad,
+    whose one run per side decides what every monad it names decides;
+    ``types`` compares types only and evaluates nothing."""
     calls = []
     evaluate = propcheck.evaluate
     monkeypatch.setattr(propcheck, "evaluate", lambda *a: calls.append(a) or evaluate(*a))
@@ -568,6 +572,21 @@ def test_each_check_evaluates_each_side_once(monkeypatch, suite):
     monkeypatch.setitem(propcheck._TERM_SUITES, suite, (label, generate, counted))
     rep = run_suite(suite, GenConfig(max_depth=5, seed=17), 40)
     assert rep.all_passed and per_check and set(per_check) == {0 if suite == "types" else 2}
+
+
+def test_a_trial_the_ordered_monad_tells_apart_is_compared_per_monad(monkeypatch):
+    """Two ordered evaluations tell the sides apart; two ``REIFIED`` ones then
+    name the first monad under which they differ, as before the ordered
+    monad: a pair swapped in the translation of ``(probe!, probe!)`` only
+    changes state's results."""
+    sig, term = parse_and_elaborate("effect probe : Eff Str\npurify { (probe!, probe!) }")
+    typecheck(term, SRC, TypeEnv(sig))
+    monkeypatch.setattr(propcheck, "opt_translate", _swapped_opt)
+    used = []
+    evaluate = propcheck.evaluate
+    monkeypatch.setattr(propcheck, "evaluate", lambda *a: used.append(a[2].name) or evaluate(*a))
+    assert propcheck._check_semantics(propcheck._Ctx.of(sig), term) == "disagrees under state"
+    assert used == ["ordered", "ordered", "reified", "reified"]
 
 
 def test_types_suite_typechecks_each_term_once(monkeypatch):
