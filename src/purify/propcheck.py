@@ -10,7 +10,8 @@ Checks are built from six steps: ``span_work``, ``_mistyped`` (an output's
 type against the expected one, before any cost or evaluation), ``_agreeing``
 (each side evaluated and run once, under the ordered monad, whose agreement
 implies every builtin monad's), ``_disagrees`` (the first monad under which
-two values differ, asked only when the ordered monad tells them apart),
+the two sides, evaluated again under it, differ: asked only when the ordered
+monad tells them apart),
 ``_translation`` and ``_rewrite``, which also holds a rewritten action's
 static cost to its trace.
 A translation keeps the source's span and work exactly (``span_work``).  A
@@ -30,8 +31,8 @@ from .metrics import (
 )
 from .pretty import pretty
 from .semantics import (
-    REIFIED, ConstEnv, MonadDict, VEff, base_value_eq, builtin_monads, check_laws,
-    evaluate, make_const_env, run, seed_value, value_eq_for, _as_action,
+    ConstEnv, MonadDict, VEff, base_value_eq, builtin_monads, check_laws, evaluate,
+    make_const_env, seed_value, value_eq_for,
 )
 from .terms import (
     App, Ap, Arrow, COM, Const, ConstDecl, ConstKind, Each, Eff, FreshNames, Fst,
@@ -478,24 +479,24 @@ def _sub_seed(seed: int, i: int) -> int:
 
 class _Ctx:
     """What a suite check needs besides its term.  The constants under the
-    ordered monad are built at once; those under ``REIFIED`` (``consts``) at
-    first use, by a check whose sides the ordered monad tells apart."""
+    ordered monad are built at once; those under a builtin monad
+    (``consts(name)``) at first use, by a check whose sides the ordered monad
+    tells apart."""
 
     __slots__ = ("sig", "env_t", "monads", "ordered_consts", "_consts")
 
     def __init__(self, sig: Signature, env_t: TypeEnv, monads: dict[str, MonadDict]):
         self.sig, self.env_t, self.monads = sig, env_t, monads
-        self.ordered_consts, self._consts = make_const_env(sig, _IN_ORDER), None
+        self.ordered_consts, self._consts = make_const_env(sig, _IN_ORDER), {}
 
     @classmethod
     def of(cls, sig: Signature) -> _Ctx:
         return cls(sig, TypeEnv(sig), {m.name: m for m in builtin_monads()})
 
-    @property
-    def consts(self) -> ConstEnv:
-        if self._consts is None:
-            self._consts = make_const_env(self.sig, REIFIED)
-        return self._consts
+    def consts(self, name: str) -> ConstEnv:
+        if name not in self._consts:
+            self._consts[name] = make_const_env(self.sig, self.monads[name])
+        return self._consts[name]
 
 
 # -- generators: (trial config, trial index) -> a checked term --------------
@@ -602,9 +603,9 @@ def _agreeing(c: _Ctx, ty: Ty, sides: Callable, view: MonadDict) -> Optional[tup
         return None
 
 
-def _disagrees(c: _Ctx, ty: Ty, a: object, b: object, monads: Iterable[str]) -> Optional[str]:
-    """The first of ``monads`` (names) under which two ``REIFIED`` values of
-    type ``ty`` differ, as a failure detail.
+def _disagrees(c: _Ctx, ty: Ty, sides: Callable, monads: Iterable[str]) -> Optional[str]:
+    """The first of ``monads`` (names) under which the two values of type
+    ``ty`` that ``sides(monad, consts)`` returns differ, as a failure detail.
 
     A check calls it only when the ordered monad tells its sides apart
     (``_agreeing``), since every builtin monad's observation is a function of
@@ -613,8 +614,11 @@ def _disagrees(c: _Ctx, ty: Ty, a: object, b: object, monads: Iterable[str]) -> 
     off the leaves in order (writer-rtl with each Par reversed); trace
     canonicalizes the tree.  This holds while ``@`` occurs in no literal,
     constant name or tag, so that each ``@`` in a value is a position."""
-    name = next((n for n in monads if not value_eq_for(ty, c.monads[n])(a, b)), None)
-    return name and f"disagrees under {name}"
+    for name in monads:
+        m = c.monads[name]
+        if not value_eq_for(ty, m)(*sides(m, c.consts(name))):
+            return f"disagrees under {name}"
+    return None
 
 
 def _mistyped(c: _Ctx, out: Term, ty: Ty) -> Optional[str]:
@@ -638,7 +642,7 @@ def _translation(translate: Callable[[Term], Term], monads: tuple[str, ...]) -> 
             return evaluate(out, TGT, m, consts), VEff(evaluate(term, SRC, m, consts))
         if _agreeing(c, ty, sides, view):
             return None
-        return _disagrees(c, ty, *sides(REIFIED, c.consts), monads)
+        return _disagrees(c, ty, sides, monads)
     return check
 
 
@@ -658,11 +662,10 @@ def _rewrite(c: _Ctx, term: Term, label: Label, out: Term, cost: tuple[int, int]
         return evaluate(out, TGT, m, consts), evaluate(term, label, m, consts)
     if agreed := _agreeing(c, ty, sides, _IN_SHAPE):
         d = agreed[0].action(0)[0] if type(ty) is Eff else None  # the same tree as trace's
+    elif (detail := _disagrees(c, ty, sides, c.monads)) or type(ty) is not Eff:
+        return detail
     else:
-        a, b = sides(REIFIED, c.consts)
-        if (detail := _disagrees(c, ty, a, b, c.monads)) or type(ty) is not Eff:
-            return detail
-        d = run(c.monads["trace"], _as_action(a))
+        d = evaluate(out, TGT, c.monads["trace"], c.consts("trace")).action
     if d is None or (dyn_span(d), dyn_work(d)) == (s, w):
         return None
     return f"static span/work {s}/{w} of the rewrite, trace {dyn_span(d)}/{dyn_work(d)}"

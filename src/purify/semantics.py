@@ -10,8 +10,8 @@ the translation keeps Ap nodes instead of lowering them to binds.  Each
 monad's constructor is the one place that defines its behaviour, including
 what one effect call does, which behavior kinds a config may give it and
 what ``purify run`` reports; ``check_laws`` samples its actions from that
-same effect call, and ``BEHAVIOR_KINDS`` is the union of the kinds.  The
-suites evaluate a term once, under ``REIFIED``, and ``run`` it under each monad.
+same effect call, and ``BEHAVIOR_KINDS`` is the union of the kinds.  Every
+caller, ``purify run`` and the suites alike, evaluates a term under one monad.
 
 Guest values are host data, as in a definitional interpreter: a Str is a
 ``str``, unit ``()``, a pair a 2-tuple and a function a Python callable.
@@ -409,89 +409,6 @@ def make_const_env(sig: Signature, m: MonadDict,
 
 
 # ---------------------------------------------------------------------------
-# Reified actions
-# ---------------------------------------------------------------------------
-# REIFIED evaluates to a monad-independent action tree (the free/freer
-# structure of Capriotti & Kaposi 2014 and Kiselyov & Ishii 2015), applying
-# the identity laws as it builds; ``run`` folds it into any monad's action.
-# A node's ``fun`` is a function (AMap), an action of one (AAp) or a continuation (ABind).
-
-class APure:
-    __slots__ = ("value",)
-
-    def __init__(self, value: object):
-        self.value = value
-
-
-class AEffect:
-    __slots__ = ("const", "call")
-
-    def __init__(self, const: tuple, call: tuple):  # the arguments of ``MonadDict.effect``
-        self.const, self.call = const, call         # and of the call it returns
-
-
-class AMap:
-    __slots__ = ("fun", "arg")
-
-    def __init__(self, fun, arg):
-        self.fun, self.arg = fun, arg
-
-
-class AAp:
-    __slots__ = ("fun", "arg")
-    __init__ = AMap.__init__
-
-
-class ABind:
-    __slots__ = ("fun", "arg")
-    __init__ = AMap.__init__
-
-
-def _reified_monad() -> MonadDict:
-    def map_(f, a):
-        return APure(f(a.value)) if type(a) is APure else AMap(f, a)
-
-    def ap(af, ax):
-        if type(af) is not APure:
-            return AAp(af, ax)
-        if type(ax) is APure:
-            return APure(af.value(ax.value))
-        return AMap(af.value, ax)
-
-    def bind(k, a):
-        return k(a.value) if type(a) is APure else ABind(k, a)
-
-    def effect(*const):
-        return lambda *call: AEffect(const, call)
-
-    def unobservable(*_):
-        raise EvalError("a reified action is observed only through run(m, action)")
-
-    return MonadDict("reified", APure, map_, ap, bind, unobservable, effect, unobservable,
-                     BEHAVIOR_KINDS)
-
-
-REIFIED = _reified_monad()
-
-
-def run(m: MonadDict, action):
-    """Monad ``m``'s own action for a reified one; an action that is already
-    ``m``'s is returned unchanged."""
-    k = type(action)
-    if k is AEffect:
-        return m.effect(*action.const)(*action.call)
-    if k is AAp:
-        return m.ap(run(m, action.fun), run(m, action.arg))
-    if k is AMap:
-        return m.map(action.fun, run(m, action.arg))
-    if k is ABind:  # m a default, not a cell that every call of ``run`` would make
-        return m.bind(lambda v, m=m, _k=action.fun: run(m, _k(v)), run(m, action.arg))
-    if k is APure:
-        return m.pure(action.value)
-    return action
-
-
-# ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
 
@@ -597,8 +514,8 @@ SYMBOL = "\u00a7"  # in no generated literal, constant name or tag
 
 def value_eq_for(ty, m: MonadDict) -> ValueEq:
     """Observational equality at a type: structural at base types, run_eq on
-    the actions (run first when reified) at effect types, and for functions
-    equality of the results on one argument, ``seed_value(dom, SYMBOL, m, True)``.
+    the actions at effect types, and for functions equality of the results
+    on one argument, ``seed_value(dom, SYMBOL, m, True)``.
 
     This decides function equality while ``SYMBOL`` occurs in no literal,
     constant name or tag: nothing branches, ``concat`` concatenates and
@@ -621,12 +538,12 @@ def value_eq_for(ty, m: MonadDict) -> ValueEq:
         return lambda a, b: ce(a(x), b(x))
     if k is Eff:
         ie = value_eq_for(ty.inner, m)
-        return lambda a, b: m.run_eq(run(m, a.action), run(m, b.action), ie)
+        return lambda a, b: m.run_eq(a.action, b.action, ie)
     raise EvalError(f"unknown type {ty!r}")
 
 
 def actions_agree(ty, m: MonadDict, a, b) -> bool:
-    """run_eq two actions, reified or ``m``'s own, whose results have type ``ty``."""
+    """run_eq two of ``m``'s actions whose results have type ``ty``."""
     return value_eq_for(Eff(ty), m)(VEff(a), VEff(b))
 
 

@@ -6,9 +6,9 @@
 enters the monad only at a mark, by the laws of McBride & Paterson (JFP
 2008) that ``check_laws`` checks: ``apl`` and ``apr`` where one operand is
 pure, ``idl`` for a mark on a pure action, ``aplr`` for pure parts.  The two
-are compared, under all five monads and through ``REIFIED``, on programs that
-hit each shortcut and on generated source terms: ``run_eq`` agrees, and
-``report`` and the trace DOT are identical.
+are compared, under all five monads, on programs that hit each shortcut and
+on generated source terms: ``run_eq`` agrees, and ``report`` and the trace
+DOT are identical.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from purify.check import TypeEnv, typecheck
 from purify.metrics import to_dot
 from purify.propcheck import GenConfig, Unsatisfiable, default_signature, gen_term
 from purify.semantics import (
-    MONADS, REIFIED, EvalError, MonadDict, _as_action, evaluate, make_const_env, run,
-    value_eq_for,
+    MONADS, EvalError, MonadDict, _as_action, evaluate, make_const_env, value_eq_for,
 )
 from purify.terms import App, COM, Const, Each, Fst, Lam, Lit, Prd, SRC, Snd, Unt, Var
 
@@ -112,17 +111,14 @@ def _generated(depth: int, seeds: range):
 
 
 def _assert_same(sig, term, ty, latencies):
-    env_r = make_const_env(sig, REIFIED)
     for make in MONADS.values():
         m = make()
         consts = make_const_env(sig, m)
-        want = reference_src(term, m, consts)
-        for got in (evaluate(term, SRC, m, consts),
-                    run(m, evaluate(term, SRC, REIFIED, env_r))):
-            assert m.run_eq(got, want, value_eq_for(ty, m)), m.name
-            assert m.report(got, latencies) == m.report(want, latencies), m.name
-            if m.name == "trace":
-                assert to_dot(got) == to_dot(want)
+        want, got = reference_src(term, m, consts), evaluate(term, SRC, m, consts)
+        assert m.run_eq(got, want, value_eq_for(ty, m)), m.name
+        assert m.report(got, latencies) == m.report(want, latencies), m.name
+        if m.name == "trace":
+            assert to_dot(got) == to_dot(want)
 
 
 @pytest.mark.parametrize("body", list(PROGRAMS))

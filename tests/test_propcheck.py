@@ -575,9 +575,9 @@ def test_each_check_evaluates_each_side_once(monkeypatch, suite):
 
 
 def test_a_trial_the_ordered_monad_tells_apart_is_compared_per_monad(monkeypatch):
-    """Two ordered evaluations tell the sides apart; two ``REIFIED`` ones then
-    name the first monad under which they differ, as before the ordered
-    monad: a pair swapped in the translation of ``(probe!, probe!)`` only
+    """Two ordered evaluations tell the sides apart; the sides are then
+    evaluated under each monad in turn, up to the first under which they
+    differ: a pair swapped in the translation of ``(probe!, probe!)`` only
     changes state's results."""
     sig, term = parse_and_elaborate("effect probe : Eff Str\npurify { (probe!, probe!) }")
     typecheck(term, SRC, TypeEnv(sig))
@@ -586,7 +586,25 @@ def test_a_trial_the_ordered_monad_tells_apart_is_compared_per_monad(monkeypatch
     evaluate = propcheck.evaluate
     monkeypatch.setattr(propcheck, "evaluate", lambda *a: used.append(a[2].name) or evaluate(*a))
     assert propcheck._check_semantics(propcheck._Ctx.of(sig), term) == "disagrees under state"
-    assert used == ["ordered", "ordered", "reified", "reified"]
+    assert used == ["ordered", "ordered", "option", "option", "state", "state"]
+
+
+# each term suite's acceptance depth and seed
+ACCEPTANCE = {"types": (6, 31), "semantics": (5, 41), "span_work": (6, 51), "smart_ctors": (4, 61),
+              "relabel": (5, 71), "effect_free": (5, 71), "normalize": (5, 101), "baseline": (5, 81)}
+
+
+@pytest.mark.parametrize("suite", ACCEPTANCE)
+def test_a_passing_trial_never_leaves_the_ordered_path(monkeypatch, suite):
+    """A passing trial is decided by the ordered monad alone: the suite
+    builds no constant environment under any other monad."""
+    built = []
+    make_const_env = propcheck.make_const_env
+    monkeypatch.setattr(propcheck, "make_const_env",
+                        lambda sig, m: built.append(m.name) or make_const_env(sig, m))
+    depth, seed = ACCEPTANCE[suite]
+    rep = run_suite(suite, GenConfig(max_depth=depth, seed=seed), 300)
+    assert rep.all_passed and built == ["ordered"]
 
 
 def test_types_suite_typechecks_each_term_once(monkeypatch):

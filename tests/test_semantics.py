@@ -4,19 +4,19 @@ import pytest
 
 from purify import propcheck
 from purify.check import TypeEnv, typecheck
-from purify.metrics import Leaf, dyn_span, dyn_work, to_dot
+from purify.metrics import dyn_span, dyn_work
 from purify.propcheck import GenConfig, default_signature, gen_term
 from purify.semantics import (
-    ABSENT, LAW_NAMES, MONADS, REIFIED, EvalError, MonadDict, SignatureMismatch, VEff, VUNIT,
+    ABSENT, LAW_NAMES, MONADS, EvalError, MonadDict, SignatureMismatch, VEff, VUNIT,
     actions_agree, base_value_eq, builtin_monads, check_laws, evaluate,
-    make_const_env, mixed_order_writer, option_monad, render_value, run, state_monad,
+    make_const_env, mixed_order_writer, option_monad, render_value, state_monad,
     trace_monad, value_eq_for, writer_monad, _gen_action, _gen_fun,
 )
 from purify.terms import (
     Arrow, COM, Const, ConstDecl, ConstKind, Each, Eff, Fst, Join, Lam, Lit, Map, Prd,
     Prod, SRC, STR, Signature, TGT, UNIT, Unt, Var, alpha_eq,
 )
-from purify.translate import naive_translate, normalize, opt_translate, seq_translate
+from purify.translate import opt_translate, seq_translate
 
 
 @pytest.fixture
@@ -286,6 +286,13 @@ def test_extensional_function_comparison(sig):
         assert eq(lambda h: h("a"), lambda h: h("a" + ""))
 
 
+def _evaluated(sig, *terms):
+    """Each builtin monad, with ``terms`` evaluated at target under it."""
+    for m in builtin_monads():
+        consts = make_const_env(sig, m)
+        yield m, [evaluate(t, TGT, m, consts) for t in terms]
+
+
 def test_functions_of_actions_are_observed_running_them(sig):
     """An ``Eff`` argument runs one effect, so a function that runs it twice
     differs from one that runs it once wherever a run is observed.  Option
@@ -296,11 +303,10 @@ def test_functions_of_actions_are_observed_running_them(sig):
     ty = Arrow(Eff(STR), Eff(STR))
     for t in (once, twice):
         assert typecheck(t, TGT, TypeEnv(sig)) is ty
-    consts = make_const_env(sig, REIFIED)
-    f, g = (evaluate(t, TGT, REIFIED, consts) for t in (once, twice))
-    equal = {m.name: value_eq_for(ty, m)(f, g) for m in builtin_monads()}
+    runs = list(_evaluated(sig, once, twice))
+    equal = {m.name: value_eq_for(ty, m)(f, g) for m, (f, g) in runs}
     assert equal == {"option": True, "state": False, "writer": False, "trace": False}
-    assert all(value_eq_for(ty, m)(f, f) for m in builtin_monads())
+    assert all(value_eq_for(ty, m)(f, f) for m, (f, g) in runs)
 
 
 def test_functions_observe_actions_nested_in_their_argument(sig):
@@ -314,11 +320,10 @@ def test_functions_observe_actions_nested_in_their_argument(sig):
     ty = Arrow(Prod(Eff(STR), STR), Eff(STR))
     for t in (once, twice):
         assert typecheck(t, TGT, TypeEnv(sig)) is ty
-    consts = make_const_env(sig, REIFIED)
-    f, g = (evaluate(t, TGT, REIFIED, consts) for t in (once, twice))
-    equal = {m.name: value_eq_for(ty, m)(f, g) for m in builtin_monads()}
+    runs = list(_evaluated(sig, once, twice))
+    equal = {m.name: value_eq_for(ty, m)(f, g) for m, (f, g) in runs}
     assert equal == {"option": True, "state": False, "writer": False, "trace": False}
-    assert all(value_eq_for(ty, m)(g, g) for m in builtin_monads())
+    assert all(value_eq_for(ty, m)(g, g) for m, (f, g) in runs)
 
 
 def test_effect_behavior_config_value_and_log():
@@ -361,78 +366,3 @@ def test_render_value():
     assert render_value((lambda v: v, (VEff(()), ()))) == "(<fun>,(<eff>,()))"
     with pytest.raises(EvalError, match="unknown value"):
         render_value(1)
-
-
-def _tree(t):
-    """A trace as nested tuples, so that equal shapes compare equal."""
-    if t is None:
-        return None
-    if type(t) is Leaf:
-        return t.effect, t.arg
-    return (type(t).__name__, _tree(t.first), _tree(t.second))
-
-
-def _observations(m, a):
-    """What ``m`` shows of action ``a``, as (result, everything else) pairs;
-    results are compared under ``value_eq_for``, the rest with ``==``."""
-    if m.name == "trace":
-        return [(a.result, (_tree(a.tree), to_dot(a)))]
-    if m.name == "state":
-        return [a(s0) for s0 in (0, 1, 2)]
-    if m.name == "option":
-        return [(None if a is ABSENT else a, a is ABSENT)]
-    return [a]  # a writer: its value and log
-
-
-def _reified_cases(sig):
-    env = TypeEnv(sig)
-    for depth in (4, 5, 6):
-        for seed in range(300):
-            src = gen_term(GenConfig(depth, 31_000 + seed, sig, SRC))
-            ty = typecheck(src, SRC, env)
-            yield src, SRC, ty
-            for translate in (opt_translate, naive_translate, seq_translate):
-                yield translate(src), TGT, ty
-            action = propcheck._gen_action(GenConfig(depth, 32_000 + seed, sig, TGT), seed)
-            ty = typecheck(action, TGT, env).inner
-            yield action, TGT, ty
-            yield normalize(action), TGT, ty
-
-
-def test_run_of_a_reified_action_equals_direct_evaluation(sig):
-    """Evaluating once under REIFIED and running the tree under a monad shows
-    exactly what evaluating under that monad shows: the same trace tree and
-    DOT text, log, states, absence and results."""
-    env_r = make_const_env(sig, REIFIED)
-    monads = [(m, make_const_env(sig, m)) for m in (make() for make in MONADS.values())]
-    cases = 0
-    for term, label, ty in _reified_cases(sig):
-        reified = evaluate(term, label, REIFIED, env_r)
-        reified = reified if label is SRC else reified.action
-        for m, env_m in monads:
-            direct = evaluate(term, label, m, env_m)
-            direct = direct if label is SRC else direct.action
-            eq = value_eq_for(ty, m)
-            got = _observations(m, run(m, reified))
-            want = _observations(m, direct)
-            for (v1, seen1), (v2, seen2) in zip(got, want, strict=True):
-                assert seen1 == seen2, (m.name, term)
-                assert (v1 is None) == (v2 is None) and (v1 is None or eq(v1, v2)), \
-                    (m.name, term)
-        cases += 1
-    assert cases == 3 * 300 * 6
-
-
-def test_reified_actions_are_observed_only_through_run(sig):
-    a = evaluate(Each(Const("probe", label=SRC), label=SRC), SRC, REIFIED,
-                 make_const_env(sig, REIFIED))
-    for observe in (lambda: REIFIED.run_eq(a, a), lambda: REIFIED.report(a, {})):
-        with pytest.raises(EvalError, match="observed only through run"):
-            observe()
-    assert run(trace_monad(), a).nodes[0].effect == "probe"
-
-
-def test_run_makes_no_cell_per_call():
-    """``run`` is called once per reified node under every monad; a closure
-    nested in it would make a cell for ``m`` on every call."""
-    assert run.__code__.co_cellvars == ()

@@ -6,7 +6,7 @@ from purify.propcheck import (
     GenConfig, Unsatisfiable, _gen_plain, _sub_seed, default_signature, gen_term,
 )
 from purify.semantics import (
-    REIFIED, VEff, actions_agree, builtin_monads, evaluate, make_const_env,
+    VEff, actions_agree, builtin_monads, evaluate, make_const_env,
     mixed_order_writer, value_eq_for,
 )
 from purify.terms import (
@@ -347,7 +347,7 @@ def test_translations_under_the_order_flipped_writer(depth, seed):
     that keep Ap nodes agree with the source under it, and the do-notation
     baseline, which runs every effect left to right, does not."""
     sig, m = default_signature(), mixed_order_writer()
-    consts = make_const_env(sig, REIFIED)
+    consts = make_const_env(sig, m)
     translations = {
         "opt": opt_translate, "naive": naive_translate,
         "normalize(opt)": lambda t: normalize(opt_translate(t)), "seq": seq_translate,
@@ -359,9 +359,9 @@ def test_translations_under_the_order_flipped_writer(depth, seed):
         except Unsatisfiable:
             continue
         eq = value_eq_for(Eff(t.ty), m)
-        src = VEff(evaluate(t, SRC, REIFIED, consts))
+        src = VEff(evaluate(t, SRC, m, consts))
         for name, translate in translations.items():
-            disagree[name] += not eq(evaluate(translate(t), TGT, REIFIED, consts), src)
+            disagree[name] += not eq(evaluate(translate(t), TGT, m, consts), src)
     assert disagree["seq"] > 0
     assert disagree == {"opt": 0, "naive": 0, "normalize(opt)": 0, "seq": disagree["seq"]}
 
