@@ -1,26 +1,31 @@
-"""Command-line entry point: check, translate, analyze, run, laws, suite."""
+"""Command-line entry point: check, translate, analyze, run, laws, suite.
+
+A command reaches its layers through the package's lazy namespace, so a
+one-shot process compiles only the ones it runs: ``check`` loads surface
+and check, ``translate`` adds translate, ``analyze`` translate and metrics,
+``run`` semantics and metrics; ``laws`` loads semantics, ``suite``
+propcheck.  ``json`` loads only for ``--json`` and ``--config``."""
 
 from __future__ import annotations
 
 import argparse
 import functools
 import gc
-import json
 import sys
 from typing import Optional
 
-from .check import TypeEnv, typecheck
-from .metrics import span_work, to_dot
+import purify
+
 from .pretty import pretty
-from .propcheck import SUITE_NAMES, GenConfig, run_suite
-from .semantics import BEHAVIOR_KINDS, MONADS, check_laws, evaluate, make_const_env
-from .surface import elaborate, parse
 from .terms import PurifyError, SRC, TGT, type_name
-from .translate import naive_translate, normalize, opt_translate, seq_translate
 
 DEFAULT_LATENCY_MS = 100.0
 CONFIG_SECTIONS = ("latency_ms", "behavior")
-TRANSLATIONS = {"opt": opt_translate, "naive": naive_translate, "seq": seq_translate}
+# the grammar's choices, which tests tie to the layers' own tables
+TRANSLATIONS = ("opt", "naive", "seq")  # translate.{mode}_translate
+MONAD_NAMES = ("option", "state", "writer", "trace", "writer-rtl")  # semantics.MONADS
+SUITE_NAMES = ("types", "semantics", "span_work", "smart_ctors", "relabel",
+               "effect_free", "laws", "normalize", "baseline")  # propcheck.SUITE_NAMES
 
 
 def _load_program(path: str):
@@ -29,16 +34,21 @@ def _load_program(path: str):
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise PurifyError(f"{path}: not UTF-8 text ({exc})") from None
-    prog = parse(text)
-    sig, body = elaborate(prog)
-    ty = typecheck(body, SRC, TypeEnv(sig))
+    sig, body = purify.surface.elaborate(purify.surface.parse(text))
+    ty = purify.check.typecheck(body, SRC, purify.check.TypeEnv(sig))
     return sig, body, ty
+
+
+def _print_json(obj) -> None:
+    import json  # only the commands that read or print JSON load it
+    print(json.dumps(obj))
 
 
 def _load_config(path: Optional[str], sig) -> dict:
     """Read and validate an effect-behavior config; problems are diagnostics."""
     if not path:
         return {}
+    import json
     with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             config = json.load(fh)
@@ -71,10 +81,10 @@ def _load_config(path: Optional[str], sig) -> dict:
             raise PurifyError(
                 f"behavior for {name!r} has unknown field {key!r}; choose from kind, payload"
             )
-        if "kind" in behavior and behavior["kind"] not in BEHAVIOR_KINDS:
+        if "kind" in behavior and behavior["kind"] not in purify.semantics.BEHAVIOR_KINDS:
             raise PurifyError(
                 f"behavior for {name!r} has unknown kind {behavior['kind']!r}; "
-                f"choose from {', '.join(BEHAVIOR_KINDS)}"
+                f"choose from {', '.join(purify.semantics.BEHAVIOR_KINDS)}"
             )
         if not isinstance(behavior.get("payload", ""), str):
             raise PurifyError(f"behavior payload for {name!r} must be a JSON string")
@@ -95,25 +105,26 @@ def cmd_check(args) -> int:
 
 def cmd_translate(args) -> int:
     sig, body, _ = _load_program(args.file)
-    out = TRANSLATIONS[args.mode](body)
+    out = getattr(purify.translate, args.mode + "_translate")(body)
     if args.normalize:
-        out = normalize(out)
-    typecheck(out, TGT, TypeEnv(sig))
+        out = purify.translate.normalize(out)
+    purify.check.typecheck(out, TGT, purify.check.TypeEnv(sig))
     print(pretty(out))
     return 0
 
 
 def cmd_analyze(args) -> int:
     sig, body, _ = _load_program(args.file)
-    env = TypeEnv(sig)
-    terms = {"src": body, **{key: t(body) for key, t in TRANSLATIONS.items()}}
+    env = purify.check.TypeEnv(sig)
+    terms = {"src": body, **{k: getattr(purify.translate, k + "_translate")(body)
+                             for k in TRANSLATIONS}}
     for key in TRANSLATIONS:
-        typecheck(terms[key], TGT, env)
+        purify.check.typecheck(terms[key], TGT, env)
     stats = {"v": 1}
     for key, t in terms.items():
-        stats["span_" + key], stats["work_" + key] = span_work(t, sig)
+        stats["span_" + key], stats["work_" + key] = purify.metrics.span_work(t, sig)
     if args.json:
-        print(json.dumps(stats))
+        _print_json(stats)
     else:
         for key in terms:
             print(f"{key}: span={stats['span_' + key]} work={stats['work_' + key]}")
@@ -125,9 +136,9 @@ def cmd_run(args) -> int:
         raise PurifyError("--dot writes the trace DAG; it needs --monad trace")
     sig, body, ty = _load_program(args.file)
     config = _load_config(args.config, sig)
-    m = MONADS[args.monad]()
-    env = make_const_env(sig, m, config.get("behavior"))
-    action = evaluate(body, SRC, m, env)
+    sem = purify.semantics
+    m = sem.MONADS[args.monad]()
+    action = sem.evaluate(body, SRC, m, sem.make_const_env(sig, m, config.get("behavior")))
 
     latency_cfg = config.get("latency_ms", {})
     latencies = {
@@ -137,11 +148,11 @@ def cmd_run(args) -> int:
     out: dict = {"v": 1, "monad": m.name, **m.report(action, latencies)}
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(to_dot(action) + "\n")
+            fh.write(purify.metrics.to_dot(action) + "\n")
         out["dot"] = args.dot
 
     if args.json:
-        print(json.dumps(out))
+        _print_json(out)
     else:
         for k, v in out.items():
             if k == "v":
@@ -152,9 +163,10 @@ def cmd_run(args) -> int:
 
 def cmd_laws(args) -> int:
     _require_positive(args, "trials")
-    report = check_laws(MONADS[args.monad](), args.trials, args.seed)
+    sem = purify.semantics
+    report = sem.check_laws(sem.MONADS[args.monad](), args.trials, args.seed)
     if args.json:
-        print(json.dumps(report.to_dict()))
+        _print_json(report.to_dict())
     else:
         for law in report.passes:
             fails = report.failures[law]
@@ -165,10 +177,10 @@ def cmd_laws(args) -> int:
 
 def cmd_suite(args) -> int:
     _require_positive(args, "trials", "depth")
-    cfg = GenConfig(max_depth=args.depth, seed=args.seed)
-    report = run_suite(args.name, cfg, args.trials)
+    cfg = purify.propcheck.GenConfig(max_depth=args.depth, seed=args.seed)
+    report = purify.propcheck.run_suite(args.name, cfg, args.trials)
     if args.json:
-        print(json.dumps(report.to_dict()))
+        _print_json(report.to_dict())
     else:
         print(f"suite {report.suite}: {report.passes}/{report.trials} passed")
         for f in report.failures[:10]:
@@ -202,7 +214,7 @@ def _parser() -> _ArgumentParser:
 
     p = sub.add_parser("translate", help="print the combinator translation")
     p.add_argument("file")
-    p.add_argument("--mode", choices=tuple(TRANSLATIONS), default="opt")
+    p.add_argument("--mode", choices=TRANSLATIONS, default="opt")
     p.add_argument("--normalize", action="store_true")
     p.set_defaults(fn=cmd_translate)
 
@@ -213,16 +225,14 @@ def _parser() -> _ArgumentParser:
 
     p = sub.add_parser("run", help="evaluate a program under a monad")
     p.add_argument("file")
-    p.add_argument("--monad", required=True,
-                   choices=tuple(MONADS))
+    p.add_argument("--monad", required=True, choices=MONAD_NAMES)
     p.add_argument("--config", help="effect-behavior config (JSON)")
     p.add_argument("--dot", help="write the trace DAG as graphviz (trace only)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("laws", help="check the ten monad laws")
-    p.add_argument("--monad", required=True,
-                   choices=tuple(MONADS))
+    p.add_argument("--monad", required=True, choices=MONAD_NAMES)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")

@@ -3,8 +3,6 @@ trial counts.  Each criterion prints one pass/fail line (run with -s)."""
 
 import time
 
-import pytest
-
 from purify.check import TypeEnv, typecheck
 from purify.cli import main
 from purify.metrics import dyn_span, dyn_work, simulate_latency, span, work
@@ -17,7 +15,7 @@ from purify.surface import parse_and_elaborate
 from purify.terms import (
     App, Ap, COM, Const, Join, Lam, Map, SRC, TGT, Var, alpha_eq,
 )
-from purify.translate import normalize, opt_translate, seq_translate
+from purify.translate import opt_translate, seq_translate
 
 import json
 

@@ -8,8 +8,7 @@ from purify.propcheck import GenConfig, default_signature, gen_term
 from purify.surface import parse_and_elaborate, parse_target_expr
 from purify.terms import (
     App, Ap, Arrow, COM, Const, Each, Eff, Fst, Join, Lam, Lit, Map, Prd,
-    Prod, Pure, SRC, STR, Signature, ConstDecl, ConstKind, Snd, TGT, UNIT,
-    Unt, Var,
+    Pure, SRC, STR, Signature, ConstDecl, ConstKind, TGT, UNIT, Unt, Var,
 )
 
 

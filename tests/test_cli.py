@@ -268,14 +268,14 @@ def test_suite_json_and_exit(capsys):
 
 
 def test_property_failures_exit_2(capsys, monkeypatch):
-    import purify.cli as cli
+    from purify import semantics
     from purify.semantics import LawReport
 
     def broken_laws(m, trials, seed):
         return LawReport(m.name, trials, seed, {"idl": 0},
                          {"idl": ["trial 0: forced failure"]})
 
-    monkeypatch.setattr(cli, "check_laws", broken_laws)
+    monkeypatch.setattr(semantics, "check_laws", broken_laws)
     assert main(["laws", "--monad", "option", "--trials", "10"]) == 2
 
 
@@ -397,7 +397,7 @@ def test_internal_fault_exits_3_wherever_it_is_raised(two_chains_file, monkeypat
     def boom(*args):
         raise RecursionError("boom")
 
-    monkeypatch.setattr("purify.cli.typecheck", boom)
+    monkeypatch.setattr("purify.check.typecheck", boom)
     for cmd in PIPELINE:
         assert main([cmd[0], two_chains_file, *cmd[1:]]) == 3
         captured = capsys.readouterr()
@@ -581,6 +581,19 @@ def test_shared_parser_matches_a_fresh_one(two_chains_file, tmp_path, monkeypatc
     assert [code for code, _, _ in shared] == [1, 0, 0, 0, 0, 0, 1, 1, 0]
 
 
+def test_grammar_choices_are_the_layers_tables():
+    """The parser is built without importing a layer, from constants that
+    must name exactly the translations, monads and suites the layers have."""
+    import purify.cli as cli
+    from purify import propcheck, translate
+
+    public = [n[:-len("_translate")] for n in translate.__dict__
+              if n.endswith("_translate") and not n.startswith("_")]
+    assert sorted(cli.TRANSLATIONS) == sorted(public)
+    assert cli.MONAD_NAMES == tuple(MONADS)
+    assert cli.SUITE_NAMES == propcheck.SUITE_NAMES
+
+
 def test_parser_is_built_once(two_fetches_file, monkeypatch, capsys):
     import purify.cli as cli
 
@@ -605,7 +618,8 @@ def test_compiling_commands_pause_the_collector(two_fetches_file, monkeypatch, c
     after a diagnostic; suite and laws leave it as the caller set it."""
     import gc
 
-    import purify.cli as cli
+    # imported before the spies go on, so propcheck binds the real typecheck
+    from purify import check, propcheck, semantics
 
     seen = []
 
@@ -615,8 +629,9 @@ def test_compiling_commands_pause_the_collector(two_fetches_file, monkeypatch, c
             return fn(*args, **kwargs)
         return call
 
-    for name in ("typecheck", "run_suite", "check_laws"):
-        monkeypatch.setattr(cli, name, spy(getattr(cli, name)))
+    for layer, name in ((check, "typecheck"), (propcheck, "run_suite"),
+                        (semantics, "check_laws")):
+        monkeypatch.setattr(layer, name, spy(getattr(layer, name)))
     bad = two_fetches_file + ".bad.pfy"
     with open(bad, "w", encoding="utf-8") as fh:
         fh.write('prim concat : Str -> Str -> Str\npurify { ("a" ++ "b")! }\n')

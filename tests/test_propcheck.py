@@ -16,7 +16,7 @@ from purify.semantics import SYMBOL, MonadDict, writer_monad
 from purify.surface import parse_and_elaborate, parse_target_expr
 from purify.terms import (
     App, Ap, Arrow, COM, Const, ConstDecl, ConstKind, Each, Eff, Fst, Join, Lam, Lit,
-    Map, Prd, Prod, PurifyError, SRC, STR, Signature, Snd, TGT, UNIT, Unt, Var, alpha_eq,
+    Map, Prd, Prod, PurifyError, SRC, STR, Signature, Snd, TGT, UNIT, Unt, Var,
     children, relabel, replace_children, size, subterms, type_name,
 )
 from purify.translate import _build_chain, opt_translate, seq_translate

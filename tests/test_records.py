@@ -1,7 +1,8 @@
 """Records are plain slotted classes that behave as the dataclasses they
 replaced, and importing purify loads neither ``dataclasses`` nor ``inspect``.
 The package namespace is lazy: each layer is loaded at the first use of one
-of its names, and every name resolves to the layer's own object.
+of its names, and every name resolves to the layer's own object.  So is the
+CLI: each one-shot command loads only the layers it runs.
 
 The reprs and the two digests below were recorded from the dataclass terms.
 ``unknown term`` diagnostics print a term's repr, so it must not change.
@@ -64,6 +65,44 @@ def test_import_loads_only_the_layers_a_caller_uses(path):
                     "print(' '.join(m[7:] for m in sys.modules if m.startswith('purify.')))")
     assert {"terms", "pretty"} <= set(loaded.split())
     assert set(loaded.split()) & unloaded == set()
+
+
+# a one-shot command -> exactly what it loads of the layers and ``json``;
+# ``None`` is a bare ``import purify.cli``
+ON_DEMAND = {"surface", "check", "translate", "semantics", "metrics", "propcheck", "json"}
+_PROGRAM = {"surface", "check"}
+COMMAND_LAYERS = {
+    "import": (None, set()),
+    "check": (["check", "FILE"], _PROGRAM),
+    **{f"translate {mode}": (["translate", "FILE", "--mode", mode], _PROGRAM | {"translate"})
+       for mode in ("opt", "naive", "seq")},
+    "translate --normalize": (["translate", "FILE", "--normalize"], _PROGRAM | {"translate"}),
+    "analyze --json": (["analyze", "FILE", "--json"], _PROGRAM | {"translate", "metrics", "json"}),
+    **{f"run {monad}": (["run", "FILE", "--monad", monad], _PROGRAM | {"semantics", "metrics"})
+       for monad in ("option", "state", "writer", "trace", "writer-rtl")},
+    "run --config": (["run", "FILE", "--monad", "writer", "--config", "CONFIG"],
+                     _PROGRAM | {"semantics", "metrics", "json"}),
+    "laws": (["laws", "--monad", "state", "--trials", "5"], {"semantics", "metrics"}),
+    "suite": (["suite", "types", "--trials", "5"],
+              {"propcheck", "check", "translate", "semantics", "metrics"}),
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_LAYERS)
+def test_a_command_loads_only_the_layers_it_runs(command, tmp_path):
+    argv, layers = COMMAND_LAYERS[command]
+    run = "pass"
+    if argv is not None:
+        root = os.path.dirname(os.path.dirname(os.path.dirname(purify.__file__)))
+        config = tmp_path / "config.json"
+        config.write_text('{"latency_ms": {"fetch": 10}}')
+        files = {"FILE": os.path.join(root, "demos", "programs", "nested_chains.pfy"),
+                 "CONFIG": str(config)}
+        run = f"assert purify.cli.main({[files.get(a, a) for a in argv]!r}) == 0"
+    loaded = _fresh(f"import sys, purify.cli; {run}; "
+                    "print(*(m.removeprefix('purify.') for m in sys.modules))").splitlines()[-1]
+    assert {"terms", "pretty", "cli"} <= set(loaded.split())
+    assert set(loaded.split()) & ON_DEMAND == layers
 
 
 # the names ``import purify`` exported when it imported every layer

@@ -14,7 +14,7 @@ from purify.semantics import (
 )
 from purify.terms import (
     Arrow, COM, Const, ConstDecl, ConstKind, Each, Eff, Fst, Join, Lam, Lit, Map, Prd,
-    Prod, SRC, STR, Signature, TGT, UNIT, Unt, Var, alpha_eq,
+    Prod, SRC, STR, Signature, TGT, Unt, Var,
 )
 from purify.translate import opt_translate, seq_translate
 

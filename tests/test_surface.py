@@ -7,12 +7,12 @@ from purify.pretty import escape_string, pretty, pretty_program
 from purify.propcheck import GenConfig, default_signature, gen_term
 from purify.surface import (
     DuplicateDecl, LetTooEffectful, MarkUnderLambda, ParseError, UnboundName,
-    elaborate, parse, parse_and_elaborate, parse_target_expr, tokenize,
+    parse, parse_and_elaborate, parse_target_expr, tokenize,
 )
 from purify.check import TypeEnv, typecheck
 from purify.terms import (
-    App, Arrow, COM, Const, ConstDecl, ConstKind, Each, Eff, Lam, Lit, Prd, Pure,
-    PurifyError, SRC, STR, Signature, TGT, UNIT, Var, alpha_eq, subterms,
+    App, Arrow, COM, Const, ConstDecl, ConstKind, Each, Lam, Lit, Pure,
+    PurifyError, SRC, STR, Signature, TGT, Var, alpha_eq, subterms,
 )
 from purify.translate import naive_translate, opt_translate, seq_translate
 
@@ -232,7 +232,6 @@ def test_roundtrip_translations():
 
 
 def test_roundtrip_generated_target_terms():
-    from purify.terms import Eff as EffTy
     sig = default_signature()
     env = TypeEnv(sig)
     for i in range(200):
