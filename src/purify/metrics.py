@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import deque
+from typing import Callable
 
 from .terms import (
     App, Ap, Const, Each, Fst, Join, Lam, Lit, Map, Prd, Pure, PurifyError,
@@ -206,6 +207,7 @@ class Par:
 
 
 Trace = Leaf | Seq | Par
+LEAF_KEY = operator.attrgetter("effect", "arg")  # what tells two leaves apart
 
 
 class TraceDag:
@@ -293,11 +295,11 @@ def simulate_latency(d: TraceDag, latencies: dict[str, float]) -> float:
     return float(_fold(d.tree, cost, operator.add, max) or 0)
 
 
-def _canonical(tree: Trace, table: dict, ordered: bool) -> int:
-    """Id in ``table`` of the canonical form of ``tree``: nested Seq and Par
-    flattened, Par children sorted unless ``ordered``.  Two series-parallel
-    traces are isomorphic exactly when their canonical forms are equal
-    (Valdes, Tarjan & Lawler 1982), and equal forms get equal ids in one table."""
+def _canonical(tree: Trace, table: dict, ordered: bool, key: Callable) -> int:
+    """Id in ``table`` of the canonical form of ``tree``: leaves by ``key``, nested
+    Seq and Par flattened, Par children sorted unless ``ordered``.  Two series-parallel
+    traces are isomorphic exactly when their canonical forms are equal (Valdes,
+    Tarjan & Lawler 1982), and equal forms get equal ids in one table."""
     def close(v) -> int:
         kind, parts = v
         if kind is Leaf:
@@ -317,18 +319,18 @@ def _canonical(tree: Trace, table: dict, ordered: bool) -> int:
         return combine
 
     def leaf(t: Leaf):
-        return Leaf, table.setdefault((Leaf, t.effect, t.arg), len(table))
+        return Leaf, table.setdefault((Leaf, key(t)), len(table))
 
     return close(_fold(tree, leaf, flatten(Seq), flatten(Par)))
 
 
-def dag_iso(a: TraceDag, b: TraceDag, ordered: bool = False) -> bool:
-    """Isomorphism respecting effect names, argument labels and edges; if
-    ``ordered``, also the left-to-right order of each Par's children."""
+def dag_iso(a: TraceDag, b: TraceDag, ordered: bool = False, key: Callable = LEAF_KEY) -> bool:
+    """Isomorphism respecting edges and each leaf's ``key`` (its effect name and
+    argument label); if ``ordered``, also the left-to-right order of each Par's children."""
     if a.tree is None or b.tree is None:
         return a.tree is b.tree
     table: dict = {}
-    return _canonical(a.tree, table, ordered) == _canonical(b.tree, table, ordered)
+    return _canonical(a.tree, table, ordered, key) == _canonical(b.tree, table, ordered, key)
 
 
 def to_dot(d: TraceDag) -> str:

@@ -6,32 +6,31 @@ generated term typechecks at its label.  Effectful constants only appear
 in saturated calls: under an Each at source, as embedded calls or Pure
 payloads at target.  Failures are minimized by greedy subterm shrinking.
 
-Checks are built from six steps: ``span_work``, ``_mistyped`` (an output's
-type against the expected one, before any cost or evaluation), ``_agreeing``
-(each side evaluated and run once, under the ordered monad, whose agreement
-implies every builtin monad's), ``_disagrees`` (the first monad under which
-the two sides, evaluated again under it, differ: asked only when the ordered
-monad tells them apart),
+Checks are built from five steps: ``span_work``, ``_mistyped`` (an output's
+type against the expected one, before any cost or evaluation), ``_differs``
+(the first monad under which two sides differ, each side evaluated and run
+once, under the ordered monad, of which every builtin monad is a view),
 ``_translation`` and ``_rewrite``, which also holds a rewritten action's
-static cost to its trace.
-A translation keeps the source's span and work exactly (``span_work``).  A
-check that raises an ``Exception`` fails: its term is shrunk and reported.
+static cost to its ordered trace.  A translation keeps the source's span and
+work exactly (``span_work``).  A check that raises an ``Exception`` fails:
+its term is shrunk and reported.
 """
 
 from __future__ import annotations
 
 import functools
 import random
-from typing import Callable, Iterable, Optional, Sequence
+import re
+from typing import Callable, Collection, Optional, Sequence
 
 from .check import TypeEnv, typecheck
 from .metrics import (
-    TraceDag, dag_iso, dyn_span, dyn_work, empty_dag, parallel_compose, sequential_compose,
-    single_effect, span_work,
+    LEAF_KEY, Leaf, TraceDag, dag_iso, dyn_span, dyn_work, empty_dag, parallel_compose,
+    sequential_compose, single_effect, span_work,
 )
 from .pretty import pretty
 from .semantics import (
-    ConstEnv, MonadDict, VEff, base_value_eq, builtin_monads, check_laws, evaluate,
+    MonadDict, VEff, base_value_eq, builtin_monads, check_laws, evaluate,
     make_const_env, seed_value, value_eq_for,
 )
 from .terms import (
@@ -478,25 +477,15 @@ def _sub_seed(seed: int, i: int) -> int:
 
 
 class _Ctx:
-    """What a suite check needs besides its term.  The constants under the
-    ordered monad are built at once; those under a builtin monad
-    (``consts(name)``) at first use, by a check whose sides the ordered monad
-    tells apart."""
+    """What a suite check needs besides its term: the signature, its type
+    environment and the constants under the ordered monad, the only monad a
+    check evaluates under."""
 
-    __slots__ = ("sig", "env_t", "monads", "ordered_consts", "_consts")
+    __slots__ = ("sig", "env_t", "ordered_consts")
 
-    def __init__(self, sig: Signature, env_t: TypeEnv, monads: dict[str, MonadDict]):
-        self.sig, self.env_t, self.monads = sig, env_t, monads
-        self.ordered_consts, self._consts = make_const_env(sig, _IN_ORDER), {}
-
-    @classmethod
-    def of(cls, sig: Signature) -> _Ctx:
-        return cls(sig, TypeEnv(sig), {m.name: m for m in builtin_monads()})
-
-    def consts(self, name: str) -> ConstEnv:
-        if name not in self._consts:
-            self._consts[name] = make_const_env(self.sig, self.monads[name])
-        return self._consts[name]
+    def __init__(self, sig: Signature):
+        self.sig, self.env_t = sig, TypeEnv(sig)
+        self.ordered_consts = make_const_env(sig, _IN_ORDER)
 
 
 # -- generators: (trial config, trial index) -> a checked term --------------
@@ -541,16 +530,41 @@ def _term_ty(c: _Ctx, term: Term, label: Label) -> Ty:
 
 
 _UNTRACED = ("option", "state", "writer")  # trace would see seq_translate's lost parallelism
+_POSITION = re.compile(r"@\d+")
 
 
-def _ordered_monad(shape: bool) -> MonadDict:
-    """The ordered monad, run by the suites only.  An action maps a position
-    ``s`` to a trace action and the next position: the call at ``s`` returns
-    what state's returns there, ``tag@s``, and adds its leaf; ``ap`` runs the
-    function, then the argument, and composes them under ``Par``, ``bind``
-    under ``Seq``.  ``run_eq`` runs both actions from 0 and compares results,
-    final positions and the leaves in order or, if ``shape``, the trace
-    flattened by associativity with each Par's order kept."""
+def _erased(v: object) -> object:
+    """``v`` with every ``@p`` position struck from its strings and from a
+    function's results; an action is struck by the view that runs it."""
+    k = type(v)
+    if k is str:
+        return _POSITION.sub("", v)
+    if k is tuple:
+        return tuple(map(_erased, v))
+    return v if k is VEff else lambda x: _erased(v(x))
+
+
+def _erased_leaf(n: Leaf) -> tuple[str, str]:
+    return n.effect, _POSITION.sub("", n.arg)
+
+
+def _in_order(da: TraceDag, db: TraceDag, key: Callable) -> bool:
+    return [*map(key, da.nodes)] == [*map(key, db.nodes)]
+
+
+def _ordered_monad(positions: bool, trees: Optional[Callable] = None) -> MonadDict:
+    """The ordered monad, run by the suites only, or a view of it.  An action
+    maps a position ``s`` to a trace action and the next position: the call
+    at ``s`` returns what state's returns there, ``tag@s``, and adds its leaf;
+    ``ap`` runs the function, then the argument, and composes them under
+    ``Par``, ``bind`` under ``Seq``.  ``run_eq`` runs both actions from 0 and
+    compares results and final positions if ``positions``, else results with
+    every ``@p`` struck; then, by ``trees``, the traces over leaves struck alike.
+
+    A builtin monad is a view: state sees positions (shifting the start
+    shifts every ``@p`` alike), option struck results, writer struck leaves in
+    order too (its log of tags), trace their unordered shape.  This holds
+    while no literal, constant name or tag has an ``@``."""
     def pure(v):
         return lambda s: (empty_dag(v), s)
 
@@ -580,45 +594,35 @@ def _ordered_monad(shape: bool) -> MonadDict:
 
     def run_eq(a, b, value_eq=base_value_eq):
         (da, sa), (db, sb) = a(0), b(0)
-        if sa != sb or not value_eq(da.result, db.result):
-            return False
-        return dag_iso(da, db, ordered=True) if shape else \
-            [(n.effect, n.arg) for n in da.nodes] == [(n.effect, n.arg) for n in db.nodes]
+        if positions:
+            same, key = sa == sb and value_eq(da.result, db.result), LEAF_KEY
+        else:
+            same, key = value_eq(_erased(da.result), _erased(db.result)), _erased_leaf
+        return same and (trees is None or trees(da, db, key))
 
     m = MonadDict("ordered", pure, map_, ap, bind, run_eq, effect, None, ("value",))
     return m
 
 
-_IN_ORDER, _IN_SHAPE = _ordered_monad(False), _ordered_monad(True)
+# the sequence view decides option, state and writer at once; the shape view
+# every builtin monad, and writer-rtl too
+_IN_ORDER = _ordered_monad(True, _in_order)
+_IN_SHAPE = _ordered_monad(True, lambda da, db, key: dag_iso(da, db, True, key))
+_VIEWS = {"option": _ordered_monad(False), "state": _ordered_monad(True),
+          "writer": _ordered_monad(False, _in_order),
+          "trace": _ordered_monad(False, lambda da, db, key: dag_iso(da, db, False, key))}
 
 
-def _agreeing(c: _Ctx, ty: Ty, sides: Callable, view: MonadDict) -> Optional[tuple]:
-    """The two values of type ``ty`` that ``sides(monad, consts)`` evaluates
-    under the ordered monad, or None when ``view`` tells them apart or
-    evaluating or running them raises an ``Exception``."""
-    try:
-        a, b = sides(view, c.ordered_consts)
-        return (a, b) if value_eq_for(ty, view)(a, b) else None
-    except Exception:
+def _differs(ty: Ty, a: object, b: object, monads: Collection[str]) -> Optional[str]:
+    """The first of ``monads`` (names) whose view tells apart ``a`` and ``b``,
+    two values of type ``ty`` evaluated under the ordered monad, as a failure
+    detail; None when none does.  The shape view, or the sequence view when
+    ``monads`` has no trace, decides first, at once for every monad it stands
+    for; only a pair that it tells apart is read by each view in turn."""
+    if value_eq_for(ty, _IN_SHAPE if "trace" in monads else _IN_ORDER)(a, b):
         return None
-
-
-def _disagrees(c: _Ctx, ty: Ty, sides: Callable, monads: Iterable[str]) -> Optional[str]:
-    """The first of ``monads`` (names) under which the two values of type
-    ``ty`` that ``sides(monad, consts)`` returns differ, as a failure detail.
-
-    A check calls it only when the ordered monad tells its sides apart
-    (``_agreeing``), since every builtin monad's observation is a function of
-    the ordered one: state's from start ``s0`` shifts every ``@p`` by ``s0``;
-    option, writer and trace erase the ``@p`` suffixes; writer reads its log
-    off the leaves in order (writer-rtl with each Par reversed); trace
-    canonicalizes the tree.  This holds while ``@`` occurs in no literal,
-    constant name or tag, so that each ``@`` in a value is a position."""
-    for name in monads:
-        m = c.monads[name]
-        if not value_eq_for(ty, m)(*sides(m, c.consts(name))):
-            return f"disagrees under {name}"
-    return None
+    return next((f"disagrees under {name}" for name in monads
+                 if not value_eq_for(ty, _VIEWS[name])(a, b)), None)
 
 
 def _mistyped(c: _Ctx, out: Term, ty: Ty) -> Optional[str]:
@@ -630,27 +634,22 @@ def _mistyped(c: _Ctx, out: Term, ty: Ty) -> Optional[str]:
 def _translation(translate: Callable[[Term], Term], monads: tuple[str, ...]) -> _Check:
     """A check that ``translate(term)`` checks at ``Eff`` of the term's type and
     agrees with ``term`` under ``monads``; with no monads it evaluates nothing."""
-    view = _IN_SHAPE if "trace" in monads else _IN_ORDER
-
     def check(c: _Ctx, term: Term) -> Optional[str]:
         ty = Eff(_term_ty(c, term, SRC))
         out = translate(term)
         if (detail := _mistyped(c, out, ty)) or not monads:
             return detail
-
-        def sides(m: MonadDict, consts: ConstEnv) -> tuple:
-            return evaluate(out, TGT, m, consts), VEff(evaluate(term, SRC, m, consts))
-        if _agreeing(c, ty, sides, view):
-            return None
-        return _disagrees(c, ty, sides, monads)
+        o = c.ordered_consts
+        return _differs(ty, evaluate(out, TGT, _IN_ORDER, o),
+                        VEff(evaluate(term, SRC, _IN_ORDER, o)), monads)
     return check
 
 
 def _rewrite(c: _Ctx, term: Term, label: Label, out: Term, cost: tuple[int, int]) -> Optional[str]:
     """``out``, a target rewrite of ``term`` (labelled ``label``, static span/work
     ``cost``), checks at the term's type, costs no more and agrees with ``term``
-    under every monad.  An action ``out`` also runs, under trace, its own
-    static cost."""
+    under every builtin monad.  An action ``out`` also runs its own static
+    cost: the ordered run's tree is the one trace builds."""
     ty = _term_ty(c, term, label)
     if detail := _mistyped(c, out, ty):
         return detail
@@ -658,15 +657,13 @@ def _rewrite(c: _Ctx, term: Term, label: Label, out: Term, cost: tuple[int, int]
     if s > cost[0] or w > cost[1]:
         return f"span {cost[0]}->{s}, work {cost[1]}->{w}"
 
-    def sides(m: MonadDict, consts: ConstEnv) -> tuple:
-        return evaluate(out, TGT, m, consts), evaluate(term, label, m, consts)
-    if agreed := _agreeing(c, ty, sides, _IN_SHAPE):
-        d = agreed[0].action(0)[0] if type(ty) is Eff else None  # the same tree as trace's
-    elif (detail := _disagrees(c, ty, sides, c.monads)) or type(ty) is not Eff:
+    o = c.ordered_consts
+    a = evaluate(out, TGT, _IN_ORDER, o)
+    if (detail := _differs(ty, a, evaluate(term, label, _IN_ORDER, o), _VIEWS)) \
+            or type(ty) is not Eff:
         return detail
-    else:
-        d = evaluate(out, TGT, c.monads["trace"], c.consts("trace")).action
-    if d is None or (dyn_span(d), dyn_work(d)) == (s, w):
+    d = a.action(0)[0]
+    if (dyn_span(d), dyn_work(d)) == (s, w):
         return None
     return f"static span/work {s}/{w} of the rewrite, trace {dyn_span(d)}/{dyn_work(d)}"
 
@@ -758,7 +755,7 @@ def run_suite(name: str, cfg: GenConfig, trials: int) -> SuiteReport:
         return report
 
     label, generate, check = _TERM_SUITES[name]
-    ctx = _Ctx.of(sig)
+    ctx = _Ctx(sig)
     for i in range(trials):
         s = _sub_seed(cfg.seed, i)
         try:

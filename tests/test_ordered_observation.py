@@ -1,18 +1,22 @@
 """The ordered observation decides what every builtin monad decides.
 
 A suite check evaluates its two sides once, under the ordered monad, and
-compares them per monad only when that monad tells them apart.  This is
+reads every verdict off those two runs.  The shape view
+(``propcheck._IN_SHAPE``) or the sequence view (``_IN_ORDER``) decides
+first; only a pair that it tells apart is read by each builtin monad's own
+view (``propcheck._VIEWS``) to name the first monad that differs.  This is
 sound when ordered agreement implies agreement under each monad the check
-names: the shape view (``propcheck._IN_SHAPE``) for option, state, writer,
-trace and writer-rtl, the sequence view (``_IN_ORDER``) for option, state
-and writer.  Here the implication is sampled on the pairs the suites
-compare: 500 trials of each evaluating suite at its acceptance depth and
-seed, each fault row of ``test_suites_shrink_failures`` with its fault
-injected, and the swap of ``(probe!, probe!)``, which only state sees.  A
-pair is compared whatever its static cost, once its rewrite checks at the
-expected type; a side that raises is told apart.  Each side is evaluated
-directly under every monad and view.  The kill matrix, the pairs each
-observer tells apart per input, is pinned in ``KILL_MATRIX``.
+names: the shape view for option, state, writer, trace and writer-rtl, the
+sequence view for option, state and writer; and when each monad's view
+tells a pair apart exactly when direct evaluation under that monad does.
+Here both are sampled on the pairs the suites compare: 500 trials of each
+evaluating suite at its acceptance depth and seed, each fault row of
+``test_suites_shrink_failures`` with its fault injected, and the swap of
+``(probe!, probe!)``, which only state sees.  A pair is compared whatever
+its static cost, once its rewrite checks at the expected type; a side that
+raises is told apart.  Each side is evaluated directly under every monad
+and under the ordered monad.  The kill matrix, the pairs each observer
+tells apart per input, is pinned in ``KILL_MATRIX``.
 
 Print the kill matrix with ``PYTHONPATH=src:tests python tests/test_ordered_observation.py``.
 """
@@ -87,14 +91,16 @@ def _pair(suite: str, term):
 
 
 class _Tally:
-    """Per observer, the pairs it tells apart; and the misses: a pair some
-    monad tells apart while the view that stands for it does not."""
+    """Per observer, the pairs it tells apart; the misses: a pair some monad
+    tells apart while the view that stands for it does not; and the
+    mismatches: a pair and a builtin monad whose view of the ordered run
+    (``propcheck._VIEWS``) and direct evaluation give different verdicts."""
 
     def __init__(self, sig):
         self.sig, self.env = sig, TypeEnv(sig)
         self.consts = {m.name: make_const_env(sig, m) for m in (*FIVE.values(), _IN_ORDER)}
         self.apart = dict.fromkeys((*FIVE, "ordered", "ordered-shape"), 0)
-        self.compared, self.misses, self.costs = 0, [], 0
+        self.compared, self.misses, self.mismatches, self.costs = 0, [], [], 0
 
     def compare(self, ty, out, term, label) -> None:
         try:
@@ -118,6 +124,9 @@ class _Tally:
         self.apart["ordered-shape"] += shape
         if (apart and not shape) or (apart & set(UNTRACED) and not seq):
             self.misses.append((sorted(apart), seq, shape, out, term))
+        for name, view in propcheck._VIEWS.items():
+            if _apart(ty, view, ordered) != (name in apart):
+                self.mismatches.append((name, out, term))
         if type(ty) is Eff and ordered is not None and values["trace"] is not None:
             for v, action in zip(ordered, values["trace"]):  # each tree costs what its trace does
                 d, t = v.action(0)[0], action.action
@@ -190,21 +199,21 @@ def _suite(suite: str) -> _Tally:
 @pytest.mark.parametrize("suite", SUITES)
 def test_no_monad_sees_what_the_ordered_view_misses(suite):
     tally = _suite(suite)
-    assert tally.misses == [] and tally.row() == KILL_MATRIX[suite]
+    assert tally.misses == tally.mismatches == [] and tally.row() == KILL_MATRIX[suite]
     assert tally.compared > 0 and (tally.costs > 0) == (suite != "relabel")  # common terms run nothing
 
 
 @pytest.mark.parametrize("row", FAULT_ROWS, ids=_key)
 def test_every_fault_the_monads_kill_the_ordered_view_kills(row):
     tally = _fault_tally(row)
-    assert tally.misses == [] and tally.row() == KILL_MATRIX[_key(row)]
+    assert tally.misses == tally.mismatches == [] and tally.row() == KILL_MATRIX[_key(row)]
     view = "ordered" if row[0] == "baseline" else "ordered-shape"
     assert (tally.apart[view] > 0) != (_key(row) in NO_KILL), tally.apart
 
 
 def test_the_state_only_swap_is_killed():
     tally = _swap_tally()
-    assert tally.misses == [] and tally.row() == KILL_MATRIX[SWAP]
+    assert tally.misses == tally.mismatches == [] and tally.row() == KILL_MATRIX[SWAP]
     assert {n for n, k in tally.apart.items() if k} == {"state", "ordered", "ordered-shape"}
 
 
@@ -223,14 +232,16 @@ def test_the_position_mark_is_in_no_generated_literal_or_name():
             assert not any(type(n) is Lit and "@" in n.value for n in subterms(t))
 
 
-@pytest.mark.parametrize("view", [_IN_ORDER, _IN_SHAPE], ids=["sequence", "shape"])
+@pytest.mark.parametrize("view", [_IN_ORDER, _IN_SHAPE, *propcheck._VIEWS.values()],
+                         ids=["sequence", "shape", *propcheck._VIEWS])
 def test_both_views_obey_the_laws(view):
     report = check_laws(view, 2_000, seed=3)
     assert report.all_passed, {k: v for k, v in report.failures.items() if v}
 
 
 def test_the_ordered_monad_is_not_a_builtin():
-    assert "ordered" not in MONADS and _IN_ORDER.name == _IN_SHAPE.name == "ordered"
+    views = (_IN_ORDER, _IN_SHAPE, *propcheck._VIEWS.values())
+    assert "ordered" not in MONADS and {v.name for v in views} == {"ordered"}
 
 
 if __name__ == "__main__":
@@ -238,8 +249,11 @@ if __name__ == "__main__":
     rows += [(_key(r), _fault_tally(r)) for r in FAULT_ROWS]
     rows.append((SWAP, _swap_tally()))
     names = (*FIVE, "ordered", "ordered-shape")
-    print("| input | pairs | " + " | ".join(names) + " | misses |")
-    print("|---" * (len(names) + 3) + "|")
+    print("| input | pairs | " + " | ".join(names) + " | misses | view ≠ direct |")
+    print("|---" * (len(names) + 4) + "|")
     for key, t in rows:
         print(f"| {key} | {t.compared} | " + " | ".join(str(t.apart[n]) for n in names)
-              + f" | {len(t.misses)} |")
+              + f" | {len(t.misses)} | {len(t.mismatches)} |")
+    pairs, mismatches = sum(t.compared for _, t in rows), sum(len(t.mismatches) for _, t in rows)
+    print(f"\n{pairs} pairs, {pairs * len(propcheck._VIEWS)} verdicts of a view against direct "
+          f"evaluation, {mismatches} differing")

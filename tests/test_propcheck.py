@@ -9,10 +9,12 @@ from purify.check import TypeEnv, typecheck
 from purify.metrics import span, span_work, work
 from purify.pretty import pretty
 from purify.propcheck import (
-    GenConfig, SUITE_NAMES, Unsatisfiable, default_signature, gen_term,
+    GenConfig, SUITE_NAMES, Unsatisfiable, _IN_SHAPE, default_signature, gen_term,
     run_suite, shrink,
 )
-from purify.semantics import SYMBOL, MonadDict, writer_monad
+from purify.semantics import (
+    MONADS, SYMBOL, MonadDict, evaluate, make_const_env, value_eq_for, writer_monad,
+)
 from purify.surface import parse_and_elaborate, parse_target_expr
 from purify.terms import (
     App, Ap, Arrow, COM, Const, ConstDecl, ConstKind, Each, Eff, Fst, Join, Lam, Lit,
@@ -299,7 +301,7 @@ def test_suites_shrink_failures(monkeypatch, suite, depth, seed, trials, target,
     assert rep.failures
     sig = default_signature()
     label, generate, check = propcheck._TERM_SUITES[suite]
-    ctx = propcheck._Ctx.of(sig)
+    ctx = propcheck._Ctx(sig)
     shrunk = 0
     for f in rep.failures:
         assert f["detail"].split(":")[0] not in dir(builtins), f
@@ -352,7 +354,7 @@ def test_normalize_check_compares_statics_with_the_trace(monkeypatch):
     )
     typecheck(body, SRC, TypeEnv(sig))
     term = opt_translate(body)
-    ctx = propcheck._Ctx.of(sig)
+    ctx = propcheck._Ctx(sig)
     assert propcheck._check_normalize(ctx, term) is None
 
     runs = metrics._runs
@@ -551,12 +553,25 @@ def test_scanned_draws_see_a_dropped_declaration(monkeypatch, lookup, dropped):
     assert _draws(sig) != tabled
 
 
-@pytest.mark.parametrize("suite", ["semantics", "smart_ctors", "relabel", "normalize",
-                                   "baseline", "types"])
-def test_each_check_evaluates_each_side_once(monkeypatch, suite):
+# each term suite's acceptance depth and seed
+ACCEPTANCE = {"types": (6, 31), "semantics": (5, 41), "span_work": (6, 51), "smart_ctors": (4, 61),
+              "relabel": (5, 71), "effect_free": (5, 71), "normalize": (5, 101), "baseline": (5, 81)}
+# (suite, depth, seed, trials, fault target, fault) of every fault row, by the row's name
+FAULTS = [pytest.param(*row, id=f"{row[0]}/{row[5].__name__}") for row in FAULT_ROWS]
+EVALUATING = ("semantics", "smart_ctors", "relabel", "normalize", "baseline")
+
+
+@pytest.mark.parametrize("suite, depth, seed, trials, target, wrong", [
+    pytest.param(s, 5, 17, 40, None, None, id=s) for s in (*EVALUATING, "types")] + FAULTS)
+def test_each_check_evaluates_each_side_once(monkeypatch, suite, depth, seed, trials, target,
+                                             wrong):
     """A check evaluates its two terms once each, under the ordered monad,
-    whose one run per side decides what every monad it names decides;
-    ``types`` compares types only and evaluates nothing."""
+    whose one run per side decides what every monad it names decides, also
+    when the sides differ and while the failing term is shrunk; ``types``
+    compares types only and evaluates nothing, and a check that fails on a
+    type or a static cost evaluates nothing either."""
+    if target is not None:
+        monkeypatch.setattr(f"purify.{target}", wrong)
     calls = []
     evaluate = propcheck.evaluate
     monkeypatch.setattr(propcheck, "evaluate", lambda *a: calls.append(a) or evaluate(*a))
@@ -565,46 +580,90 @@ def test_each_check_evaluates_each_side_once(monkeypatch, suite):
 
     def counted(ctx, term):
         before = len(calls)
-        detail = check(ctx, term)
-        per_check.append(len(calls) - before)
-        return detail
+        try:
+            return check(ctx, term)
+        finally:
+            per_check.append(len(calls) - before)
 
     monkeypatch.setitem(propcheck._TERM_SUITES, suite, (label, generate, counted))
-    rep = run_suite(suite, GenConfig(max_depth=5, seed=17), 40)
-    assert rep.all_passed and per_check and set(per_check) == {0 if suite == "types" else 2}
+    rep = run_suite(suite, GenConfig(max_depth=depth, seed=seed), trials)
+    assert rep.all_passed == (target is None) and per_check
+    if target is None:
+        assert set(per_check) == {2 if suite in EVALUATING else 0}
+    else:
+        assert set(per_check) <= {0, 2} and (2 in per_check) == (suite in EVALUATING)
 
 
 def test_a_trial_the_ordered_monad_tells_apart_is_compared_per_monad(monkeypatch):
-    """Two ordered evaluations tell the sides apart; the sides are then
-    evaluated under each monad in turn, up to the first under which they
-    differ: a pair swapped in the translation of ``(probe!, probe!)`` only
-    changes state's results."""
+    """Two ordered evaluations tell the sides apart; each monad's view then
+    reads the same two runs, up to the first view under which they differ,
+    with no evaluation more: a pair swapped in the translation of
+    ``(probe!, probe!)`` only changes state's results."""
     sig, term = parse_and_elaborate("effect probe : Eff Str\npurify { (probe!, probe!) }")
     typecheck(term, SRC, TypeEnv(sig))
     monkeypatch.setattr(propcheck, "opt_translate", _swapped_opt)
     used = []
     evaluate = propcheck.evaluate
     monkeypatch.setattr(propcheck, "evaluate", lambda *a: used.append(a[2].name) or evaluate(*a))
-    assert propcheck._check_semantics(propcheck._Ctx.of(sig), term) == "disagrees under state"
-    assert used == ["ordered", "ordered", "option", "option", "state", "state"]
+    assert propcheck._check_semantics(propcheck._Ctx(sig), term) == "disagrees under state"
+    assert used == ["ordered", "ordered"]
 
 
-# each term suite's acceptance depth and seed
-ACCEPTANCE = {"types": (6, 31), "semantics": (5, 41), "span_work": (6, 51), "smart_ctors": (4, 61),
-              "relabel": (5, 71), "effect_free": (5, 71), "normalize": (5, 101), "baseline": (5, 81)}
+def test_a_pair_only_the_shape_view_tells_apart_passes(monkeypatch):
+    """A rewrite that swaps the two arguments of an ``ap``, one a chain of two
+    stamps and the other a stamp, changes only the order of a Par.  The shape
+    view tells the sides apart, yet no monad does, not even writer-rtl: every
+    leaf is ``stamp(x)``.  The rewrite passes on two evaluations, and its
+    cost, 2/3, is read off the ordered run."""
+    sig = default_signature()
+    const = "pure (fun p -> (fun q -> () : Unit -> Unit) : Unit -> Unit -> Unit)"
+    chain = 'join (map (fun u -> stamp("x") : Unit -> Eff Unit) stamp("x"))'
+    term = parse_target_expr(f'ap (ap ({const}) ({chain})) stamp("x")', sig)
+    out = parse_target_expr(f'ap (ap ({const}) stamp("x")) ({chain})', sig)
+    ctx = propcheck._Ctx(sig)
+    assert typecheck(term, TGT, ctx.env_t) is typecheck(out, TGT, ctx.env_t) is Eff(UNIT)
+    assert span_work(term, sig) == span_work(out, sig) == (2, 3)
+
+    def apart(m) -> bool:
+        consts = make_const_env(sig, m)
+        return not value_eq_for(Eff(UNIT), m)(*(evaluate(t, TGT, m, consts) for t in (term, out)))
+    assert apart(_IN_SHAPE) and not any(apart(make()) for make in MONADS.values())
+    used = []
+    monkeypatch.setattr(propcheck, "evaluate", lambda *a: used.append(a[2].name) or evaluate(*a))
+    assert propcheck._rewrite(ctx, term, TGT, out, (2, 3)) is None
+    assert used == ["ordered", "ordered"]
 
 
-@pytest.mark.parametrize("suite", ACCEPTANCE)
-def test_a_passing_trial_never_leaves_the_ordered_path(monkeypatch, suite):
-    """A passing trial is decided by the ordered monad alone: the suite
-    builds no constant environment under any other monad."""
+def test_a_difference_only_trace_sees_is_reported(monkeypatch):
+    """Running ``(stamp("x")!, stamp("y")!)``'s two stamps in sequence, not in
+    parallel, keeps every result, position and leaf order: only the shape
+    view, which a check naming trace decides on first, tells the sides apart,
+    and only trace's view names a monad."""
+    sig, term = parse_and_elaborate(
+        'effect stamp : Str -> Eff Unit\npurify { (stamp("x")!, stamp("y")!) }')
+    typecheck(term, SRC, TypeEnv(sig))
+    ctx, seq = propcheck._Ctx(sig), seq_translate(term)
+    typecheck(seq, TGT, ctx.env_t)
+    assert propcheck._rewrite(ctx, seq, TGT, opt_translate(term), (2, 2)) == "disagrees under trace"
+    monkeypatch.setattr(propcheck, "opt_translate", seq_translate)
+    assert propcheck._check_semantics(ctx, term) == "disagrees under trace"
+
+
+@pytest.mark.parametrize("suite, depth, seed, trials, target, wrong", [
+    pytest.param(s, *ACCEPTANCE[s], 300, None, None, id=s) for s in ACCEPTANCE] + FAULTS)
+def test_a_passing_trial_never_leaves_the_ordered_path(monkeypatch, suite, depth, seed, trials,
+                                                       target, wrong):
+    """A trial is decided by the ordered monad alone, whether it passes or
+    fails and is shrunk: the suite builds no constant environment under any
+    other monad."""
+    if target is not None:
+        monkeypatch.setattr(f"purify.{target}", wrong)
     built = []
     make_const_env = propcheck.make_const_env
     monkeypatch.setattr(propcheck, "make_const_env",
                         lambda sig, m: built.append(m.name) or make_const_env(sig, m))
-    depth, seed = ACCEPTANCE[suite]
-    rep = run_suite(suite, GenConfig(max_depth=depth, seed=seed), 300)
-    assert rep.all_passed and built == ["ordered"]
+    rep = run_suite(suite, GenConfig(max_depth=depth, seed=seed), trials)
+    assert rep.all_passed == (target is None) and built == ["ordered"]
 
 
 def test_types_suite_typechecks_each_term_once(monkeypatch):
