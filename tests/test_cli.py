@@ -1,10 +1,18 @@
+import argparse
+import contextlib
+import functools
+import io
 import json
+import os
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from purify.cli import _parser, main
+import purify.cli as cli
+from purify.cli import _usage, main
 from purify.semantics import MONADS
+from purify.terms import PurifyError
 
 TWO_FETCHES = """prim concat : Str -> Str -> Str
 effect fetch : Str -> Eff Str
@@ -124,7 +132,7 @@ def test_reassoc_is_an_unknown_argument(two_chains_file, capsys):
     assert main(["translate", two_chains_file, "--reassoc"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    usage = _parser().format_usage()
+    usage = _usage("translate")
     assert usage.startswith("usage: purify ")
     assert captured.err == usage + "error: unrecognized arguments: --reassoc\n"
 
@@ -422,31 +430,54 @@ def test_random_programs_end_in_result_or_diagnostic(tmp_path, capsys, toks):
 
 USAGE_ERRORS = (
     [],
+    ["nope"],
+    ["check"],
     ["run"],
+    ["run", "a.pfy"],
     ["suite", "nope"],
+    ["translate", "a.pfy", "--mode", "bogus"],
     ["laws", "--monad", "trace", "--trials", "x"],
     ["check", "a.pfy", "--bogus"],
+    # argparse read "--" after "=" as no value at all, and the command then failed
+    ["translate", "a.pfy", "--mode=--"],
+    ["suite", "types", "--trials=--"],
 )
 
 
 def test_usage_errors_exit_1_and_help_exits_0(capsys):
     """Exit code 2 belongs to property failures, so a malformed command line
-    is a diagnostic: argparse's usage, then one error line."""
+    is a diagnostic: the usage line, then one error line."""
     for argv in USAGE_ERRORS:
         assert main(argv) == 1, argv
         err = capsys.readouterr().err
         assert err.startswith("usage: purify")
         assert err.splitlines()[-1].startswith("error: ")
         assert sum(line.startswith("error: ") for line in err.splitlines()) == 1
-    with pytest.raises(SystemExit) as exc:
-        main(["--help"])
-    assert exc.value.code == 0
-    assert capsys.readouterr().out.startswith("usage: purify")
+    for argv in (["--help"], *([cmd, "--help"] for cmd in cli.COMMANDS)):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith(_usage(argv[0] if len(argv) == 2 else None)) and err == ""
+
+
+def test_help_to_a_closed_pipe_exits_0(monkeypatch):
+    """``purify --help | head -1`` may close stdout before help is written."""
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    for argv in (["--help"], ["run", "-h"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
 
 
 _ARGV_WORDS = ("check", "translate", "analyze", "run", "laws", "suite",
                "--mode", "--normalize", "--reassoc", "--json", "--monad", "--config",
                "--dot", "--trials", "--depth", "--seed", "--help",
+               "--mode=seq", "--norm", "--js", "-h", "--", "-3",
                "0", "1", "-1", "x", "trace", "types",
                "ok.pfy", "missing.pfy", "bytes.pfy")
 
@@ -554,10 +585,10 @@ def _outcome(argv, capsys):
     return code, out, err
 
 
-def test_shared_parser_matches_a_fresh_one(two_chains_file, tmp_path, monkeypatch, capsys):
-    """main reuses one parser across calls; no call's outcome depends on
-    the calls before it."""
-    import purify.cli as cli
+def test_shared_parser_matches_a_fresh_one(two_chains_file, tmp_path, capsys):
+    """main reads every call from one module-level grammar table; no call's
+    outcome depends on the calls before it."""
+    import importlib
 
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"latency_ms": {"fetch": 50}}))
@@ -574,17 +605,18 @@ def test_shared_parser_matches_a_fresh_one(two_chains_file, tmp_path, monkeypatc
         ["check", two_chains_file],
     )
     shared = [_outcome(argv, capsys) for argv in sequence]
-    monkeypatch.setattr(cli, "_parser", cli._parser.__wrapped__)  # a new parser per call
-    fresh = [_outcome(argv, capsys) for argv in sequence]
+    fresh = []
+    for argv in sequence:  # a new table and reader per call
+        importlib.reload(cli)
+        fresh.append(_outcome(argv, capsys))
     for argv, got, want in zip(sequence, shared, fresh):
         assert got == want, argv
     assert [code for code, _, _ in shared] == [1, 0, 0, 0, 0, 0, 1, 1, 0]
 
 
 def test_grammar_choices_are_the_layers_tables():
-    """The parser is built without importing a layer, from constants that
+    """The grammar is read without importing a layer, from constants that
     must name exactly the translations, monads and suites the layers have."""
-    import purify.cli as cli
     from purify import propcheck, translate
 
     public = [n[:-len("_translate")] for n in translate.__dict__
@@ -592,24 +624,6 @@ def test_grammar_choices_are_the_layers_tables():
     assert sorted(cli.TRANSLATIONS) == sorted(public)
     assert cli.MONAD_NAMES == tuple(MONADS)
     assert cli.SUITE_NAMES == propcheck.SUITE_NAMES
-
-
-def test_parser_is_built_once(two_fetches_file, monkeypatch, capsys):
-    import purify.cli as cli
-
-    built = []
-    init = cli._ArgumentParser.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(cli._ArgumentParser, "__init__", counting_init)
-    cli._parser.cache_clear()
-    for _ in range(20):
-        assert main(["check", two_fetches_file]) == 0
-    capsys.readouterr()
-    assert built.count("purify") == 1
 
 
 def test_compiling_commands_pause_the_collector(two_fetches_file, monkeypatch, capsys):
@@ -655,3 +669,130 @@ def test_compiling_commands_pause_the_collector(two_fetches_file, monkeypatch, c
     finally:
         gc.enable()
     capsys.readouterr()
+
+
+class _ReferenceParser(argparse.ArgumentParser):
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise PurifyError(message)
+
+
+@functools.cache
+def _reference_parser() -> _ReferenceParser:
+    """The argparse grammar the table reader replaced, as the reference it
+    must agree with."""
+    parser = _ReferenceParser(prog="purify")
+    sub = parser.add_subparsers(dest="cmd", required=True)
+    p = sub.add_parser("check")
+    p.add_argument("file")
+    p.set_defaults(fn=cli.cmd_check)
+    p = sub.add_parser("translate")
+    p.add_argument("file")
+    p.add_argument("--mode", choices=cli.TRANSLATIONS, default="opt")
+    p.add_argument("--normalize", action="store_true")
+    p.set_defaults(fn=cli.cmd_translate)
+    p = sub.add_parser("analyze")
+    p.add_argument("file")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(fn=cli.cmd_analyze)
+    p = sub.add_parser("run")
+    p.add_argument("file")
+    p.add_argument("--monad", required=True, choices=cli.MONAD_NAMES)
+    p.add_argument("--config")
+    p.add_argument("--dot")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(fn=cli.cmd_run)
+    p = sub.add_parser("laws")
+    p.add_argument("--monad", required=True, choices=cli.MONAD_NAMES)
+    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(fn=cli.cmd_laws)
+    p = sub.add_parser("suite")
+    p.add_argument("name", choices=cli.SUITE_NAMES)
+    p.add_argument("--trials", type=int, default=500)
+    p.add_argument("--depth", type=int, default=5)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(fn=cli.cmd_suite)
+    return parser
+
+
+def _reference_read(argv):
+    args = _reference_parser().parse_args(argv)
+    for name in {"laws": ("trials",), "suite": ("trials", "depth")}.get(args.cmd, ()):
+        if getattr(args, name) < 1:  # the handlers' own check, before the table held it
+            raise PurifyError(f"--{name} must be at least 1, got {getattr(args, name)}")
+    return args
+
+
+def _reading(read, argv):
+    """What reading ``argv`` shows: the exit code, the parsed fields, the
+    error lines, whether a usage line came first, and whose help it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    fields = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            fields, code = dict(vars(read(list(argv)))), 0
+        except SystemExit as exc:
+            code = exc.code
+        except PurifyError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 1
+    if fields:  # the handler by name: a reloaded module has new function objects
+        fields["fn"] = fields["fn"].__name__
+    helped = out.getvalue().split()[2:3] if out.getvalue() else None
+    if helped and helped[0] not in cli.COMMANDS:
+        helped = ["purify"]
+    errors = [line for line in err.getvalue().splitlines() if line.startswith("error: ")]
+    return code, fields, errors, err.getvalue().startswith("usage: purify"), helped
+
+
+# words whose reading turns on argparse's rarer rules
+_EDGE_WORDS = ("--=x", "-hx", "-hh", "-h=h", "--he", "--he=", "--mode=", "--json=1",
+               "--trials=2", "--mo", "-x", "-x y", "-1.5", "-", "", "naive")
+
+
+# the reader follows argparse as Python 3.10 and 3.11 ship it
+_ARGPARSE_311 = pytest.mark.skipif(sys.version_info >= (3, 12), reason=(
+    "argparse 3.12+ prints choices unquoted and reads '--' before a command"))
+
+
+@_ARGPARSE_311
+@settings(max_examples=2000, deadline=None)
+@given(st.lists(st.sampled_from(_ARGV_WORDS + _EDGE_WORDS), max_size=8))
+def test_reader_agrees_with_the_argparse_grammar(argv):
+    """The table reader parses what the argparse grammar parsed, into the
+    same fields, and refuses what it refused with the same error line."""
+    assert _reading(cli._read, argv) == _reading(_reference_read, argv)
+
+
+@_ARGPARSE_311
+@pytest.mark.parametrize("argv", [
+    ["translate", "f", "--mode=seq", "--norm"],
+    ["translate", "--mo", "naive", "f"],
+    ["translate", "--", "-f", "--mode", "seq"],
+    ["translate", "f", "--normalize", "--"],
+    ["run", "f", "--monad=trace", "--config", "-3", "--dot=", "--js"],
+    ["laws", "--monad", "state", "--seed", "-3", "--trials=2"],
+    ["suite", "--seed=-1", "types", "--trials", "7", "--"],
+    ["-x", "check", "f"],
+    ["check", "f", "--", "--"],
+    ["check", "-hhx"],
+    ["suite", "types", "--=x"],
+    ["check", "--he"],
+    ["run", "--monad", "bogus", "--help"],
+    ["suite", "types", "--trials", "0", "--depth", "0"],
+])
+def test_reader_agrees_with_the_argparse_grammar_on_examples(argv):
+    assert _reading(cli._read, argv) == _reading(_reference_read, argv)
+
+
+def test_readme_synopsis_is_the_grammars():
+    """README.md's CLI block is the synopsis the reader prints in --help."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        block = fh.read().split("## CLI\n\n```sh\n")[1].split("```")[0]
+    assert [line.split("  #")[0].rstrip() for line in block.splitlines()] == [
+        cli._synopsis(cmd) for cmd in cli.COMMANDS]

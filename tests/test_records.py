@@ -67,8 +67,8 @@ def test_import_loads_only_the_layers_a_caller_uses(path):
     assert set(loaded.split()) & unloaded == set()
 
 
-# a one-shot command -> exactly what it loads of the layers and ``json``;
-# ``None`` is a bare ``import purify.cli``
+# a one-shot command -> exactly what it loads of the layers and ``json``, and
+# never ``argparse``; ``None`` is a bare ``import purify.cli``
 ON_DEMAND = {"surface", "check", "translate", "semantics", "metrics", "propcheck", "json"}
 _PROGRAM = {"surface", "check"}
 COMMAND_LAYERS = {
@@ -103,6 +103,7 @@ def test_a_command_loads_only_the_layers_it_runs(command, tmp_path):
                     "print(*(m.removeprefix('purify.') for m in sys.modules))").splitlines()[-1]
     assert {"terms", "pretty", "cli"} <= set(loaded.split())
     assert set(loaded.split()) & ON_DEMAND == layers
+    assert set(loaded.split()) & {"argparse", "gettext"} == set()  # the table reads argv
 
 
 # the names ``import purify`` exported when it imported every layer
