@@ -53,25 +53,23 @@ class TypeEnv:
     def __init__(self, sig: Signature, vars: dict[str, Ty] | None = None):
         self.sig, self.vars = sig, {} if vars is None else vars
 
-    def bind(self, name: str, ty: Ty) -> "TypeEnv":
-        new = dict(self.vars)
-        new[name] = ty
-        return TypeEnv(self.sig, new)
-
 
 def typecheck(e: Term, expected_label: Label, env: TypeEnv) -> Ty:
     """Synthesize the type of ``e`` at ``expected_label`` and stamp nodes."""
-    return _synth(e, expected_label, env)
+    return _synth(e, expected_label, env.sig, dict(env.vars))
 
 
 # node kinds that live in one fragment only; every other kind is common
 _FRAGMENT = {Each: SRC, Pure: TGT, Map: TGT, Ap: TGT, Join: TGT}
+_TYPES = Ty._interned  # a type that exists is read from here, not rebuilt
 
 
-def _synth(e: Term, lab: Label, env: TypeEnv, dom: Ty | None = None) -> Ty:
+def _synth(e: Term, lab: Label, sig: Signature, scope: dict[str, Ty],
+           dom: Ty | None = None) -> Ty:
     """Type ``e`` at label ``lab``.  ``dom`` is the parameter type the
     context gives a lambda in function position (an application's argument,
-    a ``map``'s or ``ap``'s action); ``pure`` passes it on to its payload."""
+    a ``map``'s or ``ap``'s action); ``pure`` passes it on to its payload.
+    ``scope`` (one per call of ``typecheck``) types the variables in scope."""
     k = type(e)
     if _FRAGMENT.get(k, lab) is not lab:
         raise LabelMismatch(
@@ -86,8 +84,8 @@ def _synth(e: Term, lab: Label, env: TypeEnv, dom: Ty | None = None) -> Ty:
         ty: Ty = STR
     elif k is App:
         # argument first, so an unannotated lambda gets its parameter type
-        ta = _synth(e.arg, lab, env)
-        tf = _synth(e.fun, lab, env, ta)
+        ta = _synth(e.arg, lab, sig, scope)
+        tf = _synth(e.fun, lab, sig, scope, ta)
         if not isinstance(tf, Arrow):
             raise TypeMismatch(f"application of non-function type {type_name(tf)}")
         if tf.dom != ta:
@@ -96,12 +94,12 @@ def _synth(e: Term, lab: Label, env: TypeEnv, dom: Ty | None = None) -> Ty:
             )
         ty = tf.cod
     elif k is Const:
-        decl = env.sig.lookup(e.name)
+        decl = sig.lookup(e.name)
         if decl is None:
             raise UnknownConst(f"unknown constant {e.name!r}")
         ty = decl.ty
     elif k is Prd:
-        ty = Prod(_synth(e.fst, lab, env), _synth(e.snd, lab, env))
+        ty = Prod(_synth(e.fst, lab, sig, scope), _synth(e.snd, lab, sig, scope))
     elif k is Lam:
         param_ty = dom if e.param_ty is None else e.param_ty
         if param_ty is None:
@@ -117,32 +115,36 @@ def _synth(e: Term, lab: Label, env: TypeEnv, dom: Ty | None = None) -> Ty:
                 f"lambda body labelled {body_lab} (bodies are common, or "
                 f"target inside target terms)"
             )
-        ty = Arrow(param_ty, _synth(e.body, body_lab, env.bind(e.param, param_ty)))
+        outer, scope[e.param] = scope.get(e.param), param_ty
+        tb = _synth(e.body, body_lab, sig, scope)
+        scope[e.param] = outer  # None when it was unbound
+        ty = _TYPES.get((Arrow, param_ty, tb)) or Arrow(param_ty, tb)
     elif k is Each:
-        ti = _synth(e.eff, SRC, env)
+        ti = _synth(e.eff, SRC, sig, scope)
         if not isinstance(ti, Eff):
             raise TypeMismatch(f"Each needs an Eff-typed argument, got {type_name(ti)}")
         ty = ti.inner
     elif k is Unt:
         ty = UNIT
     elif k is Var:
-        if e.name not in env.vars:
+        ty = scope.get(e.name)
+        if ty is None:
             raise UnboundVar(f"unbound variable {e.name!r}")
-        ty = env.vars[e.name]
     elif k is Fst or k is Snd:
-        tp = _synth(e.pair, lab, env)
+        tp = _synth(e.pair, lab, sig, scope)
         if not isinstance(tp, Prod):
             raise TypeMismatch(f"{k.__name__} applied to non-pair type {type_name(tp)}")
         ty = tp.left if k is Fst else tp.right
     elif k is Pure:
-        ty = Eff(_synth(e.inner, COM, env, dom))
+        ti = _synth(e.inner, COM, sig, scope, dom)
+        ty = _TYPES.get((Eff, ti)) or Eff(ti)
     elif k is Map or k is Ap:
-        ta = _synth(e.arg, TGT, env)
+        ta = _synth(e.arg, TGT, sig, scope)
         if not isinstance(ta, Eff):
             raise TypeMismatch(
                 f"{k.__name__} argument must be Eff-typed, got {type_name(ta)}"
             )
-        tf = _synth(e.fun, TGT, env, ta.inner)
+        tf = _synth(e.fun, TGT, sig, scope, ta.inner)
         if k is Ap:
             if not (isinstance(tf, Eff) and isinstance(tf.inner, Arrow)):
                 raise TypeMismatch(
@@ -156,9 +158,9 @@ def _synth(e: Term, lab: Label, env: TypeEnv, dom: Ty | None = None) -> Ty:
                 f"{k.__name__} domain {type_name(tf.dom)} does not match argument "
                 f"{type_name(ta.inner)}"
             )
-        ty = Eff(tf.cod)
+        ty = _TYPES.get((Eff, tf.cod)) or Eff(tf.cod)
     elif k is Join:
-        tn = _synth(e.nested, TGT, env)
+        tn = _synth(e.nested, TGT, sig, scope)
         if not (isinstance(tn, Eff) and isinstance(tn.inner, Eff)):
             raise TypeMismatch(
                 f"Join needs an Eff (Eff _)-typed argument, got {type_name(tn)}"

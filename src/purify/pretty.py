@@ -43,12 +43,9 @@ def _app(e: App) -> tuple:
 
 
 # node kind -> its binding level and layout: literal text pieces and
-# (child, slot level) pairs, left to right
+# (child, slot level) pairs, left to right; ``pretty`` writes Var, Const, Lit
 _LAYOUTS = {
     App: _app,
-    Var: lambda e: (ATOM, (e.name,)),
-    Const: lambda e: (ATOM, (e.name,)),
-    Lit: lambda e: (ATOM, (escape_string(e.value),)),
     Unt: lambda e: (ATOM, ("()",)),
     Prd: lambda e: (ATOM, ("(", (e.fst, EXPR), ", ", (e.snd, EXPR), ")")),
     Lam: _lam,
@@ -72,9 +69,13 @@ def pretty(e: Term) -> str:
             out.append(item)
             continue
         t, slot = item
-        layout = _LAYOUTS.get(type(t))
+        k = type(t)
+        if k is Var or k is Const or k is Lit:  # atoms, in any slot
+            out.append(escape_string(t.value) if k is Lit else t.name)
+            continue
+        layout = _LAYOUTS.get(k)
         if layout is None:
-            raise PurifyError(f"cannot print term former {type(t).__name__}")
+            raise PurifyError(f"cannot print term former {k.__name__}")
         level, pieces = layout(t)
         if level > slot:
             pieces = ("(", *pieces, ")")

@@ -1,14 +1,14 @@
 """Translations from direct-style source terms to combinator target terms.
 
-``opt_translate`` and ``naive_translate`` are one structural recursion,
-``_translate``, with pluggable ``ap``/``join`` constructors: the optimizing
-translation passes the smart constructors ``smart_ap`` and ``smart_join``,
-which apply the law-based collapses while the target term is built; the
-naive one passes the raw ``Ap``/``Join`` nodes.  ``seq_translate`` is the
-do-notation baseline: it linearizes every effect into a left-to-right chain
-of binds (Join over Map), losing all parallelism.  ``normalize`` rewrites
-target terms to a fixed point of the functor/applicative/monad laws; its
-Ap collapses are ``smart_ap``'s.
+``opt_translate`` copies each effect-free subterm of leaves and applications
+once, under ``pure`` (the homomorphism law, applied to the whole subterm) or
+under the mark that runs it; ``smart_ap`` and ``smart_join`` collapse the rest
+where effects meet.  ``naive_translate`` keeps raw ``Ap``/``Join`` and a
+``pure`` per leaf; both lift pairs and projections with ``_lift``.
+``seq_translate`` is the do-notation baseline: it linearizes every effect
+into a left-to-right chain of binds (Join over Map), losing all parallelism.
+``normalize`` rewrites target terms to a fixed point of the
+functor/applicative/monad laws; its Ap collapses are ``smart_ap``'s.
 """
 
 from __future__ import annotations
@@ -31,12 +31,10 @@ class FuelExhausted(PurifyError):
 # ---------------------------------------------------------------------------
 
 def smart_ap(f: Term, e: Term, fresh: FreshNames) -> Term:
-    """Applicative application with law-based collapses.
-
-    Pure/Pure collapses by the homomorphism law; a Pure on either side
-    collapses to a single Map, binding a name from ``fresh``, by the identity
-    and interchange laws; anything else keeps the parallel Ap node.
-    """
+    """Applicative application with law-based collapses: Pure/Pure by the
+    homomorphism law (``opt_translate`` copies a pure application whole
+    instead), a Pure on either side to a single Map, binding a name from
+    ``fresh``, by the identity and interchange laws; else the parallel Ap."""
     if type(f) is Pure:
         if type(e) is Pure:
             return Pure(App(f.inner, e.inner, label=COM), label=TGT)
@@ -59,45 +57,72 @@ def smart_join(e: Term) -> Term:
 
 def opt_translate(e: Term) -> Term:
     """The optimizing one-pass translation from source to target."""
-    fresh = FreshNames()
-    return _translate(e, lambda f, a: smart_ap(f, a, fresh), smart_join, fresh)
+    out = _walk(e, FreshNames())
+    return Pure(relabel(e, COM), label=TGT) if out is e else out
+
+
+def _walk(t: Term, fresh: FreshNames) -> Term:
+    """``t`` translated, or ``t`` itself (its parent copies it) if it is only
+    leaves and applications.  A collapse draws its name after both sides."""
+    k = type(t)
+    if k is App:
+        f, a = _walk(t.fun, fresh), _walk(t.arg, fresh)
+        if f is t.fun:
+            if a is t.arg:
+                return t
+            f = Pure(relabel(f, COM), label=TGT)
+        elif a is t.arg:
+            a = Pure(relabel(a, COM), label=TGT)
+        return smart_ap(f, a, fresh)
+    if k is Const or k is Lit or k is Lam or k is Unt or k is Var:
+        return t
+    if k is Each:
+        out = _walk(t.eff, fresh)
+        return relabel(t.eff, TGT) if out is t.eff else smart_join(out)
+    if k is Prd or k is Fst or k is Snd:
+        return _lift(t, fresh, _walk, smart_ap)
+    raise PurifyError(f"not a source term former: {k.__name__}")
 
 
 def naive_translate(e: Term) -> Term:
     """Same equations as opt_translate but with raw constructors."""
-    return _translate(e, Ap, Join, FreshNames())
+    return _naive(e, FreshNames())
 
 
-def _translate(
-    e: Term,
-    ap: Callable[[Term, Term], Term],
-    join: Callable[[Term], Term],
-    fresh: FreshNames,
-) -> Term:
-    """The translation equations, with ``ap`` and ``join`` as constructors."""
+def _naive(t: Term, fresh: FreshNames) -> Term:
+    k = type(t)
+    if k is App:
+        return Ap(_naive(t.fun, fresh), _naive(t.arg, fresh), label=TGT)
+    if k is Const or k is Lit or k is Lam or k is Unt or k is Var:
+        return Pure(relabel(t, COM), label=TGT)
+    if k is Each:
+        return Join(_naive(t.eff, fresh), label=TGT)
+    if k is Prd or k is Fst or k is Snd:
+        return _lift(t, fresh, _naive, lambda f, a, _: Ap(f, a, label=TGT))
+    raise PurifyError(f"not a source term former: {k.__name__}")
 
-    def go(t: Term) -> Term:
-        k = type(t)
-        if k is App:
-            return ap(go(t.fun), go(t.arg))
-        if k is Const or k is Lit or k is Lam or k is Unt or k is Var:
-            return Pure(relabel(t, COM), label=TGT)
-        if k is Each:
-            return join(go(t.eff))
-        if k is Prd:
-            # the inner lambda is never syntactically applied, so it keeps
-            # its parameter type from the checked source
-            x, y = fresh.fresh(), fresh.fresh()
-            pair = Prd(Var(x, label=COM), Var(y, label=COM), label=COM)
-            lift = Lam(x, Lam(y, pair, _stamp(t.snd), label=COM), _stamp(t.fst), label=COM)
-            return ap(ap(Pure(lift, label=TGT), go(t.fst)), go(t.snd))
-        if k is Fst or k is Snd:
-            x = fresh.fresh()
-            lift = Lam(x, k(Var(x, label=COM), label=COM), _stamp(t.pair), label=COM)
-            return ap(Pure(lift, label=TGT), go(t.pair))
-        raise PurifyError(f"not a source term former: {k.__name__}")
 
-    return go(e)
+def _lift(t: Term, fresh: FreshNames, go: Callable[[Term, FreshNames], Term],
+          ap: Callable[[Term, Term, FreshNames], Term]) -> Term:
+    """A pair or projection as a lift, whose names are drawn first, ``ap``-plied
+    to its components' ``go``: one that ``go`` returns as it is, to ``pure`` of its copy."""
+    k = type(t)
+    if k is Prd:
+        # the inner lambda is never syntactically applied, so it keeps
+        # its parameter type from the checked source
+        x, y = fresh.fresh(), fresh.fresh()
+        pair = Prd(Var(x, label=COM), Var(y, label=COM), label=COM)
+        lift = Lam(x, Lam(y, pair, _stamp(t.snd), label=COM), _stamp(t.fst), label=COM)
+        parts = (t.fst, t.snd)
+    else:
+        x = fresh.fresh()
+        lift = Lam(x, k(Var(x, label=COM), label=COM), _stamp(t.pair), label=COM)
+        parts = (t.pair,)
+    out = Pure(lift, label=TGT)
+    for part in parts:
+        a = go(part, fresh)
+        out = ap(out, Pure(relabel(part, COM), label=TGT) if a is part else a, fresh)
+    return out
 
 
 def _stamp(t: Term) -> Ty:
